@@ -17,6 +17,12 @@ the offspring PGFs.  Running the same construction backwards over
 susceptibility sets gives the expected major-outbreak relative final
 size z; for a constant infectious period the forward and backward laws
 coincide and the major-outbreak probability equals z.
+
+Each offspring-PGF evaluation makes one call to
+`HouseholdEngine.mixture_pgf_profile`, the only household PGF path, and
+combines its per-size values for all types in one batched product.
+`BranchingModel` memoises the mean matrix, R* and both extinction
+vectors; `analyze` reads every output from those methods.
 """
 
 from __future__ import annotations
@@ -148,6 +154,7 @@ class BranchingModel:
         self.households = HouseholdEngine(p.infection, int(self.h_vals.max()))
         self._mean_matrix: Optional[MeanMatrix] = None
         self._r_star: Optional[float] = None
+        self._extinction: dict[bool, np.ndarray] = {}
 
     # -- offspring mean matrix and threshold ------------------------------
 
@@ -233,12 +240,11 @@ class BranchingModel:
         local = self.households.mixture_pgf_profile(
             self.h_vals, f1, self.params.p_rw, backward
         )
-        out = np.empty(self.params.n_q)
-        for i in range(self.params.n_q):
-            spare = g_type[i] ** self.exponents            # (n_d, n_h)
-            inner = (self.size_given_degree * spare) @ local
-            out[i] = self.table.d_given_q[:, i] @ inner
-        return out
+        spare = g_type[:, None, None] ** self.exponents        # (n_q, n_d, n_h)
+        inner = (self.size_given_degree * spare) @ local        # (n_q, n_d)
+        # one stacked dot per type, summed in the same order as a per-type
+        # loop; an einsum reorders the sums and moves results by ~1e-13
+        return (self.table.d_given_q.T[:, None, :] @ inner[:, :, None])[:, 0, 0]
 
     def _ancestor_pgf(self, s: np.ndarray, backward: bool) -> float:
         _, _, f1 = self._stub_pgfs(s)
@@ -262,45 +268,48 @@ class BranchingModel:
             )
         return s
 
+    def _extinction_vector(self, backward: bool) -> np.ndarray:
+        """Memoised (read-only) extinction probabilities by type; all ones
+        at or below threshold."""
+        if backward not in self._extinction:
+            vec = (np.ones(self.params.n_q) if self.r_star() <= 1.0
+                   else self._solve_extinction(backward))
+            vec.setflags(write=False)
+            self._extinction[backward] = vec
+        return self._extinction[backward]
+
+    def _require_constant(self, what: str) -> None:
+        if not self.params.infection.is_constant:
+            raise ConstantPeriodRequired(
+                f"{what} needs a constant infectious period"
+            )
+
     def forward_extinction(self) -> np.ndarray:
         """Extinction probability by ancestor type; all ones at or below
         threshold.  Needs a constant infectious period."""
-        if not self.params.infection.is_constant:
-            raise ConstantPeriodRequired(
-                "forward extinction needs a constant infectious period"
-            )
-        if self.r_star() <= 1.0:
-            return np.ones(self.params.n_q)
-        return self._solve_extinction(backward=False)
+        self._require_constant("forward extinction")
+        return self._extinction_vector(backward=False)
 
     def p_major(self) -> float:
         """Probability a uniformly chosen introduction sparks a major
         outbreak (constant infectious period only)."""
+        self._require_constant("the outbreak probability")
         if self.r_star() <= 1.0:
-            if not self.params.infection.is_constant:
-                raise ConstantPeriodRequired(
-                    "the outbreak probability needs a constant infectious period"
-                )
             return 0.0
-        sigma = self.forward_extinction()
+        sigma = self._extinction_vector(backward=False)
         return 1.0 - self._ancestor_pgf(sigma, backward=False)
 
     def backward_extinction(self) -> np.ndarray:
-        if self.r_star() <= 1.0:
-            return np.ones(self.params.n_q)
-        return self._solve_extinction(backward=True)
+        """Extinction probability of the susceptibility process by type."""
+        return self._extinction_vector(backward=True)
 
     def z_final_size(self) -> float:
         """Asymptotic relative final size of a major outbreak: the chance
         a node's susceptibility process survives."""
         if self.r_star() <= 1.0:
             return 0.0
-        xi = self.backward_extinction()
+        xi = self._extinction_vector(backward=True)
         return 1.0 - self._ancestor_pgf(xi, backward=True)
-
-
-def mean_matrix(params: ModelParams) -> MeanMatrix:
-    return BranchingModel(params).mean_matrix()
 
 
 def r_star(m: MeanMatrix) -> float:
@@ -350,36 +359,22 @@ def _perron_root(mat: np.ndarray) -> float:
     raise NonConvergence("power iteration did not stabilize", history=history)
 
 
-def forward_extinction(params: ModelParams) -> np.ndarray:
-    return BranchingModel(params).forward_extinction()
-
-
-def p_major(params: ModelParams) -> float:
-    return BranchingModel(params).p_major()
-
-
-def backward_extinction_and_z(params: ModelParams) -> tuple[np.ndarray, float]:
-    model = BranchingModel(params)
-    return model.backward_extinction(), model.z_final_size()
-
-
 def analyze(params: ModelParams) -> AnalyticReport:
+    """Every analytic output of one parameter set; the forward quantities
+    (p_major, sigma) are None for a general infectious period."""
     model = BranchingModel(params)
-    rs = model.r_star()
     constant = params.infection.is_constant
-    if rs <= 1.0:
-        sigma = np.ones(params.n_q) if constant else None
-        xi = np.ones(params.n_q)
-        return AnalyticReport(rs, 0.0 if constant else None, 0.0, sigma, xi,
-                              model.mean_matrix().has_infinite)
-    xi = model.backward_extinction()
-    z = 1.0 - model._ancestor_pgf(xi, backward=True)
+    # the public extinction methods are called only above threshold, so
+    # each call is one fixed-point solve (bench/spans.py counts PGF
+    # evaluations per call); below threshold the vectors are all ones
+    above = model.r_star() > 1.0
+    xi = model.backward_extinction() if above else np.ones(params.n_q)
+    sigma = None
     if constant:
-        sigma = model.forward_extinction()
-        pm = 1.0 - model._ancestor_pgf(sigma, backward=False)
-    else:
-        sigma, pm = None, None
-    return AnalyticReport(rs, pm, z, sigma, xi,
+        sigma = model.forward_extinction() if above else np.ones(params.n_q)
+    return AnalyticReport(model.r_star(),
+                          model.p_major() if constant else None,
+                          model.z_final_size(), sigma, xi,
                           model.mean_matrix().has_infinite)
 
 

@@ -97,9 +97,6 @@ class DiscreteDist:
             w *= self.support - j
         return float(np.dot(w, self.probs))
 
-    def pgf(self, s: float) -> float:
-        return float(np.dot(self.probs, np.float_power(s, self.support)))
-
     def min_support(self) -> int:
         return int(self.support[0])
 

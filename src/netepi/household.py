@@ -20,6 +20,11 @@ Rewiring replaces a household's clique by a uniformly re-paired
 branching process whose offspring counts are Bin(h-2, p) after the root,
 giving closed-form means and fixed-point PGFs.  Mixtures over the
 rewiring probability are plain convex combinations.
+
+`HouseholdEngine.mixture_pgf_profile` is the one PGF path: it evaluates
+the mixture for many household sizes at once, with one Horner pass over
+the zero-padded matrix of their pmfs, and the branching engine calls it
+once per offspring-PGF evaluation.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ class HouseholdEngine:
         self._mean_cache: dict[int, float] = {}
         self._t_pmf_cache: dict[int, np.ndarray] = {}
         self._m_pmf_cache: dict[int, np.ndarray] = {}
+        self._pmf_matrices: dict[tuple[bool, bytes], np.ndarray] = {}
 
     # -- mean final size (general period) --------------------------------
 
@@ -82,7 +88,7 @@ class HouseholdEngine:
             self._mean_cache[h] = h - 1 - acc
         return self._mean_cache[h]
 
-    # -- final-size pmf / PGF (constant period only) ----------------------
+    # -- final-size pmf (constant period only) ----------------------------
 
     def final_size_pmf(self, h: int) -> np.ndarray:
         """P(T = k), k = 0..h-1.  Needs a constant infectious period."""
@@ -120,10 +126,6 @@ class HouseholdEngine:
                 f"precision (sum={total}, min={pmf.min()})"
             )
         return np.clip(pmf, 0.0, None)
-
-    def final_size_pgf(self, h: int, s: float) -> float:
-        """E[s^T] for a constant period; s = 0 gives P(T = 0)."""
-        return _poly(self.final_size_pmf(h), s)
 
     # -- susceptibility set (any period) ----------------------------------
 
@@ -163,9 +165,6 @@ class HouseholdEngine:
         pmf = self.susceptibility_pmf(h)
         return float(np.dot(np.arange(h), pmf))
 
-    def susceptibility_pgf(self, h: int, s: float) -> float:
-        return _poly(self.susceptibility_pmf(h), s)
-
     # -- rewired (tree-like) locals ---------------------------------------
 
     def rewired_final_size_mean(self, h: int) -> float:
@@ -179,31 +178,6 @@ class HouseholdEngine:
             return math.inf
         return (h - 1) * p / (1.0 - (h - 2) * p)
 
-    def rewired_final_size_pgf(self, h: int, s: float) -> float:
-        """E[s^T] on the rewired local graph; constant period only."""
-        if not self.infection.is_constant:
-            raise ConstantPeriodRequired(
-                "the rewired final-size law needs a constant infectious period"
-            )
-        return self._rewired_progeny_pgf(h, s)
-
-    def rewired_susceptibility_pgf(self, h: int, s: float) -> float:
-        """E[s^M] on the rewired local graph; valid for any period because
-        each node contributes exactly one bond along its tree path."""
-        return self._rewired_progeny_pgf(h, s)
-
-    def _rewired_progeny_pgf(self, h: int, s: float) -> float:
-        self._check_size(h)
-        p = self.infection.p_i
-        if h == 1:
-            return 1.0
-        if h == 2:
-            return 1.0 - p + p * s
-        x = _subtree_fixed_point(
-            np.array([float(s)]), np.array([h], dtype=np.int64), p
-        )[0]
-        return (1.0 - p + p * x) ** (h - 1)
-
     # -- mixtures over the rewiring probability ---------------------------
 
     def mixture_mean(self, h: int, p_rw: float) -> float:
@@ -215,51 +189,41 @@ class HouseholdEngine:
             return math.inf
         return (1.0 - p_rw) * self.final_size_mean(h) + p_rw * rew
 
-    def mixture_pgf(self, h: int, p_rw: float, s: float,
-                    backward: bool = False) -> float:
-        """PGF of the local progeny when the household was rewired with
-        probability p_rw: a convex combination of the two laws."""
-        _check_prw(p_rw)
-        if backward:
-            intact = self.susceptibility_pgf(h, s)
-            if p_rw == 0.0:
-                return intact
-            return (1.0 - p_rw) * intact + p_rw * self.rewired_susceptibility_pgf(h, s)
-        intact = self.final_size_pgf(h, s)
-        if p_rw == 0.0:
-            return intact
-        return (1.0 - p_rw) * intact + p_rw * self.rewired_final_size_pgf(h, s)
-
-    # -- vectorized forms used by the branching-process engine ------------
+    # -- the PGF path used by the branching-process engine ----------------
 
     def mixture_pgf_profile(self, sizes: np.ndarray, s_by_size: np.ndarray,
                             p_rw: float, backward: bool = False) -> np.ndarray:
-        """mixture_pgf evaluated at one argument per household size."""
+        """PGF of the local progeny of each household size at its own
+        argument, when the household was rewired with probability p_rw: a
+        convex combination of the intact law (final size T forward, which
+        needs a constant period; susceptibility set M backward) and the
+        rewired tree law, valid backward for any period because each node
+        contributes exactly one bond along its tree path."""
         _check_prw(p_rw)
         sizes = np.asarray(sizes, dtype=np.int64)
         s_by_size = np.asarray(s_by_size, dtype=np.float64)
-        if backward:
-            intact = np.array(
-                [self.susceptibility_pgf(int(h), s)
-                 for h, s in zip(sizes, s_by_size)]
-            )
-        else:
-            intact = np.array(
-                [self.final_size_pgf(int(h), s)
-                 for h, s in zip(sizes, s_by_size)]
-            )
+        # Horner over the columns of the zero-padded pmf matrix
+        intact = np.zeros_like(s_by_size)
+        for coeff in self._pmf_matrix(sizes, backward).T[::-1]:
+            intact = intact * s_by_size + coeff
         if p_rw == 0.0:
             return intact
         p = self.infection.p_i
         x = _subtree_fixed_point(s_by_size, sizes, p)
-        rewired = np.where(
-            sizes == 1, 1.0,
-            (1.0 - p + p * x) ** np.maximum(sizes - 1, 0)
-        )
-        two = sizes == 2
-        if np.any(two):
-            rewired[two] = 1.0 - p + p * s_by_size[two]
+        rewired = (1.0 - p + p * x) ** (sizes - 1)
         return (1.0 - p_rw) * intact + p_rw * rewired
+
+    def _pmf_matrix(self, sizes: np.ndarray, backward: bool) -> np.ndarray:
+        """Row k holds the pmf of T (or M, backward) for sizes[k], padded
+        with zeros to the largest size."""
+        key = (backward, sizes.tobytes())
+        if key not in self._pmf_matrices:
+            pmf = self.susceptibility_pmf if backward else self.final_size_pmf
+            mat = np.zeros((sizes.size, int(sizes.max(initial=1))))
+            for row, h in zip(mat, sizes):
+                row[:h] = pmf(int(h))
+            self._pmf_matrices[key] = mat
+        return self._pmf_matrices[key]
 
     def _check_size(self, h: int) -> None:
         if not 1 <= h <= self.max_size:
@@ -269,14 +233,6 @@ class HouseholdEngine:
 def _check_prw(p_rw: float) -> None:
     if not 0.0 <= p_rw <= 1.0:
         raise ValueError("p_rw must lie in [0, 1]")
-
-
-def _poly(coeffs: np.ndarray, s: float) -> float:
-    # Horner on pmf coefficients: sum_k coeffs[k] s^k
-    acc = 0.0
-    for c in coeffs[::-1]:
-        acc = acc * s + c
-    return float(acc)
 
 
 def _subtree_fixed_point(s: np.ndarray, sizes: np.ndarray, p: float) -> np.ndarray:

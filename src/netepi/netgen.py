@@ -27,6 +27,9 @@ from .distributions import DiscreteDist
 
 Seed = Union[int, np.random.SeedSequence, None]
 
+# stub block labels are stored as int16: 0 for unlabelled, 1..n_q otherwise
+MAX_BLOCKS = int(np.iinfo(np.int16).max)
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -47,8 +50,8 @@ class GenSpec:
             raise ValueError("household sizes must be >= 1")
         if not -1.0 <= self.r <= 1.0:
             raise ValueError("r must lie in [-1, 1]")
-        if self.n_q < 1:
-            raise ValueError("n_q must be >= 1")
+        if not 1 <= self.n_q <= MAX_BLOCKS:
+            raise ValueError(f"n_q must lie in 1..{MAX_BLOCKS}")
 
 
 @dataclass(frozen=True)
@@ -367,8 +370,12 @@ def read_network(src: Union[str, TextIO, Iterable[str]]) -> Network:
             raise ValueError(f"bad edge kind in line {line!r}")
         loc.append(parts[2] == "local")
         if len(parts) == 5:
-            qu.append(int(parts[3]))
-            qv.append(int(parts[4]))
+            q_a, q_b = int(parts[3]), int(parts[4])
+            if not (0 <= q_a <= MAX_BLOCKS and 0 <= q_b <= MAX_BLOCKS):
+                raise ValueError(
+                    f"block label outside 0..{MAX_BLOCKS} in line {line!r}")
+            qu.append(q_a)
+            qv.append(q_b)
         else:
             qu.append(0)
             qv.append(0)

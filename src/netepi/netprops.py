@@ -26,7 +26,6 @@ from scipy import sparse
 from .distributions import (
     DiscreteDist,
     edge_bias,
-    pairing_kernels,  # noqa: F401  (re-exported for convenience)
     poisson,
     quantile_table,
     size_bias,

@@ -45,7 +45,11 @@ class EpidemicOutcome:
     generations: np.ndarray
 
     def __post_init__(self):
-        assert int(self.generations.sum()) == self.final_size
+        if int(self.generations.sum()) != self.final_size:
+            raise ValueError(
+                f"generation counts sum to {int(self.generations.sum())}, "
+                f"not the final size {self.final_size}"
+            )
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:

@@ -19,10 +19,6 @@ from netepi.branching import (
     ModelParams,
     TuneResult,
     analyze,
-    backward_extinction_and_z,
-    forward_extinction,
-    mean_matrix,
-    p_major,
     r_star,
     rewired_tuning,
     tune_poisson,
@@ -87,14 +83,14 @@ def test_uncorrelated_blocks_collapse_to_single_type():
     assert many.r_star == pytest.approx(one.r_star, abs=1e-10)
     assert many.p_major == pytest.approx(one.p_major, abs=1e-10)
     assert many.z == pytest.approx(one.z, abs=1e-10)
-    m = mean_matrix(params(h, g, r=0.0, n_q=7, p_i=0.22)).entries
+    m = BranchingModel(params(h, g, r=0.0, n_q=7, p_i=0.22)).mean_matrix().entries
     # without labelling the target block is uniform: columns all equal
     assert np.allclose(m, m[:, :1], atol=1e-15)
 
 
 def test_mean_matrix_structure():
     pm = params(poisson_plus(2.0), poisson(6.0), r=-0.8, n_q=6, p_i=0.3)
-    m = mean_matrix(pm)
+    m = BranchingModel(pm).mean_matrix()
     assert m.entries.shape == (6, 6)
     assert not m.has_infinite
     assert np.all(m.entries >= 0.0)
@@ -106,7 +102,7 @@ def test_infinite_local_growth_infinite_threshold():
     # local process supercritical, so one global case can seed infinitely
     # many global cases in a single step
     pm = params(point(4), poisson(4.0), r=0.3, n_q=4, p_i=0.6, p_rw=1.0)
-    m = mean_matrix(pm)
+    m = BranchingModel(pm).mean_matrix()
     assert m.has_infinite
     assert not np.any(np.isnan(m.entries))
     assert r_star(m) == math.inf
@@ -120,7 +116,7 @@ def test_infinite_local_growth_infinite_threshold():
 def test_partly_rewired_mixture_with_infinite_branch():
     pm = params(from_pmf({2: 0.5, 4: 0.5}), poisson(3.0), r=0.0, n_q=3,
                 p_i=0.6, p_rw=0.5)
-    m = mean_matrix(pm)
+    m = BranchingModel(pm).mean_matrix()
     assert m.has_infinite
     assert not np.any(np.isnan(m.entries))
     rep = analyze(pm)
@@ -242,15 +238,35 @@ def test_general_period_gives_z_but_no_forward_quantities():
     assert res <= 1e-10
 
 
-def test_module_level_wrappers_agree_with_model():
+@pytest.mark.parametrize("r,p_rw", [(-1.0, 0.0), (0.4, 0.5)])
+def test_offspring_pgf_matches_per_type_loop(r, p_rw):
+    # reference: the offspring PGF assembled one type at a time
+    model = BranchingModel(params(poisson_plus(2.0), poisson(6.0), r=r,
+                                  n_q=5, p_i=0.25, p_rw=p_rw))
+    s = np.linspace(0.1, 0.9, 5)
+    for backward in (False, True):
+        g_type, _, f1 = model._stub_pgfs(s)
+        local = model.households.mixture_pgf_profile(
+            model.h_vals, f1, p_rw, backward)
+        ref = [model.table.d_given_q[:, i]
+               @ ((model.size_given_degree * g_type[i] ** model.exponents)
+                  @ local)
+               for i in range(5)]
+        assert model._offspring_pgf(s, backward) == pytest.approx(
+            ref, rel=0.0, abs=1e-14)
+
+def test_analyze_reads_the_model_methods():
     pm = params(poisson_plus(2.0), poisson(6.0), r=0.5, n_q=4, p_i=0.3)
     model = BranchingModel(pm)
-    assert r_star(mean_matrix(pm)) == pytest.approx(model.r_star(), abs=1e-12)
-    assert np.allclose(forward_extinction(pm), model.forward_extinction())
-    assert p_major(pm) == pytest.approx(model.p_major(), abs=1e-12)
-    xi, z = backward_extinction_and_z(pm)
-    assert np.allclose(xi, model.backward_extinction())
-    assert z == pytest.approx(model.z_final_size(), abs=1e-12)
+    rep = analyze(pm)
+    assert rep.r_star == model.r_star()
+    assert rep.p_major == model.p_major()
+    assert rep.z == model.z_final_size()
+    assert np.array_equal(rep.sigma, model.forward_extinction())
+    assert np.array_equal(rep.xi, model.backward_extinction())
+    # the extinction vectors are solved once per model
+    assert model.forward_extinction() is model.forward_extinction()
+    assert model.backward_extinction() is model.backward_extinction()
 
 
 @settings(max_examples=25, deadline=None)
@@ -357,3 +373,44 @@ def test_analyze_report_shape():
     assert rep.xi.shape == (5,)
     assert not rep.has_infinite
     assert 0.0 < rep.p_major < 1.0
+
+
+# values returned by the seed implementation (scalar household PGFs and
+# the per-type offspring loop); any refactor of the PGF path keeps them
+_GOLDEN_H = {1: 0.2, 2: 0.3, 3: 0.3, 5: 0.2}
+_GOLDEN_GAMMA = InfectionSpec.gamma(rate=0.4, shape=2.0, scale=0.5)
+
+
+@pytest.mark.parametrize("r,p_rw,infection,expected", [
+    (-1.0, 0.0, None,
+     (1.544249913194448, 0.5459258775562441, 0.5459258775562441)),
+    (-1.0, 0.3, None,
+     (1.611937994758664, 0.5516714750824665, 0.5516714750824665)),
+    (0.5, 0.0, None,
+     (1.8251047846661819, 0.5381496879213035, 0.5381496879213035)),
+    (0.5, 0.3, None,
+     (1.9237675301359984, 0.5419366749787919, 0.5419366749787919)),
+    (0.5, 0.3, _GOLDEN_GAMMA, (5.964839588447636, None, 0.8357217131724608)),
+])
+def test_analyze_golden_values(r, p_rw, infection, expected):
+    pm = params(from_pmf(_GOLDEN_H), poisson(5.0), r=r, n_q=6, p_i=0.2,
+                p_rw=p_rw, infection=infection)
+    rep = analyze(pm)
+    r_star_, p_maj, z = expected
+    assert rep.r_star == pytest.approx(r_star_, rel=1e-12, abs=0.0)
+    if p_maj is None:
+        assert rep.p_major is None
+    else:
+        assert rep.p_major == pytest.approx(p_maj, rel=1e-12, abs=0.0)
+    assert rep.z == pytest.approx(z, rel=1e-12, abs=0.0)
+
+
+def test_analyze_golden_values_infinite_threshold():
+    # rewired households of size >= 7 have supercritical local epidemics
+    pm = params(poisson_plus(2.0), poisson(8.0), r=-1.0, n_q=10, p_i=0.2,
+                p_rw=0.3)
+    rep = analyze(pm)
+    assert rep.r_star == math.inf
+    assert rep.p_major == pytest.approx(0.8077238310076938, rel=1e-12, abs=0.0)
+    assert rep.z == pytest.approx(0.8077238310076938, rel=1e-12, abs=0.0)
+

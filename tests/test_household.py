@@ -19,6 +19,13 @@ def engine(p_i=0.5, max_size=12):
     return HouseholdEngine(InfectionSpec.constant(p_i), max_size)
 
 
+def local_pgf(eng, h, s, p_rw=0.0, backward=False):
+    """The local-progeny PGF of one household size at one argument."""
+    return float(
+        eng.mixture_pgf_profile(np.array([h]), np.array([s]), p_rw, backward)[0]
+    )
+
+
 @pytest.mark.parametrize("h", [2, 3, 4])
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
 def test_final_size_pmf_matches_enumeration(h, p):
@@ -57,7 +64,7 @@ def test_k3_frozen_values():
 def test_pair_household_closed_forms():
     eng = engine(0.3)
     assert eng.final_size_mean(2) == pytest.approx(0.3, abs=1e-15)
-    assert eng.final_size_pgf(2, 0.7) == pytest.approx(0.7 + 0.3 * 0.7, abs=1e-15)
+    assert local_pgf(eng, 2, 0.7) == pytest.approx(0.7 + 0.3 * 0.7, abs=1e-15)
     assert eng.final_size_mean(1) == 0.0
     assert eng.final_size_pmf(1) == pytest.approx([1.0])
 
@@ -67,21 +74,19 @@ def test_pgf_is_polynomial_of_pmf_and_handles_zero():
     for h in (1, 2, 5, 9):
         pmf = eng.final_size_pmf(h)
         for s in (0.0, 0.3, 1.0):
-            assert eng.final_size_pgf(h, s) == pytest.approx(
+            assert local_pgf(eng, h, s) == pytest.approx(
                 float(np.dot(pmf, s ** np.arange(h))), abs=1e-12
             )
         # s = 0 is P(no secondary infections) = (1-p)^(h-1)
-        assert eng.final_size_pgf(h, 0.0) == pytest.approx(
-            0.6 ** (h - 1), abs=1e-12
-        )
-        assert eng.final_size_pgf(h, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert local_pgf(eng, h, 0.0) == pytest.approx(0.6 ** (h - 1), abs=1e-12)
+        assert local_pgf(eng, h, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pgf_derivative_matches_mean():
     eng = engine(0.37)
     for h in (3, 6, 10):
         step = 1e-6
-        deriv = (eng.final_size_pgf(h, 1.0 + step) - eng.final_size_pgf(h, 1.0 - step)) / (
+        deriv = (local_pgf(eng, h, 1.0 + step) - local_pgf(eng, h, 1.0 - step)) / (
             2 * step
         )
         assert deriv == pytest.approx(eng.final_size_mean(h), abs=1e-6)
@@ -128,15 +133,15 @@ def test_susceptibility_pmf_general_period_sums_to_one():
         assert np.all(pmf >= 0.0)
 
 
-def test_final_size_pgf_requires_constant_period():
+def test_forward_pgf_requires_constant_period():
     eng = HouseholdEngine(InfectionSpec.exponential(rate=1.0, mean=1.0), 6)
     with pytest.raises(ConstantPeriodRequired):
         eng.final_size_pmf(3)
-    with pytest.raises(ConstantPeriodRequired):
-        eng.rewired_final_size_pgf(3, 0.5)
-    # backward quantities stay available
-    assert eng.susceptibility_pgf(3, 0.5) > 0.0
-    assert eng.rewired_susceptibility_pgf(3, 0.5) > 0.0
+    for p_rw in (0.0, 1.0):
+        with pytest.raises(ConstantPeriodRequired):
+            local_pgf(eng, 3, 0.5, p_rw)
+        # backward quantities stay available
+        assert local_pgf(eng, 3, 0.5, p_rw, backward=True) > 0.0
 
 
 def test_rewired_mean_formula_and_divergence():
@@ -161,12 +166,12 @@ def test_rewired_pgf_frozen_points():
     # h=4, p=0.6 at s=1: subtree survival solves x=(0.4+0.6x)^2, smallest
     # root 4/9, so the PGF value is (0.4 + 0.6*4/9)^3 = (2/3)^3
     eng = engine(0.6, max_size=5)
-    assert eng.rewired_final_size_pgf(4, 1.0) == pytest.approx(8 / 27, abs=1e-10)
+    assert local_pgf(eng, 4, 1.0, p_rw=1.0) == pytest.approx(8 / 27, abs=1e-10)
     # exactly critical offspring (h=4, p=0.5): a.s. finite progeny, PGF
     # value 1 at s=1 though the mean diverges; the capped iteration
     # approaches 1 from below
     crit = engine(0.5, max_size=5)
-    val = crit.rewired_final_size_pgf(4, 1.0)
+    val = local_pgf(crit, 4, 1.0, p_rw=1.0)
     assert 0.999 <= val <= 1.0
     assert crit.rewired_final_size_mean(4) == math.inf
 
@@ -177,7 +182,7 @@ def test_rewired_pgf_agrees_with_branching_extinction():
 
     h, p = 5, 0.45
     eng = engine(p, max_size=6)
-    analytic = eng.rewired_final_size_pgf(h, 1.0)
+    analytic = local_pgf(eng, h, 1.0, p_rw=1.0)
 
     def offspring(rng, alive):
         return rng.binomial(alive * (h - 2), p)
@@ -198,7 +203,7 @@ def test_rewired_pgf_agrees_with_branching_extinction():
 
 def test_rewired_pgf_monotone_and_proper_when_subcritical():
     eng = engine(0.3, max_size=8)
-    vals = [eng.rewired_final_size_pgf(5, s) for s in np.linspace(0, 1, 11)]
+    vals = eng.mixture_pgf_profile(np.full(11, 5), np.linspace(0, 1, 11), 1.0)
     assert np.all(np.diff(vals) > 0)
     assert vals[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -206,10 +211,10 @@ def test_rewired_pgf_monotone_and_proper_when_subcritical():
 def test_mixture_combines_convexly():
     eng = engine(0.4, max_size=8)
     h, s = 5, 0.6
-    intact = eng.final_size_pgf(h, s)
-    rew = eng.rewired_final_size_pgf(h, s)
+    intact = local_pgf(eng, h, s)
+    rew = local_pgf(eng, h, s, p_rw=1.0)
     for p_rw in (0.0, 0.3, 1.0):
-        assert eng.mixture_pgf(h, p_rw, s) == pytest.approx(
+        assert local_pgf(eng, h, s, p_rw) == pytest.approx(
             (1 - p_rw) * intact + p_rw * rew, abs=1e-14
         )
     assert eng.mixture_mean(h, 0.3) == pytest.approx(
@@ -217,33 +222,53 @@ def test_mixture_combines_convexly():
     )
     assert engine(0.6, 8).mixture_mean(5, 0.1) == math.inf
     with pytest.raises(ValueError):
-        eng.mixture_pgf(h, 1.4, s)
+        local_pgf(eng, h, s, 1.4)
 
 
 def test_mixture_backward_uses_susceptibility_law():
     spec = InfectionSpec.exponential(rate=1.1, mean=1.0)
     eng = HouseholdEngine(spec, 6)
     h, s, p_rw = 4, 0.5, 0.6
-    expected = (1 - p_rw) * eng.susceptibility_pgf(h, s) + p_rw * (
-        eng.rewired_susceptibility_pgf(h, s)
-    )
-    assert eng.mixture_pgf(h, p_rw, s, backward=True) == pytest.approx(
+    intact = float(np.dot(eng.susceptibility_pmf(h), s ** np.arange(h)))
+    expected = (1 - p_rw) * intact + p_rw * local_pgf(eng, h, s, 1.0, backward=True)
+    assert local_pgf(eng, h, s, p_rw, backward=True) == pytest.approx(
         expected, abs=1e-14
     )
 
 
+def _rewired_pgf_by_iteration(h, p, s):
+    # the subtree extinction fixed point x = s (1 - p + p x)^(h-2), iterated
+    # from 0; households of one or two have no subtree beyond the root
+    x = 0.0
+    for _ in range(100_000):
+        nxt = s * (1.0 - p + p * x) ** max(h - 2, 0)
+        if abs(nxt - x) < 1e-15:
+            break
+        x = nxt
+    return (1.0 - p + p * nxt) ** (h - 1)
+
+
 def test_mixture_pgf_profile_matches_scalar_calls():
-    eng = engine(0.35, max_size=9)
+    p = 0.35
+    eng = engine(p, max_size=9)
     sizes = np.array([1, 2, 3, 5, 9])
     args = np.array([0.2, 0.9, 0.5, 0.7, 0.99])
-    for p_rw in (0.0, 0.4, 1.0):
-        for backward in (False, True):
+    rewired = [_rewired_pgf_by_iteration(int(h), p, s) for h, s in zip(sizes, args)]
+    # the closed forms the general formula must reproduce for h = 1 and 2
+    assert rewired[0] == 1.0
+    assert rewired[1] == pytest.approx(1.0 - p + p * args[1], abs=1e-15)
+    for backward in (False, True):
+        pmf = eng.susceptibility_pmf if backward else eng.final_size_pmf
+        intact = [float(pmf(int(h)) @ s ** np.arange(h)) for h, s in zip(sizes, args)]
+        for p_rw in (0.0, 0.4, 1.0):
+            ref = (1 - p_rw) * np.array(intact) + p_rw * np.array(rewired)
             vec = eng.mixture_pgf_profile(sizes, args, p_rw, backward)
-            ref = [
-                eng.mixture_pgf(int(h), p_rw, float(s), backward)
-                for h, s in zip(sizes, args)
-            ]
             assert vec == pytest.approx(ref, abs=1e-12)
+            # a different size list on the same engine gets its own pmf rows
+            rev = eng.mixture_pgf_profile(sizes[::-1], args[::-1], p_rw, backward)
+            assert rev == pytest.approx(ref[::-1], abs=1e-12)
+        assert eng.mixture_pgf_profile(sizes[:2], args[:2], 0.0, backward) == (
+            pytest.approx(intact[:2], abs=1e-12))
 
 
 def test_size_bounds_are_enforced():

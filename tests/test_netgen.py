@@ -160,6 +160,25 @@ def test_read_network_rejects_bad_input():
         ng.read_network(io.StringIO("#n 2\n#households 1,1\n0 5 global\n"))
 
 
+def test_block_count_bounded_by_int16_labels():
+    # stub block labels are int16, so 32767 blocks is the most a spec can ask
+    assert small_spec(n_q=ng.MAX_BLOCKS).n_q == 32767
+    for n_q in (0, 32768, 40_000):
+        with pytest.raises(ValueError):
+            small_spec(n_q=n_q)
+        with pytest.raises(ValueError):
+            small_spec(n_q=n_q, r=-0.5)
+
+
+def test_read_network_rejects_labels_outside_int16():
+    head = "#n 2\n#households 1,1\n"
+    back = ng.read_network(io.StringIO(head + "0 1 global 32767 1\n"))
+    assert back.stub_q_u.tolist() == [32767]
+    for labels in ("32768 1", "1 40000", "-1 2"):
+        with pytest.raises(ValueError):
+            ng.read_network(io.StringIO(head + f"0 1 global {labels}\n"))
+
+
 def test_rewire_preserves_degrees_and_size_classes():
     spec = small_spec(n=2000, household=dd.poisson_plus(3.0), r=0.0, n_q=1)
     net = ng.build_network(spec, 17)

@@ -25,6 +25,13 @@ from netepi.simulate import (
 from oracles import enumerate_bond_percolation, household_pmf_chain_binomial
 
 
+def test_outcome_rejects_inconsistent_generations():
+    # a real check, not an assert, so it also holds under python -O
+    with pytest.raises(ValueError):
+        EpidemicOutcome(3, 0.1, np.array([1, 1]))
+    assert EpidemicOutcome(2, 0.1, np.array([1, 1])).final_size == 2
+
+
 def tiny_network(edges, n):
     """Fabricate a bare Network (one big household label, no blocks)."""
     eu = np.array([u for u, _ in edges], dtype=np.int64)
