@@ -237,9 +237,21 @@ def _prefix(cfg: dict) -> str:
 # -- subcommands ---------------------------------------------------------
 
 
+def _model_params(n=None, **fields) -> ModelParams:
+    """ModelParams from config values, and with n given the GenSpec of an
+    n-node network too; a value either one rejects is a ConfigError."""
+    try:
+        params = ModelParams(**fields)
+        if n is not None:
+            params.gen_spec(n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return params
+
+
 def _analytic_row(h, g, r, n_q, p_rw, spec):
-    params = ModelParams(household=h, global_degree=g, r=r, n_q=n_q,
-                         infection=spec, p_rw=p_rw)
+    params = _model_params(household=h, global_degree=g, r=r, n_q=n_q,
+                           infection=spec, p_rw=p_rw)
     rep = analyze(params)
     d = analytic_degree_dist(h, g)
     comp = degree_corr_components(h, g, r, n_q)
@@ -277,9 +289,10 @@ def cmd_generate(cfg: dict, out_override=None, seed_override=None):
     resolved = {"model": model, "n": n, "seed": seed}
     header = _config_header("generate", resolved)
 
-    params = ModelParams(household=h, global_degree=g, r=model["r"],
-                         n_q=model["n_q"], infection=InfectionSpec.constant(0.0),
-                         p_rw=model["p_rw"])
+    params = _model_params(n=n, household=h, global_degree=g, r=model["r"],
+                           n_q=model["n_q"],
+                           infection=InfectionSpec.constant(0.0),
+                           p_rw=model["p_rw"])
     ss = np.random.SeedSequence(seed)
     s_build, s_rewire = ss.spawn(2)
     net = build_network(params.gen_spec(n), seed=s_build)
@@ -319,9 +332,10 @@ def cmd_simulate(cfg: dict, out_override=None, seed_override=None,
     sim = resolve_simulation(cfg["simulation"], "simulate",
                              seed_override, threads_override)
     h, g = model_distributions(model)
-    params = ModelParams(household=h, global_degree=g, r=model["r"],
-                         n_q=model["n_q"], infection=infection_spec(infection),
-                         p_rw=model["p_rw"])
+    params = _model_params(n=sim["n"], household=h, global_degree=g,
+                           r=model["r"], n_q=model["n_q"],
+                           infection=infection_spec(infection),
+                           p_rw=model["p_rw"])
     rep = estimate(params, n=sim["n"], n_sims=sim["n_sims"],
                    master_seed=sim["master_seed"], cutoff=sim["cutoff"],
                    threads=sim["threads"])
@@ -372,8 +386,8 @@ def _critical_p_i(h, g, r, n_q, p_rw=0.0, tol=1e-10):
     lo, hi = 0.0, 1.0
 
     def supercritical(p_i):
-        params = ModelParams(household=h, global_degree=g, r=r, n_q=n_q,
-                             infection=InfectionSpec.constant(p_i), p_rw=p_rw)
+        params = _model_params(household=h, global_degree=g, r=r, n_q=n_q,
+                               infection=InfectionSpec.constant(p_i), p_rw=p_rw)
         return BranchingModel(params).r_star() > 1.0
 
     if not supercritical(1.0):
@@ -421,9 +435,9 @@ def _figure_fig2(cfg, out, seed_override, threads_override):
     spec = infection_spec(infection)
     rows = []
     for r in r_grid:
-        params = ModelParams(household=h, global_degree=g, r=r,
-                             n_q=model["n_q"], infection=spec,
-                             p_rw=model["p_rw"])
+        params = _model_params(n=sim["n"], household=h, global_degree=g,
+                               r=r, n_q=model["n_q"], infection=spec,
+                               p_rw=model["p_rw"])
         rep = analyze(params)
         c = rewired_clustering(h, g, model["p_rw"])
         rho = analytic_degree_corr(h, g, r, model["n_q"])
@@ -462,8 +476,8 @@ def _figure_fig3(cfg, out):
             p_i = min(1.0, factor * p_base)
             spec = InfectionSpec.constant(p_i)
             for r in r_grid:
-                params = ModelParams(household=h, global_degree=g, r=r,
-                                     n_q=n_q, infection=spec)
+                params = _model_params(household=h, global_degree=g, r=r,
+                                       n_q=n_q, infection=spec)
                 rep = analyze(params)
                 c, rho = poisson_c_rho(gamma, mu, r, n_q)
                 rows.append([mu, factor, p_i, r, c, rho,
@@ -492,9 +506,9 @@ def _figure_fig4(cfg, out):
     for p_i in p_i_grid:
         spec = InfectionSpec.constant(p_i)
         for r in r_grid:
-            params = ModelParams(household=h, global_degree=g, r=r,
-                                 n_q=model["n_q"], infection=spec,
-                                 p_rw=model["p_rw"])
+            params = _model_params(household=h, global_degree=g, r=r,
+                                   n_q=model["n_q"], infection=spec,
+                                   p_rw=model["p_rw"])
             rep = analyze(params)
             rows.append([p_i, r, rep.r_star, rep.p_major, rep.z])
     resolved = {"figure": {"name": "fig4", "p_i_grid": p_i_grid,
@@ -524,9 +538,9 @@ def _figure_fig5(cfg, out):
     rows = []
     for p_rw in p_rw_grid:
         c_target = (1.0 - p_rw) * c_base
-        rew = ModelParams(household=poisson_plus(mu_base),
-                          global_degree=poisson(gamma - mu_base), r=-1.0,
-                          n_q=n_q, infection=spec, p_rw=p_rw)
+        rew = _model_params(household=poisson_plus(mu_base),
+                            global_degree=poisson(gamma - mu_base), r=-1.0,
+                            n_q=n_q, infection=spec, p_rw=p_rw)
         rep = analyze(rew)
         rows.append(["rewired", c_target, rho_target, mu_base, -1.0, p_rw,
                      rep.r_star, rep.p_major, rep.z])

@@ -11,14 +11,25 @@ n_q + 1 - i when r < 0 (the middle block pairing internally when n_q is
 odd).  Unpairable leftovers are discarded and counted: at most one X=0
 stub and at most n_q X=1 stubs.
 
+The ranking shuffles the X=1 stubs and then sorts them stably by owner
+degree, so ties keep the uniform random order of the shuffle.  Both that
+sort and the adjacency build use `_stable_argsort`, LSD radix passes over
+16-bit digits, which runs in linear time where a comparison sort of
+labelled stubs or edge ends does not.
+
 Self-loops and parallel edges are kept (they vanish in proportion as n
-grows) but counted, so callers can check the imperfection fraction.
+grows).  A `Network` stores only the discard counts; `imperfections`
+counts self-loops and parallel edges the first time it is read, so runs
+that never look (the Monte Carlo estimator) never pay for the count.  The
+CSR adjacency that epidemics walk is built once per `Network` and cached
+as `Network.adjacency`.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, TextIO, Union
 
 import numpy as np
@@ -67,6 +78,27 @@ class Imperfections:
         return self.discarded_x0 + self.discarded_x1 + self.discarded_local
 
 
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for non-negative integer keys.
+
+    LSD radix sort: one stable pass per 16-bit digit, least significant
+    first, each on uint16 digits (the cast keeps the low 16 bits), which
+    numpy sorts by counting.  Keys below 2**16 take one pass, keys below
+    2**32 two.
+    """
+    keys = np.asarray(keys)
+    if keys.size == 0:
+        return np.empty(0, dtype=np.intp)
+    top = int(keys.max())
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 @dataclass(frozen=True)
 class Network:
     """An undirected multigraph with household structure.
@@ -74,7 +106,8 @@ class Network:
     Nodes 0..n-1 are laid out household by household.  Edge arrays are
     aligned; edge_local marks household edges.  stub_q_u/stub_q_v carry
     the 1-based sorting-block labels of the two stubs of an X=1 global
-    edge and are 0 everywhere else.
+    edge and are 0 everywhere else.  The discarded_* fields count the
+    stubs the generator (x0, x1) and rewiring (local) could not pair.
     """
 
     n: int
@@ -85,11 +118,40 @@ class Network:
     edge_local: np.ndarray
     stub_q_u: np.ndarray
     stub_q_v: np.ndarray
-    imperfections: Imperfections
+    discarded_x0: int = 0
+    discarded_x1: int = 0
+    discarded_local: int = 0
 
     @property
     def n_edges(self) -> int:
         return int(self.edges_u.size)
+
+    @cached_property
+    def imperfections(self) -> Imperfections:
+        """Discard counts plus self-loops and parallel edges, counted on
+        first read."""
+        self_loops, parallel = _count_imperfections(self.n, self.edges_u,
+                                                    self.edges_v)
+        return Imperfections(self_loops, parallel, self.discarded_x0,
+                             self.discarded_x1, self.discarded_local)
+
+    @cached_property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR adjacency over directed edge ends, built on first read.
+
+        The neighbours of v are heads[indptr[v]:indptr[v + 1]]: first the
+        v ends of edges (v, w) in edge order, then those of edges (w, v).
+        A self-loop lists its node twice.  Both arrays are read-only.
+        """
+        src = np.concatenate([self.edges_u, self.edges_v])
+        order = _stable_argsort(src)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+        del src  # free it before the heads are gathered
+        heads = np.concatenate([self.edges_v, self.edges_u])[order]
+        indptr.flags.writeable = False
+        heads.flags.writeable = False
+        return indptr, heads
 
     def degrees(self) -> np.ndarray:
         """Stub-based degrees: a self-loop adds 2 to its node."""
@@ -111,7 +173,9 @@ class Network:
             and np.array_equal(self.edge_local, other.edge_local)
             and np.array_equal(self.stub_q_u, other.stub_q_u)
             and np.array_equal(self.stub_q_v, other.stub_q_v)
-            and self.imperfections == other.imperfections
+            and self.discarded_x0 == other.discarded_x0
+            and self.discarded_x1 == other.discarded_x1
+            and self.discarded_local == other.discarded_local
         )
 
 
@@ -192,10 +256,12 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
 
     g0_u, g0_v, disc_x0 = _pair_uniform(x0_owners, rng)
 
-    # sort X=1 stubs by owner degree, uniform tie-break, cut into blocks
+    # rank X=1 stubs by owner degree, uniform tie-break: shuffle, then a
+    # stable sort keeps the shuffled order within each degree; cut into
+    # blocks
     n_q = spec.n_q
-    order = np.lexsort((rng.random(x1_owners.size), degree[x1_owners]))
-    ranked = x1_owners[order]
+    shuffled = x1_owners[rng.permutation(x1_owners.size)]
+    ranked = shuffled[_stable_argsort(degree[shuffled])]
     bounds = np.concatenate(([0], np.cumsum(_block_sizes(ranked.size, n_q))))
 
     g1_u, g1_v, q_u, q_v = [], [], [], []
@@ -246,10 +312,8 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
     stub_q_u[local_u.size + g0_u.size :] = q_u
     stub_q_v[local_u.size + g0_u.size :] = q_v
 
-    self_loops, parallel = _count_imperfections(n, edges_u, edges_v)
-    imp = Imperfections(self_loops, parallel, disc_x0, disc_x1, 0)
     return Network(n, household_index, sizes, edges_u, edges_v, edge_local,
-                   stub_q_u, stub_q_v, imp)
+                   stub_q_u, stub_q_v, disc_x0, disc_x1)
 
 
 def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
@@ -301,12 +365,10 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
         [net.stub_q_v[keep], np.zeros(new_v.size, dtype=np.int16)]
     )
 
-    self_loops, parallel = _count_imperfections(net.n, edges_u, edges_v)
-    imp = replace(net.imperfections, self_loops=self_loops,
-                  parallel_edges=parallel,
-                  discarded_local=net.imperfections.discarded_local + disc_local)
     return Network(net.n, net.household_index, net.household_sizes,
-                   edges_u, edges_v, edge_local, stub_q_u, stub_q_v, imp)
+                   edges_u, edges_v, edge_local, stub_q_u, stub_q_v,
+                   net.discarded_x0, net.discarded_x1,
+                   net.discarded_local + disc_local)
 
 
 # -- plain-text edge list format ----------------------------------------
@@ -329,8 +391,8 @@ def write_network(net: Network, out: Union[str, TextIO]) -> None:
         return
     out.write(f"#n {net.n}\n")
     out.write("#households " + ",".join(str(int(s)) for s in net.household_sizes) + "\n")
-    imp = net.imperfections
-    out.write(f"#discarded {imp.discarded_x0} {imp.discarded_x1} {imp.discarded_local}\n")
+    out.write(f"#discarded {net.discarded_x0} {net.discarded_x1} "
+              f"{net.discarded_local}\n")
     kinds = np.where(net.edge_local, "local", "global")
     for u, v, kind, qu, qv in zip(net.edges_u, net.edges_v, kinds,
                                   net.stub_q_u, net.stub_q_v):
@@ -386,13 +448,13 @@ def read_network(src: Union[str, TextIO, Iterable[str]]) -> Network:
     household_index = np.repeat(np.arange(sizes.size), sizes)
     edges_u = np.array(eu, dtype=np.int64)
     edges_v = np.array(ev, dtype=np.int64)
-    if edges_u.size and (edges_u.max() >= n or edges_v.max() >= n):
+    ends = np.concatenate([edges_u, edges_v])
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
         raise ValueError("edge endpoint out of range")
-    self_loops, parallel = _count_imperfections(n, edges_u, edges_v)
-    imp = Imperfections(self_loops, parallel, *discarded)
     return Network(n, household_index, sizes, edges_u, edges_v,
                    np.array(loc, dtype=bool),
-                   np.array(qu, dtype=np.int16), np.array(qv, dtype=np.int16), imp)
+                   np.array(qu, dtype=np.int16), np.array(qv, dtype=np.int16),
+                   *discarded)
 
 
 def network_to_string(net: Network) -> str:

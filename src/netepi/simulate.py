@@ -11,6 +11,13 @@ the bond direction instead yields the size of the set of nodes that
 would have infected the start node, whose mean connects to the
 asymptotic relative final size.
 
+The exploration walks the network's cached CSR adjacency
+(`Network.adjacency`), so a forward and a reverse run on one network
+share one build.  Each level's frontier is deduplicated with a boolean
+mask instead of a sort; it comes out in increasing node order, so the
+random draws of a run on a given network do not depend on how the
+frontier is built.
+
 `estimate` repeats build / rewire / infect with independently spawned
 seed streams, splits outcomes into minor and major at a size cutoff
 and reports the major-outbreak frequency and mean relative size with
@@ -67,14 +74,12 @@ def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
     of nodes whose infection would reach the start node.  Self-loops are
     inert; parallel edges carry independent bonds.
     """
-    rng = np.random.default_rng(seed)
     n = net.n
-    src = np.concatenate([net.edges_u, net.edges_v])
-    dst = np.concatenate([net.edges_v, net.edges_u])
-    order = np.argsort(src, kind="stable")
-    heads = dst[order]
-    out_deg = np.bincount(src, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(out_deg)))
+    if start is not None and not 0 <= start < n:
+        raise ValueError(f"start must lie in 0..{n - 1}, got {start}")
+    rng = np.random.default_rng(seed)
+    indptr, heads = net.adjacency
+    out_deg = np.diff(indptr)
 
     if start is None:
         start = int(rng.integers(n))
@@ -89,6 +94,7 @@ def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
 
     seen = np.zeros(n, dtype=bool)
     seen[start] = True
+    fresh = np.zeros(n, dtype=bool)
     frontier = np.array([start], dtype=np.int64)
     generations = [1]
     while frontier.size:
@@ -101,9 +107,11 @@ def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
         else:
             prob = p_node[np.repeat(frontier, counts)]
         hit = targets[rng.random(targets.size) < prob]
-        new = np.unique(hit[~seen[hit]])
+        fresh[hit[~seen[hit]]] = True
+        new = np.flatnonzero(fresh)
         if new.size == 0:
             break
+        fresh[new] = False
         seen[new] = True
         frontier = new
         generations.append(int(new.size))

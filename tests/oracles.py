@@ -2,6 +2,9 @@
 
 Nothing here shares code with the package: enumeration and dynamic
 programming only, so agreement is meaningful evidence of correctness.
+The one exception in kind, `reference_percolation_bfs`, is a frozen copy
+of the original sort-based epidemic loop, kept to pin the exact random
+draws of `run_epidemic` on a given network.
 """
 
 import itertools
@@ -45,6 +48,50 @@ def _reach(adj, source):
                 seen.add(v)
                 stack.append(v)
     return seen
+
+
+def reference_percolation_bfs(net, infection, seed, start=None,
+                              reverse=False):
+    """Percolation epidemic on `net` the original way: a stable-argsort
+    CSR adjacency built per call and an np.unique frontier per level.
+
+    Makes the same random draws in the same order as the package's
+    `run_epidemic` should; returns (final size, generation counts).
+    """
+    rng = np.random.default_rng(seed)
+    n = net.n
+    src = np.concatenate([net.edges_u, net.edges_v])
+    dst = np.concatenate([net.edges_v, net.edges_u])
+    heads = dst[np.argsort(src, kind="stable")]
+    out_deg = np.bincount(src, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(out_deg)))
+    if start is None:
+        start = int(rng.integers(n))
+    if not infection.is_constant:
+        p_node = 1.0 - np.exp(-infection.rate * infection.sampler(rng, n))
+    seen = np.zeros(n, dtype=bool)
+    seen[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    generations = [1]
+    while frontier.size:
+        counts = out_deg[frontier]
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                      counts)
+        targets = heads[np.repeat(indptr[frontier], counts) + offsets]
+        if infection.is_constant:
+            prob = infection.p_i
+        elif reverse:
+            prob = p_node[targets]
+        else:
+            prob = p_node[np.repeat(frontier, counts)]
+        hit = targets[rng.random(targets.size) < prob]
+        new = np.unique(hit[~seen[hit]])
+        if new.size == 0:
+            break
+        seen[new] = True
+        frontier = new
+        generations.append(int(new.size))
+    return int(seen.sum()), np.array(generations, dtype=np.int64)
 
 
 def household_pmfs_by_enumeration(h, p):

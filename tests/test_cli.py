@@ -82,6 +82,32 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_rejected_model_parameters_exit_2_without_traceback(tmp_path, capsys):
+    # values that pass config parsing but fail ModelParams / GenSpec
+    # validation are config errors, not crashes
+    model = {"gamma": 10, "mu": 2, "r": 0.5, "n_q": 40000}
+    path = write_yaml(tmp_path / "c.yaml",
+                      {"model": model, "simulation": {"n": 100}})
+    code = main(["generate", "--config", path, "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: n_q must lie in 1..32767" in capsys.readouterr().err
+
+    bad_runs = [
+        ("analyze", {"model": {"gamma": 10, "mu": 2, "r": 1.5},
+                     "infection": {"kind": "constant", "p_i": 0.2}}, "r must"),
+        ("simulate", {"model": {"gamma": 10, "mu": 2, "n_q": 40000},
+                      "infection": {"kind": "constant", "p_i": 0.2},
+                      "simulation": {"n": 100, "n_sims": 2}}, "n_q must"),
+        ("simulate", {"model": {"gamma": 10, "mu": 2},
+                      "infection": {"kind": "constant", "p_i": 0.2},
+                      "simulation": {"n": 0, "n_sims": 2}}, "n must"),
+    ]
+    for command, cfg, message in bad_runs:
+        path = write_yaml(tmp_path / "c.yaml", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_unreadable_or_malformed_config_is_a_clean_error(tmp_path, capsys):
     code = main(["analyze", "--config", str(tmp_path / "missing.yaml"),
                  "--out", str(tmp_path)])

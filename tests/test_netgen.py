@@ -68,6 +68,65 @@ def test_full_correlation_pairs_within_blocks():
     assert net.imperfections.discarded_x0 == 0
 
 
+def test_stable_argsort_matches_numpy():
+    rng = np.random.default_rng(3)
+    cases = [
+        np.empty(0, dtype=np.int64),
+        np.array([7]),
+        rng.integers(0, 40, 5000),                 # below 2**16, many ties
+        rng.integers(0, 2**16, 5000),
+        rng.integers(0, 2**20, 5000),              # above 2**16: two digits
+        rng.integers(0, 2**40, 5000),              # above 2**32: three digits
+        rng.integers(0, 8, 5000) << 33,            # ties in the top digit only
+        np.array([2**32 + 1, 2**32, 1, 2**32 + 1, 0, 2**16]),
+        rng.integers(0, 300, 5000).astype(np.int16),
+    ]
+    for keys in cases:
+        assert np.array_equal(ng._stable_argsort(keys),
+                              np.argsort(keys, kind="stable")), keys
+
+
+def test_ranking_follows_quantile_table_with_random_tie_break():
+    h, g, n_q = dd.poisson_plus(2.0), dd.poisson(8.0), 10
+    spec = ng.GenSpec(n=100_000, household=h, global_degree=g, r=1.0, n_q=n_q)
+    net = ng.build_network(spec, 41)
+    labelled = net.stub_q_u > 0
+    owner = np.concatenate([net.edges_u[labelled], net.edges_v[labelled]])
+    block = np.concatenate([net.stub_q_u[labelled], net.stub_q_v[labelled]]) - 1
+    degree = net.degrees()[owner]
+
+    # joint law of (owner degree, block) over the X=1 stubs against the
+    # quantile table of the stub degree law this network realised; the
+    # realised law itself strays from stub_degree_law(h, g) by an L1 of
+    # 0.01-0.07 per network at this n, so that comparison would test the
+    # degree sampling, which test_degree_law_matches_asymptotic_prediction
+    # covers, rather than the ranking
+    top = int(degree.max()) + 1
+    counts = np.bincount(degree, minlength=top)
+    realised = dd.from_pmf({d: c / owner.size for d, c in enumerate(counts) if c})
+    table = dd.quantile_table(realised, n_q)
+    tally = np.bincount(degree * n_q + block, minlength=top * n_q)
+    expected = np.zeros((top, n_q))
+    expected[table.degrees] = table.joint
+    l1 = np.abs(tally.reshape(top, n_q) / owner.size - expected).sum()
+    assert l1 < 1e-3
+
+    # a degree class cut by a block boundary must be split at random, not
+    # by node id: the mean owner id agrees on both sides of the cut
+    checked = 0
+    for d in np.unique(degree):
+        in_d = degree == d
+        for b in np.unique(block[in_d])[:-1]:
+            lo = owner[in_d & (block == b)]
+            hi = owner[in_d & (block == b + 1)]
+            if min(lo.size, hi.size) < 100:
+                continue
+            se = np.sqrt(lo.var() / lo.size + hi.var() / hi.size)
+            assert abs(lo.mean() - hi.mean()) < 4.0 * se, (d, b)
+            checked += 1
+    assert checked >= 3
+
+
 def test_negative_correlation_pairs_mirror_blocks():
     spec = small_spec(n=5000, r=-1.0, n_q=10)
     net = ng.build_network(spec, 5)
@@ -158,6 +217,8 @@ def test_read_network_rejects_bad_input():
         ng.read_network(io.StringIO("#n 3\n#households 1,1\n0 1 global\n"))
     with pytest.raises(ValueError):
         ng.read_network(io.StringIO("#n 2\n#households 1,1\n0 5 global\n"))
+    with pytest.raises(ValueError):
+        ng.read_network(io.StringIO("#n 2\n#households 1,1\n0 -1 global\n"))
 
 
 def test_block_count_bounded_by_int16_labels():
@@ -242,6 +303,24 @@ def test_gen_spec_validation():
         ng.GenSpec(n=5, household=dd.point(2), global_degree=dd.point(1), r=1.5)
     with pytest.raises(ValueError):
         ng.GenSpec(n=5, household=dd.point(2), global_degree=dd.point(1), n_q=0)
+
+
+def test_imperfections_are_counted_on_first_read():
+    spec = small_spec(n=400, r=0.5, n_q=4)
+    net = ng.build_network(spec, 6)
+    rewired = ng.rewire(net, 0.5, 7)
+    back = ng.read_network(io.StringIO(ng.network_to_string(rewired)))
+    for g in (net, rewired, back):
+        assert "imperfections" not in vars(g)
+        a = np.minimum(g.edges_u, g.edges_v)
+        b = np.maximum(g.edges_u, g.edges_v)
+        pairs = len(set(zip(a.tolist(), b.tolist())))
+        imp = g.imperfections
+        assert imp.self_loops == int(np.sum(a == b))
+        assert imp.parallel_edges == g.n_edges - pairs
+        assert (imp.discarded_x0, imp.discarded_x1, imp.discarded_local) == (
+            g.discarded_x0, g.discarded_x1, g.discarded_local)
+        assert g.imperfections is imp
 
 
 def test_self_loop_and_parallel_counting():

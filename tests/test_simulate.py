@@ -13,7 +13,7 @@ import pytest
 from netepi.branching import ModelParams
 from netepi.distributions import InfectionSpec, from_pmf, point, poisson, poisson_plus
 from netepi.errors import AmbiguousBimodality, NoMajorOutbreaks
-from netepi.netgen import Imperfections, Network, build_network
+from netepi.netgen import GenSpec, Network, build_network, rewire
 from netepi.simulate import (
     EpidemicOutcome,
     EstimateReport,
@@ -22,7 +22,11 @@ from netepi.simulate import (
     run_epidemic,
 )
 
-from oracles import enumerate_bond_percolation, household_pmf_chain_binomial
+from oracles import (
+    enumerate_bond_percolation,
+    household_pmf_chain_binomial,
+    reference_percolation_bfs,
+)
 
 
 def test_outcome_rejects_inconsistent_generations():
@@ -46,13 +50,58 @@ def tiny_network(edges, n):
         edge_local=np.zeros(eu.size, dtype=bool),
         stub_q_u=zeros,
         stub_q_v=zeros,
-        imperfections=Imperfections(),
     )
 
 
 # graph with a cycle, a chord, a parallel edge and a self-loop
 TINY_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 2), (3, 3)]
 TINY_N = 4
+
+
+@pytest.mark.parametrize("edges", [TINY_EDGES, []])
+def test_adjacency_matches_argsort_construction_and_is_cached(edges):
+    net = tiny_network(edges, TINY_N)
+    indptr, heads = net.adjacency
+    src = np.concatenate([net.edges_u, net.edges_v])
+    dst = np.concatenate([net.edges_v, net.edges_u])
+    assert np.array_equal(heads, dst[np.argsort(src, kind="stable")])
+    assert heads.dtype == dst.dtype
+    assert np.array_equal(
+        indptr, np.concatenate(([0], np.cumsum(np.bincount(src, minlength=TINY_N)))))
+    # built once, shared by later reads, protected against writes
+    assert net.adjacency[1] is heads
+    assert not indptr.flags.writeable and not heads.flags.writeable
+    # the cache takes no part in equality
+    assert net == tiny_network(edges, TINY_N)
+
+
+@pytest.mark.parametrize("n", [200, 10_000])
+def test_run_epidemic_matches_reference_bfs(n):
+    # bitwise: same final size and generation counts as the original
+    # sort-based loop, for every period kind, direction and seed
+    spec = GenSpec(n=n, household=poisson_plus(2.0), global_degree=poisson(4.0),
+                   r=-0.5, n_q=5)
+    infections = [InfectionSpec.constant(0.3), InfectionSpec.gamma(0.3, 2.0)]
+    for build_seed in range(3):
+        net = rewire(build_network(spec, seed=build_seed), 0.3, seed=build_seed)
+        for infection in infections:
+            for reverse in (False, True):
+                for seed in range(4):
+                    out = run_epidemic(net, infection, seed=seed, reverse=reverse)
+                    size, generations = reference_percolation_bfs(
+                        net, infection, seed=seed, reverse=reverse)
+                    assert out.final_size == size
+                    assert np.array_equal(out.generations, generations)
+
+
+def test_run_epidemic_rejects_start_outside_network():
+    net = build_network(GenSpec(n=50, household=poisson_plus(2.0),
+                                global_degree=poisson(3.0)), seed=1)
+    spec = InfectionSpec.constant(0.5)
+    for start in (-1, 50, 1000):
+        with pytest.raises(ValueError, match="start"):
+            run_epidemic(net, spec, seed=0, start=start)
+    assert run_epidemic(net, spec, seed=0, start=49).final_size >= 1
 
 
 def tiny_pmfs(p):
