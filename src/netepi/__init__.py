@@ -1,7 +1,7 @@
 """netepi: random networks with tunable clustering and degree correlation,
 exact epidemic analytics on them, and Monte Carlo SIR validation."""
 
-from . import branching, cli, distributions, errors, household, netgen, netprops, simulate
+from . import branching, distributions, errors, household, netgen, netprops, simulate
 from .branching import AnalyticReport, ModelParams, TuneResult, analyze, tune_poisson
 from .distributions import DiscreteDist, InfectionSpec, parse_distribution
 from .household import HouseholdEngine
@@ -22,7 +22,6 @@ __all__ = [
     "branching",
     "build_network",
     "classify",
-    "cli",
     "distributions",
     "errors",
     "estimate",

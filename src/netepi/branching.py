@@ -13,16 +13,17 @@ pairing kernel (labelled, probability |r|) or uniformly (unlabelled).
 
 The offspring mean matrix gives the threshold R* (its Perron root); the
 type-indexed extinction probabilities solve a monotone fixed point of
-the offspring PGFs.  Running the same construction backwards over
+the offspring PGFs.  Running the construction backwards over
 susceptibility sets gives the expected major-outbreak relative final
-size z; for a constant infectious period the forward and backward laws
-coincide and the major-outbreak probability equals z.
+size z.  For a constant infectious period the forward and backward laws
+coincide, so one extinction vector serves both directions and the
+major-outbreak probability equals z.
 
 Each offspring-PGF evaluation makes one call to
 `HouseholdEngine.mixture_pgf_profile`, the only household PGF path, and
 combines its per-size values for all types in one batched product.
-`BranchingModel` memoises the mean matrix, R* and both extinction
-vectors; `analyze` reads every output from those methods.
+`BranchingModel` memoises the mean matrix, R* and the extinction
+vector; `analyze` reads every output from those methods.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class BranchingModel:
         self.households = HouseholdEngine(p.infection, int(self.h_vals.max()))
         self._mean_matrix: Optional[MeanMatrix] = None
         self._r_star: Optional[float] = None
-        self._extinction: dict[bool, np.ndarray] = {}
+        self._extinction: Optional[np.ndarray] = None
 
     # -- offspring mean matrix and threshold ------------------------------
 
@@ -224,7 +225,7 @@ class BranchingModel:
         by_degree = (1.0 - abs_r) * mean_s + abs_r * (self.kernels.degree_kernel @ s)
         return by_type, by_degree
 
-    def _stub_pgfs(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _stub_pgfs(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """g_i(s), the spare-stub factor per type; and f1_h(s), the PGF of
         one housemate's global transmissions, per household size."""
         p_i = self.params.infection.p_i
@@ -233,12 +234,12 @@ class BranchingModel:
         g_degree = 1.0 - p_i + p_i * by_degree
         powered = g_degree[self.partner_rows] ** self.g1_vals[None, :].astype(float)
         f1 = self.g0_prob + powered @ self.g1_probs
-        return g_type, g_degree, f1
+        return g_type, f1
 
-    def _offspring_pgf(self, s: np.ndarray, backward: bool) -> np.ndarray:
-        g_type, _, f1 = self._stub_pgfs(s)
+    def _offspring_pgf(self, s: np.ndarray) -> np.ndarray:
+        g_type, f1 = self._stub_pgfs(s)
         local = self.households.mixture_pgf_profile(
-            self.h_vals, f1, self.params.p_rw, backward
+            self.h_vals, f1, self.params.p_rw
         )
         spare = g_type[:, None, None] ** self.exponents        # (n_q, n_d, n_h)
         inner = (self.size_given_degree * spare) @ local        # (n_q, n_d)
@@ -246,37 +247,37 @@ class BranchingModel:
         # loop; an einsum reorders the sums and moves results by ~1e-13
         return (self.table.d_given_q.T[:, None, :] @ inner[:, :, None])[:, 0, 0]
 
-    def _ancestor_pgf(self, s: np.ndarray, backward: bool) -> float:
-        _, _, f1 = self._stub_pgfs(s)
+    def _ancestor_pgf(self, s: np.ndarray) -> float:
+        _, f1 = self._stub_pgfs(s)
         local = self.households.mixture_pgf_profile(
-            self.h_vals, f1, self.params.p_rw, backward
+            self.h_vals, f1, self.params.p_rw
         )
         return float(np.dot(self.pi_tilde, f1 * local))
 
-    def _solve_extinction(self, backward: bool) -> np.ndarray:
+    def _solve_extinction(self) -> np.ndarray:
         s = np.zeros(self.params.n_q)
         for _ in range(_FP_MAX_ITER):
-            nxt = self._offspring_pgf(s, backward)
+            nxt = self._offspring_pgf(s)
             delta = float(np.max(np.abs(nxt - s)))
             s = nxt
             if delta < _FP_TOL:
                 break
-        residual = float(np.max(np.abs(self._offspring_pgf(s, backward) - s)))
+        residual = float(np.max(np.abs(self._offspring_pgf(s) - s)))
         if residual > _RESIDUAL_TOL:
             raise NonConvergence(
                 f"extinction fixed point residual {residual:.2e}", history=[s]
             )
         return s
 
-    def _extinction_vector(self, backward: bool) -> np.ndarray:
+    def _extinction_vector(self) -> np.ndarray:
         """Memoised (read-only) extinction probabilities by type; all ones
         at or below threshold."""
-        if backward not in self._extinction:
+        if self._extinction is None:
             vec = (np.ones(self.params.n_q) if self.r_star() <= 1.0
-                   else self._solve_extinction(backward))
+                   else self._solve_extinction())
             vec.setflags(write=False)
-            self._extinction[backward] = vec
-        return self._extinction[backward]
+            self._extinction = vec
+        return self._extinction
 
     def _require_constant(self, what: str) -> None:
         if not self.params.infection.is_constant:
@@ -285,31 +286,27 @@ class BranchingModel:
             )
 
     def forward_extinction(self) -> np.ndarray:
-        """Extinction probability by ancestor type; all ones at or below
-        threshold.  Needs a constant infectious period."""
+        """Extinction probability by ancestor type, the backward vector
+        for a constant infectious period (which it needs)."""
         self._require_constant("forward extinction")
-        return self._extinction_vector(backward=False)
+        return self.backward_extinction()
 
     def p_major(self) -> float:
         """Probability a uniformly chosen introduction sparks a major
-        outbreak (constant infectious period only)."""
+        outbreak: z, for a constant infectious period (which it needs)."""
         self._require_constant("the outbreak probability")
-        if self.r_star() <= 1.0:
-            return 0.0
-        sigma = self._extinction_vector(backward=False)
-        return 1.0 - self._ancestor_pgf(sigma, backward=False)
+        return self.z_final_size()
 
     def backward_extinction(self) -> np.ndarray:
         """Extinction probability of the susceptibility process by type."""
-        return self._extinction_vector(backward=True)
+        return self._extinction_vector()
 
     def z_final_size(self) -> float:
         """Asymptotic relative final size of a major outbreak: the chance
         a node's susceptibility process survives."""
         if self.r_star() <= 1.0:
             return 0.0
-        xi = self._extinction_vector(backward=True)
-        return 1.0 - self._ancestor_pgf(xi, backward=True)
+        return 1.0 - self._ancestor_pgf(self._extinction_vector())
 
 
 def r_star(m: MeanMatrix) -> float:
@@ -364,17 +361,15 @@ def analyze(params: ModelParams) -> AnalyticReport:
     (p_major, sigma) are None for a general infectious period."""
     model = BranchingModel(params)
     constant = params.infection.is_constant
-    # the public extinction methods are called only above threshold, so
+    # the public extinction method is called only above threshold, so
     # each call is one fixed-point solve (bench/spans.py counts PGF
-    # evaluations per call); below threshold the vectors are all ones
+    # evaluations per call); below threshold the vector is all ones
     above = model.r_star() > 1.0
     xi = model.backward_extinction() if above else np.ones(params.n_q)
-    sigma = None
-    if constant:
-        sigma = model.forward_extinction() if above else np.ones(params.n_q)
-    return AnalyticReport(model.r_star(),
-                          model.p_major() if constant else None,
-                          model.z_final_size(), sigma, xi,
+    z = model.z_final_size()
+    # a constant period gives the forward process the backward law
+    return AnalyticReport(model.r_star(), z if constant else None, z,
+                          xi if constant else None, xi,
                           model.mean_matrix().has_infinite)
 
 

@@ -30,8 +30,10 @@ class DegenerateNetwork(NetepiError):
 
 
 class ConstantPeriodRequired(NetepiError):
-    """Forward (final-size / outbreak-probability) PGFs need a constant
-    infectious period; general periods only support backward quantities."""
+    """Forward quantities (forward extinction, outbreak probability) need a
+    constant infectious period, under which the forward final-size law is
+    the susceptibility-set law M; general periods only support backward
+    quantities."""
 
 
 class NonConvergence(NetepiError):

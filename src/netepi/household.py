@@ -8,8 +8,9 @@ infectious contact with each housemate independently with probability
 Two directions matter.  Forward: T, the number of housemates a single
 introduction ultimately infects.  Backward: M, the number of housemates
 who would infect a focal node were they infected themselves (the local
-susceptibility set).  For a constant period T and M coincide in law; in
-general only their means do.
+susceptibility set).  For a constant period the bonds are independent,
+so T and M coincide in law and the one pmf of M serves both directions;
+in general only their means do, and only M's law is used.
 
 Everything is driven by the Laplace transform of the period evaluated at
 integer multiples of the contact rate, so the same recursions serve the
@@ -34,7 +35,7 @@ import math
 import numpy as np
 
 from .distributions import InfectionSpec
-from .errors import ConstantPeriodRequired, NonConvergence
+from .errors import NonConvergence
 
 _FIXED_POINT_TOL = 1e-14
 _FIXED_POINT_MAX_ITER = 200_000
@@ -43,8 +44,9 @@ _PMF_NEG_TOL = 1e-9
 
 
 class HouseholdEngine:
-    """Caches the per-size final-size and susceptibility-set laws for one
-    infectious-period specification, for household sizes up to max_size."""
+    """Caches the per-size susceptibility-set laws and final-size means for
+    one infectious-period specification, for household sizes up to
+    max_size."""
 
     def __init__(self, infection: InfectionSpec, max_size: int):
         if max_size < 1:
@@ -58,9 +60,8 @@ class HouseholdEngine:
         self._alpha = self._mean_coefficients()
         self._beta = self._susceptibility_coefficients()
         self._mean_cache: dict[int, float] = {}
-        self._t_pmf_cache: dict[int, np.ndarray] = {}
         self._m_pmf_cache: dict[int, np.ndarray] = {}
-        self._pmf_matrices: dict[tuple[bool, bytes], np.ndarray] = {}
+        self._pmf_matrices: dict[bytes, np.ndarray] = {}
 
     # -- mean final size (general period) --------------------------------
 
@@ -87,45 +88,6 @@ class HouseholdEngine:
             )
             self._mean_cache[h] = h - 1 - acc
         return self._mean_cache[h]
-
-    # -- final-size pmf (constant period only) ----------------------------
-
-    def final_size_pmf(self, h: int) -> np.ndarray:
-        """P(T = k), k = 0..h-1.  Needs a constant infectious period."""
-        self._check_size(h)
-        if not self.infection.is_constant:
-            raise ConstantPeriodRequired(
-                "the final-size law needs a constant infectious period"
-            )
-        if h not in self._t_pmf_cache:
-            self._t_pmf_cache[h] = self._build_t_pmf(h)
-        return self._t_pmf_cache[h]
-
-    def _build_t_pmf(self, h: int) -> np.ndarray:
-        q = 1.0 - self.infection.p_i
-        # coefficient vectors of the inverse-power polynomials a_k(x) with
-        # a_k = e_k - sum_{l<k} C(k,l) q^(l(k-l)) a_l; the final-size PGF
-        # s^(h-1) sum_k C(h-1,k) q^(k(h-k)) a_k(1/s) then collapses to an
-        # ordinary polynomial whose coefficients are the pmf
-        a = []
-        for k in range(h):
-            vec = np.zeros(k + 1)
-            vec[k] = 1.0
-            for l in range(k):
-                vec[: l + 1] -= math.comb(k, l) * q ** (l * (k - l)) * a[l]
-            a.append(vec)
-        pmf = np.zeros(h)
-        for k in range(h):
-            w = math.comb(h - 1, k) * q ** (k * (h - k))
-            for j in range(k + 1):
-                pmf[h - 1 - j] += w * a[k][j]
-        total = math.fsum(pmf)
-        if abs(total - 1.0) > _PMF_SUM_TOL or pmf.min() < -_PMF_NEG_TOL:
-            raise NonConvergence(
-                f"final-size pmf for h={h}, p_i={self.infection.p_i} lost "
-                f"precision (sum={total}, min={pmf.min()})"
-            )
-        return np.clip(pmf, 0.0, None)
 
     # -- susceptibility set (any period) ----------------------------------
 
@@ -192,19 +154,20 @@ class HouseholdEngine:
     # -- the PGF path used by the branching-process engine ----------------
 
     def mixture_pgf_profile(self, sizes: np.ndarray, s_by_size: np.ndarray,
-                            p_rw: float, backward: bool = False) -> np.ndarray:
+                            p_rw: float) -> np.ndarray:
         """PGF of the local progeny of each household size at its own
         argument, when the household was rewired with probability p_rw: a
-        convex combination of the intact law (final size T forward, which
-        needs a constant period; susceptibility set M backward) and the
-        rewired tree law, valid backward for any period because each node
-        contributes exactly one bond along its tree path."""
+        convex combination of the intact susceptibility-set law M and the
+        rewired tree law.  Both serve the backward process for any period
+        (each tree node contributes exactly one bond along its path) and,
+        for a constant period, the forward one too, where the final size T
+        has the law of M."""
         _check_prw(p_rw)
         sizes = np.asarray(sizes, dtype=np.int64)
         s_by_size = np.asarray(s_by_size, dtype=np.float64)
         # Horner over the columns of the zero-padded pmf matrix
         intact = np.zeros_like(s_by_size)
-        for coeff in self._pmf_matrix(sizes, backward).T[::-1]:
+        for coeff in self._pmf_matrix(sizes).T[::-1]:
             intact = intact * s_by_size + coeff
         if p_rw == 0.0:
             return intact
@@ -213,15 +176,14 @@ class HouseholdEngine:
         rewired = (1.0 - p + p * x) ** (sizes - 1)
         return (1.0 - p_rw) * intact + p_rw * rewired
 
-    def _pmf_matrix(self, sizes: np.ndarray, backward: bool) -> np.ndarray:
-        """Row k holds the pmf of T (or M, backward) for sizes[k], padded
-        with zeros to the largest size."""
-        key = (backward, sizes.tobytes())
+    def _pmf_matrix(self, sizes: np.ndarray) -> np.ndarray:
+        """Row k holds the pmf of M for sizes[k], padded with zeros to the
+        largest size."""
+        key = sizes.tobytes()
         if key not in self._pmf_matrices:
-            pmf = self.susceptibility_pmf if backward else self.final_size_pmf
             mat = np.zeros((sizes.size, int(sizes.max(initial=1))))
             for row, h in zip(mat, sizes):
-                row[:h] = pmf(int(h))
+                row[:h] = self.susceptibility_pmf(int(h))
             self._pmf_matrices[key] = mat
         return self._pmf_matrices[key]
 

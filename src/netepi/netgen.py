@@ -73,10 +73,6 @@ class Imperfections:
     discarded_x1: int = 0
     discarded_local: int = 0
 
-    @property
-    def discarded_total(self) -> int:
-        return self.discarded_x0 + self.discarded_x1 + self.discarded_local
-
 
 def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     """np.argsort(keys, kind="stable") for non-negative integer keys.

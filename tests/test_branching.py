@@ -171,11 +171,10 @@ def test_fixed_point_residual_invariant():
         model = BranchingModel(pm)
         if model.r_star() <= 1.0:
             continue
-        for backward in (False, True):
-            s = model._solve_extinction(backward)
-            assert np.all((0.0 <= s) & (s <= 1.0))
-            res = np.max(np.abs(model._offspring_pgf(s, backward) - s))
-            assert res <= 1e-10
+        s = model._solve_extinction()
+        assert np.all((0.0 <= s) & (s <= 1.0))
+        res = np.max(np.abs(model._offspring_pgf(s) - s))
+        assert res <= 1e-10
 
 
 def test_constant_period_outbreak_prob_equals_final_size():
@@ -186,7 +185,18 @@ def test_constant_period_outbreak_prob_equals_final_size():
             pm = params(h, g, r=r, n_q=6, p_i=0.3, p_rw=p_rw)
             rep = analyze(pm)
             assert rep.r_star > 1.0
-            assert rep.p_major == pytest.approx(rep.z, abs=1e-9)
+            assert rep.p_major == rep.z
+            assert np.array_equal(rep.sigma, rep.xi)
+
+
+def test_wide_households_at_small_transmission_stay_solvable():
+    # households up to size 21 at p_i = 0.02, where alternating
+    # inclusion-exclusion sums for the household pmf can lose precision;
+    # the susceptibility-set pmf serving both directions must stay exact
+    rep = analyze(params(poisson_plus(2.0), poisson(60.0), p_i=0.02))
+    assert rep.r_star > 1.0
+    assert rep.p_major == rep.z
+    assert rep.z == pytest.approx(0.360326, abs=1e-6)
 
 
 def test_rewiring_strictly_raises_all_outputs():
@@ -234,7 +244,7 @@ def test_general_period_gives_z_but_no_forward_quantities():
     assert rep.p_major is None and rep.sigma is None
     assert 0.0 < rep.z < 1.0
     xi = rep.xi
-    res = np.max(np.abs(model._offspring_pgf(xi, backward=True) - xi))
+    res = np.max(np.abs(model._offspring_pgf(xi) - xi))
     assert res <= 1e-10
 
 
@@ -244,16 +254,13 @@ def test_offspring_pgf_matches_per_type_loop(r, p_rw):
     model = BranchingModel(params(poisson_plus(2.0), poisson(6.0), r=r,
                                   n_q=5, p_i=0.25, p_rw=p_rw))
     s = np.linspace(0.1, 0.9, 5)
-    for backward in (False, True):
-        g_type, _, f1 = model._stub_pgfs(s)
-        local = model.households.mixture_pgf_profile(
-            model.h_vals, f1, p_rw, backward)
-        ref = [model.table.d_given_q[:, i]
-               @ ((model.size_given_degree * g_type[i] ** model.exponents)
-                  @ local)
-               for i in range(5)]
-        assert model._offspring_pgf(s, backward) == pytest.approx(
-            ref, rel=0.0, abs=1e-14)
+    g_type, f1 = model._stub_pgfs(s)
+    local = model.households.mixture_pgf_profile(model.h_vals, f1, p_rw)
+    ref = [model.table.d_given_q[:, i]
+           @ ((model.size_given_degree * g_type[i] ** model.exponents)
+              @ local)
+           for i in range(5)]
+    assert model._offspring_pgf(s) == pytest.approx(ref, rel=0.0, abs=1e-14)
 
 def test_analyze_reads_the_model_methods():
     pm = params(poisson_plus(2.0), poisson(6.0), r=0.5, n_q=4, p_i=0.3)
@@ -264,9 +271,25 @@ def test_analyze_reads_the_model_methods():
     assert rep.z == model.z_final_size()
     assert np.array_equal(rep.sigma, model.forward_extinction())
     assert np.array_equal(rep.xi, model.backward_extinction())
-    # the extinction vectors are solved once per model
+    # one extinction vector per model serves both directions
     assert model.forward_extinction() is model.forward_extinction()
     assert model.backward_extinction() is model.backward_extinction()
+    assert model.forward_extinction() is model.backward_extinction()
+
+
+def test_constant_period_analyze_solves_extinction_once(monkeypatch):
+    solves = []
+    original = BranchingModel._solve_extinction
+
+    def counted(self):
+        solves.append(self)
+        return original(self)
+
+    monkeypatch.setattr(BranchingModel, "_solve_extinction", counted)
+    rep = analyze(params(poisson_plus(2.0), poisson(6.0), r=0.5, n_q=4,
+                         p_i=0.3, p_rw=0.3))
+    assert rep.r_star > 1.0
+    assert len(solves) == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,3 +399,18 @@ def test_fig5_branches_differ_at_matched_targets(tmp_path):
         cs = sorted(series)
         vals = [series[c] for c in cs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_module_entry_point_runs_without_import_warning():
+    # `python -m netepi.cli` must not find netepi.cli already imported by
+    # the package, which makes runpy warn on every run
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "netepi.cli",
+         "--help"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

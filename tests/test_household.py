@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netepi.distributions import InfectionSpec
-from netepi.errors import ConstantPeriodRequired, NonConvergence
+from netepi.errors import NonConvergence
 from netepi.household import HouseholdEngine
 
 from oracles import (
@@ -19,19 +19,19 @@ def engine(p_i=0.5, max_size=12):
     return HouseholdEngine(InfectionSpec.constant(p_i), max_size)
 
 
-def local_pgf(eng, h, s, p_rw=0.0, backward=False):
+def local_pgf(eng, h, s, p_rw=0.0):
     """The local-progeny PGF of one household size at one argument."""
-    return float(
-        eng.mixture_pgf_profile(np.array([h]), np.array([s]), p_rw, backward)[0]
-    )
+    return float(eng.mixture_pgf_profile(np.array([h]), np.array([s]), p_rw)[0])
 
 
 @pytest.mark.parametrize("h", [2, 3, 4])
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
 def test_final_size_pmf_matches_enumeration(h, p):
+    # a constant period makes the final size T and the susceptibility set
+    # M equal in law, so M's pmf must match the enumerated law of T
     out_pmf, _ = household_pmfs_by_enumeration(h, p)
     eng = engine(p)
-    assert eng.final_size_pmf(h) == pytest.approx(out_pmf, abs=1e-12)
+    assert eng.susceptibility_pmf(h) == pytest.approx(out_pmf, abs=1e-12)
     assert eng.final_size_mean(h) == pytest.approx(
         float(np.dot(np.arange(h), out_pmf)), abs=1e-12
     )
@@ -49,15 +49,22 @@ def test_susceptibility_pmf_matches_enumeration(h, p):
 def test_final_size_pmf_matches_chain_binomial(h, p):
     # second independent oracle, cheap enough for larger h
     cb = household_pmf_chain_binomial(h, p)
-    eng = engine(p)
-    assert eng.final_size_pmf(h) == pytest.approx(cb, abs=1e-11)
-    assert eng.susceptibility_pmf(h) == pytest.approx(cb, abs=1e-11)
+    assert engine(p).susceptibility_pmf(h) == pytest.approx(cb, abs=1e-11)
+
+
+def test_large_household_small_p_matches_chain_binomial():
+    # large h at small p is where alternating inclusion-exclusion sums
+    # lose precision; the susceptibility pmf serving both directions must
+    # still match the forward oracle
+    cb = household_pmf_chain_binomial(18, 0.02)
+    assert engine(0.02, max_size=18).susceptibility_pmf(18) == pytest.approx(
+        cb, abs=1e-10)
 
 
 def test_k3_frozen_values():
     # fixed by both oracles: sizes 1,2,3 have probs 1/4, 1/4, 1/2
     eng = engine(0.5)
-    assert eng.final_size_pmf(3) == pytest.approx([0.25, 0.25, 0.5], abs=1e-14)
+    assert eng.susceptibility_pmf(3) == pytest.approx([0.25, 0.25, 0.5], abs=1e-14)
     assert eng.final_size_mean(3) == pytest.approx(1.25, abs=1e-14)
 
 
@@ -66,13 +73,13 @@ def test_pair_household_closed_forms():
     assert eng.final_size_mean(2) == pytest.approx(0.3, abs=1e-15)
     assert local_pgf(eng, 2, 0.7) == pytest.approx(0.7 + 0.3 * 0.7, abs=1e-15)
     assert eng.final_size_mean(1) == 0.0
-    assert eng.final_size_pmf(1) == pytest.approx([1.0])
+    assert eng.susceptibility_pmf(1) == pytest.approx([1.0])
 
 
 def test_pgf_is_polynomial_of_pmf_and_handles_zero():
     eng = engine(0.4)
     for h in (1, 2, 5, 9):
-        pmf = eng.final_size_pmf(h)
+        pmf = eng.susceptibility_pmf(h)
         for s in (0.0, 0.3, 1.0):
             assert local_pgf(eng, h, s) == pytest.approx(
                 float(np.dot(pmf, s ** np.arange(h))), abs=1e-12
@@ -94,9 +101,9 @@ def test_pgf_derivative_matches_mean():
 
 def test_extreme_transmission_probabilities():
     all_or_none = engine(1.0)
-    assert all_or_none.final_size_pmf(5) == pytest.approx([0, 0, 0, 0, 1.0])
+    assert all_or_none.susceptibility_pmf(5) == pytest.approx([0, 0, 0, 0, 1.0])
     nothing = engine(0.0)
-    assert nothing.final_size_pmf(5) == pytest.approx([1.0, 0, 0, 0, 0])
+    assert nothing.susceptibility_pmf(5) == pytest.approx([1.0, 0, 0, 0, 0])
     assert nothing.rewired_final_size_mean(5) == 0.0
 
 
@@ -133,15 +140,12 @@ def test_susceptibility_pmf_general_period_sums_to_one():
         assert np.all(pmf >= 0.0)
 
 
-def test_forward_pgf_requires_constant_period():
+def test_local_pgf_available_for_general_periods():
+    # the constant-period rule lives in BranchingModel; the household PGF
+    # of M serves the backward process for any period
     eng = HouseholdEngine(InfectionSpec.exponential(rate=1.0, mean=1.0), 6)
-    with pytest.raises(ConstantPeriodRequired):
-        eng.final_size_pmf(3)
     for p_rw in (0.0, 1.0):
-        with pytest.raises(ConstantPeriodRequired):
-            local_pgf(eng, 3, 0.5, p_rw)
-        # backward quantities stay available
-        assert local_pgf(eng, 3, 0.5, p_rw, backward=True) > 0.0
+        assert local_pgf(eng, 3, 0.5, p_rw) > 0.0
 
 
 def test_rewired_mean_formula_and_divergence():
@@ -230,8 +234,8 @@ def test_mixture_backward_uses_susceptibility_law():
     eng = HouseholdEngine(spec, 6)
     h, s, p_rw = 4, 0.5, 0.6
     intact = float(np.dot(eng.susceptibility_pmf(h), s ** np.arange(h)))
-    expected = (1 - p_rw) * intact + p_rw * local_pgf(eng, h, s, 1.0, backward=True)
-    assert local_pgf(eng, h, s, p_rw, backward=True) == pytest.approx(
+    expected = (1 - p_rw) * intact + p_rw * local_pgf(eng, h, s, 1.0)
+    assert local_pgf(eng, h, s, p_rw) == pytest.approx(
         expected, abs=1e-14
     )
 
@@ -257,18 +261,17 @@ def test_mixture_pgf_profile_matches_scalar_calls():
     # the closed forms the general formula must reproduce for h = 1 and 2
     assert rewired[0] == 1.0
     assert rewired[1] == pytest.approx(1.0 - p + p * args[1], abs=1e-15)
-    for backward in (False, True):
-        pmf = eng.susceptibility_pmf if backward else eng.final_size_pmf
-        intact = [float(pmf(int(h)) @ s ** np.arange(h)) for h, s in zip(sizes, args)]
-        for p_rw in (0.0, 0.4, 1.0):
-            ref = (1 - p_rw) * np.array(intact) + p_rw * np.array(rewired)
-            vec = eng.mixture_pgf_profile(sizes, args, p_rw, backward)
-            assert vec == pytest.approx(ref, abs=1e-12)
-            # a different size list on the same engine gets its own pmf rows
-            rev = eng.mixture_pgf_profile(sizes[::-1], args[::-1], p_rw, backward)
-            assert rev == pytest.approx(ref[::-1], abs=1e-12)
-        assert eng.mixture_pgf_profile(sizes[:2], args[:2], 0.0, backward) == (
-            pytest.approx(intact[:2], abs=1e-12))
+    intact = [float(eng.susceptibility_pmf(int(h)) @ s ** np.arange(h))
+              for h, s in zip(sizes, args)]
+    for p_rw in (0.0, 0.4, 1.0):
+        ref = (1 - p_rw) * np.array(intact) + p_rw * np.array(rewired)
+        vec = eng.mixture_pgf_profile(sizes, args, p_rw)
+        assert vec == pytest.approx(ref, abs=1e-12)
+        # a different size list on the same engine gets its own pmf rows
+        rev = eng.mixture_pgf_profile(sizes[::-1], args[::-1], p_rw)
+        assert rev == pytest.approx(ref[::-1], abs=1e-12)
+    assert eng.mixture_pgf_profile(sizes[:2], args[:2], 0.0) == (
+        pytest.approx(intact[:2], abs=1e-12))
 
 
 def test_size_bounds_are_enforced():
@@ -276,14 +279,14 @@ def test_size_bounds_are_enforced():
     with pytest.raises(ValueError):
         eng.final_size_mean(5)
     with pytest.raises(ValueError):
-        eng.final_size_pmf(0)
+        eng.susceptibility_pmf(0)
     with pytest.raises(ValueError):
         HouseholdEngine(InfectionSpec.constant(0.5), 0)
 
 
 def test_large_household_moderate_p_stays_stable():
     eng = engine(0.3, max_size=30)
-    pmf = eng.final_size_pmf(30)
+    pmf = eng.susceptibility_pmf(30)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all(pmf >= 0.0)
     assert eng.final_size_mean(30) == pytest.approx(
