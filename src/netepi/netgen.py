@@ -23,6 +23,13 @@ counts self-loops and parallel edges the first time it is read, so runs
 that never look (the Monte Carlo estimator) never pay for the count.  The
 CSR adjacency that epidemics walk is built once per `Network` and cached
 as `Network.adjacency`.
+
+`write_network` and `read_network` round-trip a plain-text edge list
+(format and grammar in the comment above them) without a Python step per
+edge: the writer formats chunks of 2**16 edges with one str.format call
+per line over Python lists, and the reader parses blocks of 2**16 lines
+with a numpy tokenizer and integer parser, so memory stays bounded by
+the chunk size.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, TextIO, Union
 
 import numpy as np
@@ -375,9 +383,30 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
 #   0 1 local
 #   4 9 global 2 7            (block labels of the two stubs, if any)
 #
-# Unrecognized leading comment lines are skipped, so callers may prepend
-# their own provenance headers.  Nodes are numbered household by
-# household, matching the generator's layout.
+# Every line is read with its leading and trailing whitespace stripped;
+# blank lines are skipped.  A line whose first character is "#" is a
+# header or a comment: #n (n >= 1), #households (sizes >= 1 summing to n)
+# and #discarded (three counts >= 0) are headers, the last of each kind
+# wins, and any other "#" line is skipped, so callers may prepend their
+# own provenance comments.  Every other line is an edge: three or five
+# fields split on whitespace, the endpoints, the kind ("local" or
+# "global") and optionally the two block labels (0..MAX_BLOCKS).  Numbers
+# are ASCII decimal integers with an optional sign; a "#" after an edge
+# is not a comment, so the line is rejected.  Nodes are numbered
+# household by household, matching the generator's layout.
+#
+# Both directions work in chunks of _IO_CHUNK edges or lines, so memory
+# stays bounded.  The writer formats a chunk with one str.format per
+# line over Python lists and patches in the label fields of labelled
+# edges by index.  The reader joins a block of lines, hands the "#"
+# lines to _read_header, and tokenises and parses the rest in numpy
+# (_parse_block, _parse_ints).
+
+_IO_CHUNK = 1 << 16
+_KIND_NAMES = np.array(["global", "local"], dtype=object)
+_LOCAL = np.frombuffer(b"local", dtype=np.uint8)
+_GLOBAL = np.frombuffer(b"global", dtype=np.uint8)
+_MAX_DIGITS = 18  # any 18-digit decimal fits in int64
 
 
 def write_network(net: Network, out: Union[str, TextIO]) -> None:
@@ -386,71 +415,178 @@ def write_network(net: Network, out: Union[str, TextIO]) -> None:
             write_network(net, fh)
         return
     out.write(f"#n {net.n}\n")
-    out.write("#households " + ",".join(str(int(s)) for s in net.household_sizes) + "\n")
+    out.write("#households "
+              + ",".join(map(str, net.household_sizes.tolist())) + "\n")
     out.write(f"#discarded {net.discarded_x0} {net.discarded_x1} "
               f"{net.discarded_local}\n")
-    kinds = np.where(net.edge_local, "local", "global")
-    for u, v, kind, qu, qv in zip(net.edges_u, net.edges_v, kinds,
-                                  net.stub_q_u, net.stub_q_v):
-        if qu or qv:
-            out.write(f"{u} {v} {kind} {qu} {qv}\n")
-        else:
-            out.write(f"{u} {v} {kind}\n")
+    for lo in range(0, net.n_edges, _IO_CHUNK):
+        part = slice(lo, lo + _IO_CHUNK)
+        q_u, q_v = net.stub_q_u[part], net.stub_q_v[part]
+        tails = np.full(q_u.size, "", dtype=object)
+        labelled = np.flatnonzero(q_u | q_v)
+        tails[labelled] = list(map(" {} {}".format, q_u[labelled].tolist(),
+                                   q_v[labelled].tolist()))
+        kinds = _KIND_NAMES[net.edge_local[part].astype(np.intp)]
+        out.write("".join(map("{} {} {}{}\n".format,
+                              net.edges_u[part].tolist(),
+                              net.edges_v[part].tolist(),
+                              kinds.tolist(), tails.tolist())))
 
 
 def read_network(src: Union[str, TextIO, Iterable[str]]) -> Network:
+    """Read the edge-list format above from a path, an open text file or
+    an iterable of lines (with or without their newlines).
+
+    Raises ValueError, naming the offending line where there is one,
+    for anything outside that format.
+    """
     if isinstance(src, str):
         with open(src) as fh:
             return read_network(fh)
-    n = None
-    sizes = None
-    discarded = (0, 0, 0)
-    eu, ev, loc, qu, qv = [], [], [], [], []
-    for raw in src:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("#n "):
-                n = int(line[3:])
-            elif line.startswith("#households "):
-                sizes = np.array([int(s) for s in line[12:].split(",")], dtype=np.int64)
-            elif line.startswith("#discarded "):
-                parts = line.split()
-                discarded = (int(parts[1]), int(parts[2]), int(parts[3]))
-            continue
-        parts = line.split()
-        if len(parts) not in (3, 5):
-            raise ValueError(f"bad edge line {line!r}")
-        eu.append(int(parts[0]))
-        ev.append(int(parts[1]))
-        if parts[2] not in ("local", "global"):
-            raise ValueError(f"bad edge kind in line {line!r}")
-        loc.append(parts[2] == "local")
-        if len(parts) == 5:
-            q_a, q_b = int(parts[3]), int(parts[4])
-            if not (0 <= q_a <= MAX_BLOCKS and 0 <= q_b <= MAX_BLOCKS):
-                raise ValueError(
-                    f"block label outside 0..{MAX_BLOCKS} in line {line!r}")
-            qu.append(q_a)
-            qv.append(q_b)
-        else:
-            qu.append(0)
-            qv.append(0)
+    header = {"n": None, "sizes": None, "discarded": (0, 0, 0)}
+    lines = iter(src)
+    blocks = []
+    while block := list(islice(lines, _IO_CHUNK)):
+        blocks.append(_parse_block(block, header))
+    n, sizes = header["n"], header["sizes"]
     if n is None or sizes is None:
         raise ValueError("missing #n or #households header")
     if int(sizes.sum()) != n:
         raise ValueError("household sizes do not sum to n")
+    edges_u, edges_v, edge_local, stub_q_u, stub_q_v = (
+        np.concatenate(column) for column in zip(*blocks))
+    for ends in (edges_u, edges_v):
+        if ends.size and (ends.min() < 0 or ends.max() >= n):
+            raise ValueError("edge endpoint out of range")
     household_index = np.repeat(np.arange(sizes.size), sizes)
-    edges_u = np.array(eu, dtype=np.int64)
-    edges_v = np.array(ev, dtype=np.int64)
-    ends = np.concatenate([edges_u, edges_v])
-    if ends.size and (ends.min() < 0 or ends.max() >= n):
-        raise ValueError("edge endpoint out of range")
-    return Network(n, household_index, sizes, edges_u, edges_v,
-                   np.array(loc, dtype=bool),
-                   np.array(qu, dtype=np.int16), np.array(qv, dtype=np.int16),
-                   *discarded)
+    return Network(n, household_index, sizes, edges_u, edges_v, edge_local,
+                   stub_q_u, stub_q_v, *header["discarded"])
+
+
+def _read_header(line: str, header: dict) -> None:
+    """Apply one stripped "#" line to `header`; other comments are skipped."""
+    try:
+        if line.startswith("#n "):
+            header["n"] = int(line[3:])
+            ok = header["n"] >= 1
+        elif line.startswith("#households "):
+            sizes = [int(s) for s in line[12:].split(",")]
+            header["sizes"] = np.array(sizes, dtype=np.int64)
+            ok = min(sizes) >= 1
+        elif line.startswith("#discarded "):
+            header["discarded"] = tuple(int(s) for s in line[11:].split())
+            ok = (len(header["discarded"]) == 3
+                  and min(header["discarded"]) >= 0)
+        else:
+            return
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"bad header line {line!r}")
+
+
+def _parse_block(block: list, header: dict):
+    """(edges_u, edges_v, edge_local, stub_q_u, stub_q_v) of a block of
+    lines; its "#" lines go to _read_header in order."""
+    text = "".join(block)
+    if "#" in text:
+        for i, raw in enumerate(block):
+            if "#" in raw and raw.strip().startswith("#"):
+                _read_header(raw.strip(), header)
+                block[i] = ""
+        text = "".join(block)
+    line_end = np.cumsum(np.fromiter(map(len, block), dtype=np.int64,
+                                     count=len(block)))
+
+    def bad(what, offset):
+        line = block[int(np.searchsorted(line_end, offset, side="right"))]
+        return ValueError(f"{what} {line.strip()!r}")
+
+    try:
+        data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError as err:
+        raise bad("non-ASCII character in line", err.start) from None
+
+    # a token runs from a non-space after a space or a line start to a
+    # non-space before a space or a line end; the spaces are the ASCII
+    # characters str.split() splits on, 9..13 and 28..32
+    space = ((data - np.uint8(9)) <= 4) | ((data - np.uint8(28)) <= 4)
+    filled = line_end[np.diff(line_end, prepend=0) > 0]
+    after_gap = np.ones(data.size, dtype=bool)
+    after_gap[1:] = space[:-1]
+    after_gap[filled[:-1]] = True
+    before_gap = np.ones(data.size, dtype=bool)
+    before_gap[:-1] = space[1:]
+    before_gap[filled - 1] = True
+    start = np.flatnonzero(~space & after_gap)
+    end = np.flatnonzero(~space & before_gap) + 1
+
+    per_line = np.diff(np.searchsorted(start, line_end), prepend=0)
+    wrong = (per_line != 0) & (per_line != 3) & (per_line != 5)
+    if wrong.any():
+        raise bad("bad edge line", line_end[np.argmax(wrong)] - 1)
+    first = (np.cumsum(per_line) - per_line)[per_line > 0]
+    five = per_line[per_line > 0] == 5
+
+    kind, width = start[first + 2], end[first + 2] - start[first + 2]
+    local, glob = width == 5, width == 6
+    for j in range(6):
+        char = data[np.minimum(kind + j, data.size - 1)]
+        if j < 5:
+            local &= char == _LOCAL[j]
+        glob &= char == _GLOBAL[j]
+    known = local | glob
+    if not known.all():
+        raise bad("bad edge kind in line", kind[np.argmin(known)])
+
+    number = np.concatenate([first, first + 1, first[five] + 3,
+                             first[five] + 4])
+    values, valid = _parse_ints(data, start[number], end[number])
+    if not valid.all():
+        raise bad("bad edge line", start[number[np.argmin(valid)]])
+    m, k = first.size, int(five.sum())
+    labels = values[2 * m:]
+    if labels.size and (labels.min() < 0 or labels.max() > MAX_BLOCKS):
+        outside = (labels < 0) | (labels > MAX_BLOCKS)
+        raise bad(f"block label outside 0..{MAX_BLOCKS} in line",
+                  start[number[2 * m + np.argmax(outside)]])
+    stub_q_u = np.zeros(m, dtype=np.int16)
+    stub_q_v = np.zeros(m, dtype=np.int16)
+    stub_q_u[five] = labels[:k]
+    stub_q_v[five] = labels[k:]
+    return values[:m], values[m:2 * m], local, stub_q_u, stub_q_v
+
+
+def _parse_ints(data: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Values of the tokens data[start:end] read as decimal integers with
+    an optional sign, and a mask of the tokens that are such integers.
+
+    Like int(), leading zeros are allowed; a token with more than
+    _MAX_DIGITS significant digits is marked invalid (no file value that
+    large can be a node or a block label).
+    """
+    sign = data[start]
+    negative = sign == ord("-")
+    start = start + (negative | (sign == ord("+")))
+    width = end - start
+    valid = width > 0
+    w = min(int(width.max(initial=1)), _MAX_DIGITS)
+    values = np.zeros(start.size, dtype=np.int64)
+    # Horner over the last w characters of each token, the j-th from the
+    # right read as 0 where the token is shorter than j
+    for j in range(w, 0, -1):
+        digit = data[np.maximum(end - j, 0)] - np.uint8(ord("0"))
+        digit[width < j] = 0
+        valid &= digit <= 9
+        values *= 10
+        values += digit
+    long = np.flatnonzero(width > w)
+    if long.size:
+        # characters before the last w must all be zeros
+        nonzero = np.concatenate(([0], np.cumsum(data != ord("0"))))
+        valid[long] &= nonzero[end[long] - w] == nonzero[start[long]]
+    np.negative(values, out=values, where=negative)
+    return values, valid
 
 
 def network_to_string(net: Network) -> str:

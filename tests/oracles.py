@@ -2,9 +2,12 @@
 
 Nothing here shares code with the package: enumeration and dynamic
 programming only, so agreement is meaningful evidence of correctness.
-The one exception in kind, `reference_percolation_bfs`, is a frozen copy
-of the original sort-based epidemic loop, kept to pin the exact random
-draws of `run_epidemic` on a given network.
+The exceptions in kind are frozen copies of original per-element loops:
+`reference_percolation_bfs`, the sort-based epidemic loop, pins the
+exact random draws of `run_epidemic` on a given network, and
+`reference_write_network` / `reference_read_network`, the line-by-line
+edge-list writer and reader, pin the bytes the vectorised writer emits
+and the networks the block parser returns.
 """
 
 import itertools
@@ -92,6 +95,98 @@ def reference_percolation_bfs(net, infection, seed, start=None,
         frontier = new
         generations.append(int(new.size))
     return int(seen.sum()), np.array(generations, dtype=np.int64)
+
+
+def reference_write_network(net, out):
+    """The edge-list writer the original way: one f-string per edge."""
+    out.write(f"#n {net.n}\n")
+    out.write("#households " + ",".join(str(int(s)) for s in net.household_sizes) + "\n")
+    out.write(f"#discarded {net.discarded_x0} {net.discarded_x1} "
+              f"{net.discarded_local}\n")
+    kinds = np.where(net.edge_local, "local", "global")
+    for u, v, kind, qu, qv in zip(net.edges_u, net.edges_v, kinds,
+                                  net.stub_q_u, net.stub_q_v):
+        if qu or qv:
+            out.write(f"{u} {v} {kind} {qu} {qv}\n")
+        else:
+            out.write(f"{u} {v} {kind}\n")
+
+
+def reference_read_network(src):
+    """The edge-list reader the original way: split and int() per line.
+
+    `src` is an open file or an iterable of lines.  Returns a
+    netepi.netgen.Network; raises on the inputs the original rejected
+    (not always with ValueError: an integer beyond int64 overflows).
+    """
+    from netepi.netgen import Network
+
+    max_blocks = int(np.iinfo(np.int16).max)
+    n = None
+    sizes = None
+    discarded = (0, 0, 0)
+    eu, ev, loc, qu, qv = [], [], [], [], []
+    for raw in src:
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.startswith("#n "):
+                n = int(line[3:])
+            elif line.startswith("#households "):
+                sizes = np.array([int(s) for s in line[12:].split(",")], dtype=np.int64)
+            elif line.startswith("#discarded "):
+                parts = line.split()
+                discarded = (int(parts[1]), int(parts[2]), int(parts[3]))
+            continue
+        parts = line.split()
+        if len(parts) not in (3, 5):
+            raise ValueError(f"bad edge line {line!r}")
+        eu.append(int(parts[0]))
+        ev.append(int(parts[1]))
+        if parts[2] not in ("local", "global"):
+            raise ValueError(f"bad edge kind in line {line!r}")
+        loc.append(parts[2] == "local")
+        if len(parts) == 5:
+            q_a, q_b = int(parts[3]), int(parts[4])
+            if not (0 <= q_a <= max_blocks and 0 <= q_b <= max_blocks):
+                raise ValueError(
+                    f"block label outside 0..{max_blocks} in line {line!r}")
+            qu.append(q_a)
+            qv.append(q_b)
+        else:
+            qu.append(0)
+            qv.append(0)
+    if n is None or sizes is None:
+        raise ValueError("missing #n or #households header")
+    if int(sizes.sum()) != n:
+        raise ValueError("household sizes do not sum to n")
+    household_index = np.repeat(np.arange(sizes.size), sizes)
+    edges_u = np.array(eu, dtype=np.int64)
+    edges_v = np.array(ev, dtype=np.int64)
+    ends = np.concatenate([edges_u, edges_v])
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
+        raise ValueError("edge endpoint out of range")
+    return Network(n, household_index, sizes, edges_u, edges_v,
+                   np.array(loc, dtype=bool),
+                   np.array(qu, dtype=np.int16), np.array(qv, dtype=np.int16),
+                   *discarded)
+
+
+def clustering_by_triples(n, edges_u, edges_v):
+    """Global clustering of the simple reduction of a multigraph by brute
+    force over node triples: (closed ordered triples, ordered paths)."""
+    adj = [set() for _ in range(n)]
+    for u, v in zip(edges_u.tolist(), edges_v.tolist()):
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    closed = 0
+    for a, b, c in itertools.combinations(range(n), 3):
+        if b in adj[a] and c in adj[b] and c in adj[a]:
+            closed += 6
+    paths = sum(len(s) * (len(s) - 1) for s in adj)
+    return closed, paths
 
 
 def household_pmfs_by_enumeration(h, p):

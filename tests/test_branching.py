@@ -323,6 +323,7 @@ def _mc_setup(pm):
     return model, mc
 
 
+@pytest.mark.slow
 def test_typed_extinction_matches_generative_simulation():
     pm = params(poisson_plus(2.0), poisson(8.0), r=0.5, n_q=10, p_i=0.2)
     model, mc = _mc_setup(pm)
@@ -336,6 +337,7 @@ def test_typed_extinction_matches_generative_simulation():
         )
 
 
+@pytest.mark.slow
 def test_outbreak_probability_matches_generative_simulation():
     pm = params(poisson_plus(2.0), poisson(8.0), r=-0.6, n_q=10, p_i=0.2)
     model, mc = _mc_setup(pm)

@@ -1,10 +1,12 @@
 import io
+import random
 
 import numpy as np
 import pytest
 
 from netepi import distributions as dd
 from netepi import netgen as ng
+from oracles import reference_read_network, reference_write_network
 
 
 def small_spec(**kw):
@@ -219,6 +221,156 @@ def test_read_network_rejects_bad_input():
         ng.read_network(io.StringIO("#n 2\n#households 1,1\n0 5 global\n"))
     with pytest.raises(ValueError):
         ng.read_network(io.StringIO("#n 2\n#households 1,1\n0 -1 global\n"))
+    # headers the generator never writes: a short #discarded, an empty
+    # household, an empty network, a negative discard count
+    for text, bad_line in [
+        ("#n 2\n#households 1,1\n#discarded 1 2\n", "#discarded 1 2"),
+        ("#n 2\n#households 1,0,1\n", "#households 1,0,1"),
+        ("#n 0\n#households 0\n", "#n 0"),
+        ("#n 2\n#households 1,1\n#discarded -1 0 0\n", "#discarded -1 0 0"),
+    ]:
+        with pytest.raises(ValueError, match=bad_line):
+            ng.read_network(io.StringIO(text))
+
+
+def io_corpus():
+    """Networks covering every writer branch: both correlation signs and
+    r = 0, rewired or not, no global edges, no edges at all, one with more
+    edges than a write chunk or a read block, and a hand-made one with a
+    single non-zero label on an edge and a labelled local edge."""
+    nets = []
+    for r in (-0.8, 0.0, 0.9):
+        net = ng.build_network(small_spec(n=300, r=r, n_q=5), 40)
+        nets += [net, ng.rewire(net, 0.4, 41)]
+    no_global = ng.build_network(
+        ng.GenSpec(n=30, household=dd.point(3), global_degree=dd.point(0)), 1)
+    no_edges = ng.build_network(
+        ng.GenSpec(n=5, household=dd.point(1), global_degree=dd.point(0)), 1)
+    big = small_spec(n=20_000, global_degree=dd.poisson(8.0), r=-0.5, n_q=7)
+    many = ng.rewire(ng.build_network(big, 42), 0.3, 43)
+    hand_made = ng.Network(
+        4, np.array([0, 0, 1, 1]), np.array([2, 2]), np.array([0, 1, 2, 3]),
+        np.array([1, 2, 3, 0]), np.array([False, False, True, False]),
+        np.array([0, 2, 7, 0], dtype=np.int16),
+        np.array([3, 0, 1, 0], dtype=np.int16), 1, 0, 2)
+    assert no_global.n_edges > 0 and np.all(no_global.edge_local)
+    assert no_edges.n_edges == 0
+    assert many.n_edges > ng._IO_CHUNK and np.any(many.stub_q_u)
+    return nets + [no_global, no_edges, many, hand_made]
+
+
+def reference_text(net):
+    buf = io.StringIO()
+    reference_write_network(net, buf)
+    return buf.getvalue()
+
+
+def test_writer_matches_reference_writer():
+    for net in io_corpus():
+        assert ng.network_to_string(net) == reference_text(net)
+
+
+def decorated(text, rng):
+    """The same file with foreign comments and blank lines in the middle,
+    leading and trailing whitespace on every line, and CRLF line ends."""
+    out = []
+    spaces = [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x1f \t"]
+    for i, line in enumerate(text.split("\n")):
+        if i % 97 == 5:
+            out.append("# a foreign comment, with # inside and 0 1 local")
+        if i % 89 == 3:
+            out.append(rng.choice(["", "   ", "\t \x0c"]))
+        out.append(rng.choice(spaces) + line + rng.choice(spaces))
+    return "\r\n".join(out)
+
+
+def as_inputs(text, tmp_path):
+    """The file as a path, as an open file, and as lists of lines with and
+    without their line ends."""
+    path = tmp_path / "net.txt"
+    path.write_text(text, newline="")
+    yield str(path)
+    with open(path) as fh:
+        yield fh
+    lines = io.StringIO(text, newline="").readlines()
+    yield lines
+    yield [line.rstrip("\n") for line in lines]
+
+
+def test_reader_matches_reference_reader(tmp_path):
+    rng = random.Random(5)
+    for net in io_corpus():
+        text = reference_text(net)
+        for variant in (text, decorated(text, rng)):
+            expected = reference_read_network(io.StringIO(variant, newline=""))
+            assert expected == net
+            for src in as_inputs(variant, tmp_path):
+                back = ng.read_network(src)
+                assert back == expected
+                assert back.edges_u.dtype == np.int64
+                assert back.stub_q_u.dtype == np.int16
+
+
+def test_reader_accepts_what_reference_accepts():
+    head = "#n 4\n#households 2,2\n"
+    for body in ["+0 001 local", "0\t1\x0blocal", "0 3 global 0 0",
+                 "0 3 global +2 00007", "-0 1 local",
+                 "# edge comment\n2 3 local", "#n\n#nope 9\n1 2 local",
+                 "#households 1,3\n#households  2, 2 \n0 2 local",
+                 "2 3 global 32767 0", "0 000000000000000000000000001 local"]:
+        lines = (head + body).split("\n")
+        assert ng.read_network(lines) == reference_read_network(lines)
+    # an iterable element is one line even with a newline inside
+    lines = ["#n 4", "#households 2,2", "0 1\nlocal\n"]
+    assert ng.read_network(lines) == reference_read_network(lines)
+
+
+def test_reader_rejects_what_reference_rejects():
+    head = "#n 4\n#households 2,2\n"
+    bodies = ["0 1 global # x", "0 1 local # x", "0 1 global 2",
+              "0 1 global 2 3 4", "0 1", "0", "0 1 LOCAL", "0 1 locals",
+              "0 1 glob", "0 1 l0cal", "0 1 local\x00", "0 x local",
+              "0 1.0 local", "0 1e0 local", "0 - local", "0 + local",
+              "0 1_0 local", "0 0x1 local", "0 1 global 1 -1",
+              "0 1 global 32768 1", "0 1 global 1 a",
+              "0 99999999999999999999 global", "0 1000000000000000000001 local",
+              "0 4 local", "-1 0 local",
+              "0 1 local 2 local", "#n x", "#households 2,x",
+              "#discarded 1 2 z", "#n 5"]
+    for body in bodies:
+        for text in (head + body, head + "0 1 local\n" * 3 + body):
+            lines = text.split("\n")
+            with pytest.raises(Exception):
+                reference_read_network(lines)
+            with pytest.raises(ValueError):
+                ng.read_network(lines)
+    for text in ("", "0 1 local\n", "#n 3\n#households 1,1\n",
+                 "#households 1,1\n0 1 local\n"):
+        with pytest.raises(Exception):
+            reference_read_network(io.StringIO(text))
+        with pytest.raises(ValueError):
+            ng.read_network(io.StringIO(text))
+
+
+def test_reader_takes_ascii_decimals_only():
+    # int() and str.split() also take digit groups, non-ASCII digits and
+    # non-ASCII spaces; the file grammar does not
+    head = "#n 20\n#households 10,10\n"
+    for body in ["0 1_1 local", "0 \u0663 local", "0\u00a01 local",
+                 "0 1 local\u2003"]:
+        lines = (head + body).split("\n")
+        reference_read_network(lines)
+        with pytest.raises(ValueError, match="line"):
+            ng.read_network(lines)
+
+
+def test_bad_line_is_named_in_later_blocks():
+    head = "#n 4\n#households 2,2\n"
+    lines = (head + "0 1 local\n" * (ng._IO_CHUNK + 10)).split("\n")
+    lines[ng._IO_CHUNK + 5] = "2 3 local # x"
+    with pytest.raises(ValueError, match="2 3 local # x"):
+        ng.read_network(lines)
 
 
 def test_block_count_bounded_by_int16_labels():

@@ -8,6 +8,7 @@ from netepi import distributions as dd
 from netepi import netgen as ng
 from netepi import netprops as nprops
 from netepi.errors import DegenerateNetwork, NoTriplets, ZeroVariance
+from oracles import clustering_by_triples
 
 
 def read_net(text):
@@ -153,6 +154,35 @@ def test_empirical_clustering_requires_paths():
     net = read_net("#n 2\n#households 1,1\n0 1 global\n")
     with pytest.raises(NoTriplets):
         nprops.empirical_clustering(net)
+
+
+def test_empirical_clustering_matches_brute_force_triples():
+    # random multigraphs with self-loops and parallel edges, sparse to
+    # dense; the triangle and path counts are exact integers, so the
+    # coefficient must agree to the last bit
+    rng = np.random.default_rng(2024)
+    no_paths = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 61))
+        m = int(rng.uniform(0.0, 0.6) * n * (n - 1) / 2)
+        u = rng.integers(0, n, m)
+        v = rng.integers(0, n, m)
+        again = rng.integers(0, max(m, 1), m // 3) if m else np.empty(0, int)
+        loops = rng.integers(0, n, int(rng.integers(0, 4)))
+        u = np.concatenate([u, v[again], loops])
+        v = np.concatenate([v, u[again], loops])
+        net = ng.Network(n, np.arange(n), np.ones(n, dtype=np.int64), u, v,
+                         np.zeros(u.size, dtype=bool),
+                         np.zeros(u.size, dtype=np.int16),
+                         np.zeros(u.size, dtype=np.int16))
+        closed, paths = clustering_by_triples(n, u, v)
+        if paths == 0:
+            no_paths += 1
+            with pytest.raises(NoTriplets):
+                nprops.empirical_clustering(net)
+        else:
+            assert nprops.empirical_clustering(net) == closed / paths
+    assert no_paths < 10
 
 
 def test_empirical_degree_corr_star_is_minus_one():

@@ -133,6 +133,7 @@ def test_constant_period_matches_enumeration_forward_and_reverse():
     assert 0.5 * np.abs(emp_rev - in_pmf).sum() < 0.02
 
 
+@pytest.mark.slow
 def test_triangle_final_size_pmf():
     # complete graph on three nodes, p = 0.5: exact law of the total
     # count infected is (0.25, 0.25, 0.5) by both bond enumeration and
