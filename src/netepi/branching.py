@@ -12,25 +12,42 @@ transmits with probability p_i and lands in a block drawn from the
 pairing kernel (labelled, probability |r|) or uniformly (unlabelled).
 
 The offspring mean matrix gives the threshold R* (its Perron root); the
-type-indexed extinction probabilities solve a monotone fixed point of
-the offspring PGFs.  Running the construction backwards over
-susceptibility sets gives the expected major-outbreak relative final
-size z.  For a constant infectious period the forward and backward laws
-coincide, so one extinction vector serves both directions and the
-major-outbreak probability equals z.
+type-indexed extinction probabilities are the least fixed point of the
+offspring PGFs.  Running the construction backwards over susceptibility
+sets gives the expected major-outbreak relative final size z.  For a
+constant infectious period the forward and backward laws coincide, so
+one extinction vector serves both directions and the major-outbreak
+probability equals z.
+
+The extinction fixed point s = F(s) is solved by Newton's method from
+s = 0 with the analytic n_q x n_q Jacobian of F.  F is increasing and
+convex in s, so the Newton iterates rise monotonically to the least
+fixed point (Etessami & Yannakakis 2009, J. ACM 56:1), and convergence
+is quadratic except right at threshold, where it is still geometric.
+Iterates are kept in [0, 1].  The solve stops when a step moves no
+component by more than 1e-13, or when the residual max|F(s) - s| is at
+rounding level; the final residual must be at most 1e-10.  It raises
+`NonConvergence`, with the iterates in `history`, when I - J is
+singular, when 100 steps do not converge, or when the final residual is
+larger.  `BranchingModel.extinction_stats` records the steps, the PGF
+evaluations and the final residual of the solve.
 
 Each offspring-PGF evaluation makes one call to
-`HouseholdEngine.mixture_pgf_profile`, the only household PGF path, and
-combines its per-size values for all types in one batched product.
-`BranchingModel` memoises the mean matrix, R* and the extinction
-vector; `analyze` reads every output from those methods.
+`HouseholdEngine.mixture_pgf_profile`, the only household PGF path,
+which also returns the derivative of each household PGF when the
+Jacobian is wanted, and combines its per-size values for all types in
+one batched product.  `BranchingModel` memoises the mean matrix, R* and
+the extinction vector; `analyze` reads every output from those methods.
+The tables that depend only on (H, G, r, n_q) are built once per model;
+`BranchingModel.with_infection` reuses them for another infection.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -51,13 +68,15 @@ from .errors import (
     ReducibleMatrixWarning,
 )
 from .household import HouseholdEngine
-from .netgen import GenSpec
+from .netgen import MAX_BLOCKS, GenSpec
 from .netprops import poisson_c_rho
 
 _POWER_TOL = 1e-12
 _POWER_MAX_ITER = 100_000
-_FP_TOL = 1e-13
-_FP_MAX_ITER = 500_000
+_NEWTON_STEP_TOL = 1e-13
+_NEWTON_MAX_ITER = 100
+# a residual this small is rounding in F; a Newton step from it is noise
+_NEWTON_RESIDUAL_FLOOR = 8.0 * np.finfo(float).eps
 _RESIDUAL_TOL = 1e-10
 
 
@@ -77,8 +96,8 @@ class ModelParams:
             raise ValueError("household sizes must be >= 1")
         if not -1.0 <= self.r <= 1.0:
             raise ValueError("r must lie in [-1, 1]")
-        if self.n_q < 1:
-            raise ValueError("n_q must be >= 1")
+        if not 1 <= self.n_q <= MAX_BLOCKS:
+            raise ValueError(f"n_q must lie in 1..{MAX_BLOCKS}")
         if not 0.0 <= self.p_rw <= 1.0:
             raise ValueError("p_rw must lie in [0, 1]")
 
@@ -97,6 +116,16 @@ class MeanMatrix:
 
 
 @dataclass(frozen=True)
+class SolverStats:
+    """How one extinction solve went: Newton steps taken, offspring-PGF
+    evaluations made and the final residual max|F(s) - s|."""
+
+    iterations: int
+    pgf_evals: int
+    residual: float
+
+
+@dataclass(frozen=True)
 class AnalyticReport:
     r_star: float
     p_major: Optional[float]
@@ -108,7 +137,9 @@ class AnalyticReport:
 
 class BranchingModel:
     """Assembles every table the branching analytics need for one
-    parameter set and caches intermediate results."""
+    parameter set and caches intermediate results.  The structure tables
+    depend only on (H, G, r, n_q); the household engine and the memos
+    depend on the infection too."""
 
     def __init__(self, params: ModelParams):
         self.params = params
@@ -152,10 +183,38 @@ class BranchingModel:
             for gi, g in enumerate(self.g1_vals):
                 self.partner_rows[hi, gi] = self._row_of[int(g + h - 1)]
 
-        self.households = HouseholdEngine(p.infection, int(self.h_vals.max()))
+        # the law of a stub's partner block: the pairing kernel with
+        # probability |r|, else uniform; by arrival type and by degree row
+        abs_r = abs(p.r)
+        uniform = (1.0 - abs_r) / p.n_q
+        self.block_mix_type = uniform + abs_r * self.kernels.quantile_kernel
+        self.block_mix_degree = uniform + abs_r * self.kernels.degree_kernel
+        self.block_mix_partner = self.block_mix_degree[self.partner_rows]
+
+        self._start_infection()
+
+    def _start_infection(self) -> None:
+        self.households = HouseholdEngine(self.params.infection,
+                                          int(self.h_vals.max()))
         self._mean_matrix: Optional[MeanMatrix] = None
         self._r_star: Optional[float] = None
         self._extinction: Optional[np.ndarray] = None
+        self._extinction_stats: Optional[SolverStats] = None
+
+    def with_infection(self, infection: InfectionSpec) -> "BranchingModel":
+        """The model with another infection on the same (H, G, r, n_q): it
+        shares this model's structure tables, which nothing mutates, and
+        gets its own household engine and memos."""
+        model = copy.copy(self)
+        model.params = replace(self.params, infection=infection)
+        model._start_infection()
+        return model
+
+    @property
+    def extinction_stats(self) -> Optional[SolverStats]:
+        """Statistics of the extinction solve; None until one has run (and
+        at or below threshold, where none is needed)."""
+        return self._extinction_stats
 
     # -- offspring mean matrix and threshold ------------------------------
 
@@ -216,57 +275,92 @@ class BranchingModel:
 
     # -- offspring PGF fixed points ---------------------------------------
 
-    def _partner_block_mix(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-type and per-degree expected s at the partner's block."""
-        p = self.params
-        abs_r = abs(p.r)
-        mean_s = float(np.mean(s))
-        by_type = (1.0 - abs_r) * mean_s + abs_r * (self.kernels.quantile_kernel @ s)
-        by_degree = (1.0 - abs_r) * mean_s + abs_r * (self.kernels.degree_kernel @ s)
-        return by_type, by_degree
-
-    def _stub_pgfs(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """g_i(s), the spare-stub factor per type; and f1_h(s), the PGF of
-        one housemate's global transmissions, per household size."""
+    def _stub_pgfs(self, s: np.ndarray, jacobian: bool = False):
+        """g_i(s), the spare-stub factor per type; f1_h(s), the PGF of one
+        housemate's global transmissions, per household size; and with
+        jacobian=True df1_h/ds (n_h x n_q), else None."""
         p_i = self.params.infection.p_i
-        by_type, by_degree = self._partner_block_mix(s)
-        g_type = 1.0 - p_i + p_i * by_type
-        g_degree = 1.0 - p_i + p_i * by_degree
-        powered = g_degree[self.partner_rows] ** self.g1_vals[None, :].astype(float)
+        g_type = 1.0 - p_i + p_i * (self.block_mix_type @ s)
+        g_degree = 1.0 - p_i + p_i * (self.block_mix_degree @ s)
+        g_partner = g_degree[self.partner_rows]
+        powered = g_partner ** self.g1_vals[None, :].astype(float)
         f1 = self.g0_prob + powered @ self.g1_probs
-        return g_type, f1
+        if not jacobian:
+            return g_type, f1, None
+        coef = self.g1_probs * self.g1_vals * g_partner ** (self.g1_vals - 1)
+        d_f1 = p_i * (coef[:, None, :] @ self.block_mix_partner)[:, 0, :]
+        return g_type, f1, d_f1
 
-    def _offspring_pgf(self, s: np.ndarray) -> np.ndarray:
-        g_type, f1 = self._stub_pgfs(s)
+    def _offspring_pgf(self, s: np.ndarray, jacobian: bool = False):
+        """Offspring PGF F(s) by type; with jacobian=True, (F, dF/ds)."""
+        g_type, f1, d_f1 = self._stub_pgfs(s, jacobian)
         local = self.households.mixture_pgf_profile(
-            self.h_vals, f1, self.params.p_rw
+            self.h_vals, f1, self.params.p_rw, derivative=jacobian
         )
+        if jacobian:
+            local, d_local = local
+        by_type = self.table.d_given_q.T[:, None, :]            # (n_q, 1, n_d)
         spare = g_type[:, None, None] ** self.exponents        # (n_q, n_d, n_h)
-        inner = (self.size_given_degree * spare) @ local        # (n_q, n_d)
+        weighted = self.size_given_degree * spare
+        inner = weighted @ local                                # (n_q, n_d)
         # one stacked dot per type, summed in the same order as a per-type
         # loop; an einsum reorders the sums and moves results by ~1e-13
-        return (self.table.d_given_q.T[:, None, :] @ inner[:, :, None])[:, 0, 0]
+        value = (by_type @ inner[:, :, None])[:, 0, 0]
+        if not jacobian:
+            return value
+        # dF_i/ds_j = p_i A_i block_mix_type[i, j] + sum_h C_ih L'_h df1_h/ds_j
+        d_spare = self.exponents * g_type[:, None, None] ** np.maximum(
+            self.exponents - 1, 0)
+        a = (by_type @ ((self.size_given_degree * d_spare) @ local)[:, :, None])
+        c = (by_type @ weighted)[:, 0, :]                       # (n_q, n_h)
+        jac = (self.params.infection.p_i * a[:, 0, :] * self.block_mix_type
+               + (c * d_local) @ d_f1)
+        return value, jac
 
     def _ancestor_pgf(self, s: np.ndarray) -> float:
-        _, f1 = self._stub_pgfs(s)
+        _, f1, _ = self._stub_pgfs(s)
         local = self.households.mixture_pgf_profile(
             self.h_vals, f1, self.params.p_rw
         )
         return float(np.dot(self.pi_tilde, f1 * local))
 
     def _solve_extinction(self) -> np.ndarray:
-        s = np.zeros(self.params.n_q)
-        for _ in range(_FP_MAX_ITER):
-            nxt = self._offspring_pgf(s)
-            delta = float(np.max(np.abs(nxt - s)))
-            s = nxt
-            if delta < _FP_TOL:
+        """Least fixed point of F by Newton's method from 0 (see the
+        module docstring for the stop rule and what it raises)."""
+        n_q = self.params.n_q
+        eye = np.eye(n_q)
+        s = np.zeros(n_q)
+        history = [s]
+        settled = False
+        for evals in range(1, _NEWTON_MAX_ITER + 2):
+            value, jac = self._offspring_pgf(s, jacobian=True)
+            gap = value - s
+            residual = float(np.max(np.abs(gap)))
+            if settled or residual <= _NEWTON_RESIDUAL_FLOOR:
                 break
-        residual = float(np.max(np.abs(self._offspring_pgf(s) - s)))
+            if evals > _NEWTON_MAX_ITER:
+                raise NonConvergence(
+                    f"extinction Newton did not converge in "
+                    f"{_NEWTON_MAX_ITER} steps (residual {residual:.2e})",
+                    history=history,
+                )
+            try:
+                step = np.linalg.solve(eye - jac, gap)
+            except np.linalg.LinAlgError:
+                raise NonConvergence(
+                    "extinction Newton step failed: I - J is singular",
+                    history=history,
+                ) from None
+            nxt = np.clip(s + step, 0.0, 1.0)
+            settled = float(np.max(np.abs(nxt - s))) <= _NEWTON_STEP_TOL
+            s = nxt
+            history.append(s)
         if residual > _RESIDUAL_TOL:
             raise NonConvergence(
-                f"extinction fixed point residual {residual:.2e}", history=[s]
+                f"extinction fixed point residual {residual:.2e}",
+                history=history,
             )
+        self._extinction_stats = SolverStats(len(history) - 1, evals, residual)
         return s
 
     def _extinction_vector(self) -> np.ndarray:
@@ -306,7 +400,8 @@ class BranchingModel:
         a node's susceptibility process survives."""
         if self.r_star() <= 1.0:
             return 0.0
-        return 1.0 - self._ancestor_pgf(self._extinction_vector())
+        # 1 - G(xi) rounds below 0 where z itself is at rounding level
+        return max(0.0, 1.0 - self._ancestor_pgf(self._extinction_vector()))
 
 
 def r_star(m: MeanMatrix) -> float:

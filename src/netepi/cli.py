@@ -382,13 +382,16 @@ def _default_r_grid():
 
 def _critical_p_i(h, g, r, n_q, p_rw=0.0, tol=1e-10):
     """Smallest transmission probability with threshold above one,
-    by bisection (the threshold increases with p_i)."""
+    by bisection (the threshold increases with p_i); the structure
+    tables are built once and shared by every step."""
     lo, hi = 0.0, 1.0
+    params = _model_params(household=h, global_degree=g, r=r, n_q=n_q,
+                           infection=InfectionSpec.constant(1.0), p_rw=p_rw)
+    structure = BranchingModel(params)
 
     def supercritical(p_i):
-        params = _model_params(household=h, global_degree=g, r=r, n_q=n_q,
-                               infection=InfectionSpec.constant(p_i), p_rw=p_rw)
-        return BranchingModel(params).r_star() > 1.0
+        model = structure.with_infection(InfectionSpec.constant(p_i))
+        return model.r_star() > 1.0
 
     if not supercritical(1.0):
         raise ConfigError("no supercritical transmission probability exists")

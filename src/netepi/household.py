@@ -19,13 +19,17 @@ constant and general cases.
 Rewiring replaces a household's clique by a uniformly re-paired
 (locally tree-like) graph with the same degrees; its local epidemic is a
 branching process whose offspring counts are Bin(h-2, p) after the root,
-giving closed-form means and fixed-point PGFs.  Mixtures over the
-rewiring probability are plain convex combinations.
+giving closed-form means and fixed-point PGFs.  The subtree fixed
+point is solved by elementwise Newton from 0, which also yields its
+derivative, and raises `NonConvergence` rather than return an
+unconverged value.  Mixtures over the rewiring probability are plain
+convex combinations.
 
 `HouseholdEngine.mixture_pgf_profile` is the one PGF path: it evaluates
 the mixture for many household sizes at once, with one Horner pass over
 the zero-padded matrix of their pmfs, and the branching engine calls it
-once per offspring-PGF evaluation.
+once per offspring-PGF evaluation.  The same pass gives the derivative
+of each PGF with respect to its argument when asked.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .distributions import InfectionSpec
 from .errors import NonConvergence
 
 _FIXED_POINT_TOL = 1e-14
-_FIXED_POINT_MAX_ITER = 200_000
+_FIXED_POINT_MAX_ITER = 100
 _PMF_SUM_TOL = 1e-10
 _PMF_NEG_TOL = 1e-9
 
@@ -154,27 +158,37 @@ class HouseholdEngine:
     # -- the PGF path used by the branching-process engine ----------------
 
     def mixture_pgf_profile(self, sizes: np.ndarray, s_by_size: np.ndarray,
-                            p_rw: float) -> np.ndarray:
+                            p_rw: float, derivative: bool = False):
         """PGF of the local progeny of each household size at its own
         argument, when the household was rewired with probability p_rw: a
         convex combination of the intact susceptibility-set law M and the
         rewired tree law.  Both serve the backward process for any period
         (each tree node contributes exactly one bond along its path) and,
         for a constant period, the forward one too, where the final size T
-        has the law of M."""
+        has the law of M.  With derivative=True, returns (values,
+        derivatives) with each PGF's derivative at its own argument."""
         _check_prw(p_rw)
         sizes = np.asarray(sizes, dtype=np.int64)
         s_by_size = np.asarray(s_by_size, dtype=np.float64)
-        # Horner over the columns of the zero-padded pmf matrix
+        # Horner over the columns of the zero-padded pmf matrix, carrying
+        # the derivative along
         intact = np.zeros_like(s_by_size)
+        d_intact = np.zeros_like(s_by_size)
         for coeff in self._pmf_matrix(sizes).T[::-1]:
+            if derivative:
+                d_intact = d_intact * s_by_size + intact
             intact = intact * s_by_size + coeff
         if p_rw == 0.0:
-            return intact
+            return (intact, d_intact) if derivative else intact
         p = self.infection.p_i
-        x = _subtree_fixed_point(s_by_size, sizes, p)
-        rewired = (1.0 - p + p * x) ** (sizes - 1)
-        return (1.0 - p_rw) * intact + p_rw * rewired
+        x, dx = _subtree_fixed_point(s_by_size, sizes, p)
+        base = 1.0 - p + p * x
+        rewired = base ** (sizes - 1)
+        mixed = (1.0 - p_rw) * intact + p_rw * rewired
+        if not derivative:
+            return mixed
+        d_rewired = (sizes - 1) * base ** np.maximum(sizes - 2, 0) * p * dx
+        return mixed, (1.0 - p_rw) * d_intact + p_rw * d_rewired
 
     def _pmf_matrix(self, sizes: np.ndarray) -> np.ndarray:
         """Row k holds the pmf of M for sizes[k], padded with zeros to the
@@ -197,14 +211,49 @@ def _check_prw(p_rw: float) -> None:
         raise ValueError("p_rw must lie in [0, 1]")
 
 
-def _subtree_fixed_point(s: np.ndarray, sizes: np.ndarray, p: float) -> np.ndarray:
-    """Smallest solution of x = s (1 - p + p x)^(h-2), elementwise, by
-    monotone iteration from 0 (sizes < 3 are passed through untouched)."""
-    x = np.zeros_like(s)
+def _subtree_fixed_point(s: np.ndarray, sizes: np.ndarray,
+                         p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest solution x of x = s b^(h-2), b = 1 - p + p x, and its
+    derivative dx/ds = b^(h-2) / (1 - s p (h-2) b^(h-3)), elementwise
+    (sizes < 3 give x = s).
+
+    Newton from 0 rises monotonically to the least root, because the
+    right side is increasing and convex in x.  An element stops when its
+    step falls to _FIXED_POINT_TOL or its residual s b^(h-2) - x stops
+    being positive, which below the root it is but for rounding.  At
+    s = 1 the least root is exactly 1 when the subtree is at most
+    critical, p (h-2) <= 1; at p (h-2) = 1 that root is double and Newton
+    would stall near 1 - 1e-8, so these elements are set directly.
+    Raises NonConvergence at the iteration cap.
+    """
     expo = np.maximum(sizes - 2, 0)
+    # p <= 1/(h-2), as in rewired_final_size_mean, so p = 1/(h-2) counts
+    # as critical whatever the rounding of p (h-2)
+    at_most_critical = (expo == 0) | (p <= 1.0 / np.maximum(expo, 1))
+    x = np.where((s == 1.0) & at_most_critical, 1.0, 0.0)
+    active = x == 0.0
+    history = []
     for _ in range(_FIXED_POINT_MAX_ITER):
-        nxt = s * (1.0 - p + p * x) ** expo
-        if np.max(np.abs(nxt - x)) < _FIXED_POINT_TOL:
-            return nxt
-        x = nxt
-    return x  # exactly-critical cases approach 1 like 1/k; close enough
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        xa, sa, ea = x[idx], s[idx], expo[idx]
+        base = 1.0 - p + p * xa
+        gap = sa * base ** ea - xa
+        slope = sa * ea * p * base ** np.maximum(ea - 1, 0)
+        # iterates below the root have gap > 0; gap <= 0 is the root
+        # reached to within rounding
+        step = np.where(gap > 0.0, gap / (1.0 - slope), 0.0)
+        x[idx] = np.clip(xa + step, 0.0, 1.0)
+        history.append(x.copy())
+        active[idx] = step > _FIXED_POINT_TOL
+    if active.any():
+        raise NonConvergence(
+            f"subtree fixed point did not converge in {_FIXED_POINT_MAX_ITER} "
+            f"Newton steps", history=history
+        )
+    base = 1.0 - p + p * x
+    slope = s * expo * p * base ** np.maximum(expo - 1, 0)
+    # infinite where the subtree is exactly critical at s = 1
+    with np.errstate(divide="ignore"):
+        return x, base ** expo / (1.0 - slope)

@@ -34,13 +34,14 @@ from netepi.errors import (
     ConstantPeriodRequired,
     Infeasible,
     InvalidTarget,
+    NonConvergence,
     ReducibleMatrixWarning,
     ZeroMean,
 )
 from netepi.household import HouseholdEngine
 from netepi.netprops import poisson_c_rho
 
-from oracles import MultitypeForwardMC
+from oracles import MultitypeForwardMC, reference_monotone_extinction
 
 
 def params(h, g, r=0.0, n_q=1, p_i=0.2, p_rw=0.0, infection=None):
@@ -151,6 +152,17 @@ def test_params_validation():
         ModelParams(point(2), poisson(5.0), 0.0, 1, inf, p_rw=-0.1)
 
 
+def test_params_bound_blocks_like_the_generator():
+    # analyze and simulate accept the same models: n_q is bounded by the
+    # generator's int16 block labels, with GenSpec's message
+    inf = InfectionSpec.constant(0.2)
+    assert ModelParams(point(2), poisson(5.0), 0.0, 32767, inf).n_q == 32767
+    with pytest.raises(ValueError, match=r"^n_q must lie in 1\.\.32767$"):
+        ModelParams(point(2), poisson(5.0), 0.0, 32768, inf)
+    with pytest.raises(ValueError, match=r"^n_q must lie in 1\.\.32767$"):
+        ModelParams(point(2), poisson(5.0), 0.0, 0, inf)
+
+
 # -- extinction probabilities and outbreak sizes ------------------------
 
 
@@ -197,6 +209,18 @@ def test_wide_households_at_small_transmission_stay_solvable():
     assert rep.r_star > 1.0
     assert rep.p_major == rep.z
     assert rep.z == pytest.approx(0.360326, abs=1e-6)
+
+
+def test_final_size_at_rounding_level_is_not_negative():
+    # p_i just above 1/19: rewired households of size 21 are locally
+    # supercritical, so R* = inf, but they are so rare that z is ~1e-16
+    # and 1 - G(xi) came out as -2.2e-16
+    for r in (-1.0, 0.0, 1.0):
+        rep = analyze(params(poisson_plus(2.0), poisson(8.0), r=r, n_q=10,
+                             p_i=0.0527, p_rw=0.3))
+        assert rep.r_star == math.inf
+        assert 0.0 <= rep.z < 1e-14
+        assert rep.p_major == rep.z
 
 
 def test_rewiring_strictly_raises_all_outputs():
@@ -254,7 +278,7 @@ def test_offspring_pgf_matches_per_type_loop(r, p_rw):
     model = BranchingModel(params(poisson_plus(2.0), poisson(6.0), r=r,
                                   n_q=5, p_i=0.25, p_rw=p_rw))
     s = np.linspace(0.1, 0.9, 5)
-    g_type, f1 = model._stub_pgfs(s)
+    g_type, f1, _ = model._stub_pgfs(s)
     local = model.households.mixture_pgf_profile(model.h_vals, f1, p_rw)
     ref = [model.table.d_given_q[:, i]
            @ ((model.size_given_degree * g_type[i] ** model.exponents)
@@ -275,6 +299,136 @@ def test_analyze_reads_the_model_methods():
     assert model.forward_extinction() is model.forward_extinction()
     assert model.backward_extinction() is model.backward_extinction()
     assert model.forward_extinction() is model.backward_extinction()
+
+
+_FIG4_H, _FIG4_G = poisson_plus(2.0), poisson(8.0)
+_FIG4_R = [round(x, 4) for x in np.linspace(-1.0, 1.0, 9)]
+
+
+def fig4_model(p_i, r):
+    return BranchingModel(params(_FIG4_H, _FIG4_G, r=r, n_q=10, p_i=p_i))
+
+
+def test_newton_matches_monotone_reference_near_threshold():
+    # fig4's default grid: R* from 1.005 up; the original loop stops
+    # ~2e-11 short of the root at R* = 1.005
+    solved = 0
+    for p_i in (0.102, 0.103, 0.104, 0.105):
+        for r in _FIG4_R:
+            model = fig4_model(p_i, r)
+            if model.r_star() <= 1.0:
+                continue
+            xi = model.backward_extinction()
+            ref = reference_monotone_extinction(model)
+            assert np.max(np.abs(xi - ref)) <= 3e-11
+            assert np.all(xi >= ref)      # the monotone iterates lie below
+            solved += 1
+    assert solved == 26
+
+
+@pytest.mark.parametrize("p_rw", [0.0, 0.3, 0.8])
+def test_newton_matches_monotone_reference_above_threshold(p_rw):
+    # the original 1e-13 step rule itself leaves up to ~1.3e-13 here
+    # (rho(J) ~ 0.57 at R* = 1.54), so the reference runs to 1e-15
+    models = [BranchingModel(params(h, g, r=r, n_q=6, p_rw=p_rw,
+                                    infection=inf))
+              for h, g in ((_FIG4_H, _FIG4_G),
+                           (from_pmf(_GOLDEN_H), poisson(5.0)))
+              for r in (-1.0, -0.5, 0.0, 0.5, 1.0)
+              for inf in (InfectionSpec.constant(0.2), _GOLDEN_GAMMA)]
+    for model in models:
+        assert model.r_star() >= 1.5
+        xi = model.backward_extinction()
+        ref = reference_monotone_extinction(model, tol=1e-15, max_iter=20_000)
+        assert np.max(np.abs(xi - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [-1.0, -0.5, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("p_rw", [0.0, 0.3, 0.8])
+def test_offspring_jacobian_matches_central_differences(r, p_rw):
+    model = BranchingModel(params(poisson_plus(2.0), poisson(6.0), r=r,
+                                  n_q=5, p_i=0.25, p_rw=p_rw))
+    s = np.linspace(0.1, 0.9, 5)
+    value, jac = model._offspring_pgf(s, jacobian=True)
+    assert np.array_equal(value, model._offspring_pgf(s))
+    step = 1e-6
+    for j in range(5):
+        e = np.zeros(5)
+        e[j] = step
+        diff = (model._offspring_pgf(s + e) - model._offspring_pgf(s - e))
+        assert jac[:, j] == pytest.approx(diff / (2 * step), rel=0.0,
+                                          abs=1e-8)
+
+
+def test_newton_near_threshold_is_fast_and_reports_its_stats():
+    model = fig4_model(0.104, -0.5)
+    assert 1.0 < model.r_star() < 1.01
+    assert model.extinction_stats is None
+    xi = model.backward_extinction()
+    stats = model.extinction_stats
+    assert 1 <= stats.iterations <= 20
+    assert stats.pgf_evals == stats.iterations + 1
+    assert stats.residual == pytest.approx(
+        np.max(np.abs(model._offspring_pgf(xi) - xi)), rel=0.0, abs=1e-15)
+    assert stats.residual <= 1e-10
+    with pytest.raises(AttributeError):
+        model.extinction_stats = None
+    # below threshold nothing is solved
+    below = fig4_model(0.102, -1.0)
+    assert below.r_star() < 1.0
+    below.backward_extinction()
+    assert below.extinction_stats is None
+
+
+def test_extinction_newton_cap_raises_with_iterates(monkeypatch):
+    import netepi.branching as br
+
+    monkeypatch.setattr(br, "_NEWTON_MAX_ITER", 3)
+    model = fig4_model(0.104, -0.5)
+    with pytest.raises(NonConvergence) as info:
+        model.backward_extinction()
+    history = info.value.history
+    assert len(history) == 4 and np.all(history[0] == 0.0)
+    # the Newton iterates rise monotonically towards the root
+    assert all(np.all(b >= a) for a, b in zip(history, history[1:]))
+
+
+def test_extinction_singular_newton_system_raises(monkeypatch):
+    model = BranchingModel(params(poisson_plus(2.0), poisson(6.0), r=0.5,
+                                  n_q=4, p_i=0.3))
+    original = model._offspring_pgf
+
+    def flat(s, jacobian=False):
+        value = original(s)
+        return (value, np.eye(4)) if jacobian else value
+
+    monkeypatch.setattr(model, "_offspring_pgf", flat)
+    with pytest.raises(NonConvergence, match="singular") as info:
+        model.backward_extinction()
+    assert len(info.value.history) == 1
+
+
+def test_with_infection_shares_structure_and_matches_a_fresh_build():
+    base = BranchingModel(params(poisson_plus(2.0), poisson(6.0), r=-0.5,
+                                 n_q=6, p_i=0.3, p_rw=0.3))
+    base.backward_extinction()
+    for inf in (InfectionSpec.constant(0.15), _GOLDEN_GAMMA):
+        model = base.with_infection(inf)
+        fresh = BranchingModel(params(poisson_plus(2.0), poisson(6.0),
+                                      r=-0.5, n_q=6, p_rw=0.3, infection=inf))
+        assert model.params.infection is inf
+        assert model.params.household is base.params.household
+        assert model.params.p_rw == 0.3 and model.params.r == -0.5
+        assert model.table is base.table and model.kernels is base.kernels
+        assert model.households is not base.households
+        assert model.extinction_stats is None
+        assert model.r_star() == fresh.r_star()
+        assert model.z_final_size() == fresh.z_final_size()
+        assert np.array_equal(model.backward_extinction(),
+                              fresh.backward_extinction())
+    # the source model keeps its own infection and memos
+    assert base.params.infection.p_i == 0.3
+    assert base.r_star() == BranchingModel(base.params).r_star()
 
 
 def test_constant_period_analyze_solves_extinction_once(monkeypatch):

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 import yaml
 
-from netepi.cli import load_config, main, resolve_infection, resolve_model
+from netepi.cli import (
+    _critical_p_i,
+    load_config,
+    main,
+    resolve_infection,
+    resolve_model,
+)
+from netepi.distributions import poisson, poisson_plus
 from netepi.errors import ConfigError
 from netepi.netgen import read_network
 
@@ -110,6 +117,19 @@ def test_rejected_model_parameters_exit_2_without_traceback(tmp_path, capsys):
         path = write_yaml(tmp_path / "c.yaml", cfg)
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_analyze_rejects_too_many_blocks_without_traceback(tmp_path, capsys):
+    # ModelParams bounds n_q as GenSpec does, so analyze rejects the
+    # models simulate rejects, with the same message
+    cfg = {"model": {"gamma": 10, "mu": 2, "r": 0.5, "n_q": 40000},
+           "infection": {"kind": "constant", "p_i": 0.2}}
+    path = write_yaml(tmp_path / "c.yaml", cfg)
+    assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: n_q must lie in 1..32767" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "analyze.csv").exists()
 
 
 def test_unreadable_or_malformed_config_is_a_clean_error(tmp_path, capsys):
@@ -358,6 +378,34 @@ def test_fig3_spread_shrinks_with_transmissibility(tmp_path):
     # transmissibility
     assert spread[1.1] > spread[3.0]
     assert all(v > 0 for v in by_factor[3.0])
+
+
+# fig3's default critical transmission probabilities per mu over the
+# default r grid (gamma = 10, n_q = 10), as the bisection returned them
+# when it rebuilt the model at every step; sharing the structure tables
+# must not move a bit of them
+_FIG3_CRITICAL_P_I = {
+    0.1: [0.10269627772504464, 0.10404660989297554, 0.10325124161317945,
+          0.10193394887028262, 0.10000101174227893, 0.09698268416104838,
+          0.0914815483847633, 0.07956123951589689, 0.06358349474612623],
+    2.0: [0.1050037401728332, 0.10450083849718794, 0.10357504821149632,
+          0.10228239599382505, 0.10051451722392812, 0.09794109110953286,
+          0.09382048365660012, 0.0863827689900063, 0.07423070212826133],
+    4.0: [0.10801031847950071, 0.10717758868122473, 0.10606906318571419,
+          0.10463627177523449, 0.1027783807949163, 0.10014682722976431,
+          0.0962503146729432, 0.09025368082802743, 0.08171330206096172],
+    6.0: [0.11581814149394631, 0.11467594851274043, 0.11323536920826882,
+          0.11142825352726504, 0.1091578125488013, 0.10584082984132692,
+          0.10111926688114181, 0.09468040347564965, 0.08706300455378368],
+}
+
+
+def test_fig3_default_critical_p_i_pinned_bitwise():
+    r_grid = [round(x, 4) for x in np.linspace(-1.0, 1.0, 9)]
+    for mu, expected in _FIG3_CRITICAL_P_I.items():
+        h, g = poisson_plus(mu), poisson(10.0 - mu)
+        got = [_critical_p_i(h, g, r, 10) for r in r_grid]
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 def test_fig4_rows(tmp_path):

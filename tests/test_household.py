@@ -5,7 +5,7 @@ import pytest
 
 from netepi.distributions import InfectionSpec
 from netepi.errors import NonConvergence
-from netepi.household import HouseholdEngine
+from netepi.household import HouseholdEngine, _subtree_fixed_point
 
 from oracles import (
     branching_total_progeny_mc,
@@ -172,12 +172,54 @@ def test_rewired_pgf_frozen_points():
     eng = engine(0.6, max_size=5)
     assert local_pgf(eng, 4, 1.0, p_rw=1.0) == pytest.approx(8 / 27, abs=1e-10)
     # exactly critical offspring (h=4, p=0.5): a.s. finite progeny, PGF
-    # value 1 at s=1 though the mean diverges; the capped iteration
-    # approaches 1 from below
+    # value 1 at s=1 though the mean diverges
     crit = engine(0.5, max_size=5)
     val = local_pgf(crit, 4, 1.0, p_rw=1.0)
     assert 0.999 <= val <= 1.0
     assert crit.rewired_final_size_mean(4) == math.inf
+
+
+@pytest.mark.parametrize("h", [3, 4, 5, 7, 12, 30])
+def test_subtree_fixed_point_exactly_critical(h):
+    # p = 1/(h-2) at s = 1: the least root x = 1 is double, where plain
+    # iteration creeps up like 1/k and Newton stalls near 1 - 1e-8
+    p = 1.0 / (h - 2)
+    s = np.array([1.0, 1.0 - 1e-9, 0.5])
+    x, dx = _subtree_fixed_point(s, np.full(3, h), p)
+    assert abs(x[0] - 1.0) <= 1e-12
+    assert dx[0] == math.inf
+    assert 0.0 <= x[2] <= x[1] < 1.0
+    base = 1.0 - p + p * x[1:]
+    assert x[1:] == pytest.approx(s[1:] * base ** (h - 2), rel=0.0, abs=1e-15)
+
+
+def test_subtree_fixed_point_raises_at_its_cap(monkeypatch):
+    import netepi.household as hh
+
+    monkeypatch.setattr(hh, "_FIXED_POINT_MAX_ITER", 2)
+    with pytest.raises(NonConvergence) as info:
+        _subtree_fixed_point(np.array([0.9]), np.array([6]), 0.3)
+    assert len(info.value.history) == 2
+    # within the cap the same point converges
+    monkeypatch.setattr(hh, "_FIXED_POINT_MAX_ITER", 100)
+    x, _ = _subtree_fixed_point(np.array([0.9]), np.array([6]), 0.3)
+    assert x[0] == pytest.approx(0.9 * (0.7 + 0.3 * x[0]) ** 4, abs=1e-15)
+
+
+@pytest.mark.parametrize("p_rw", [0.0, 0.4, 1.0])
+def test_mixture_pgf_derivative_matches_central_differences(p_rw):
+    spec = InfectionSpec.gamma(rate=0.5, shape=2.0, scale=0.5)
+    for eng in (engine(0.35, max_size=9), HouseholdEngine(spec, 9)):
+        sizes = np.array([1, 2, 3, 5, 9])
+        args = np.array([0.2, 0.9, 0.5, 0.7, 0.99])
+        vals, ders = eng.mixture_pgf_profile(sizes, args, p_rw,
+                                             derivative=True)
+        assert np.array_equal(vals, eng.mixture_pgf_profile(sizes, args,
+                                                            p_rw))
+        step = 1e-6
+        diff = (eng.mixture_pgf_profile(sizes, args + step, p_rw)
+                - eng.mixture_pgf_profile(sizes, args - step, p_rw))
+        assert ders == pytest.approx(diff / (2 * step), rel=0.0, abs=1e-8)
 
 
 def test_rewired_pgf_agrees_with_branching_extinction():
