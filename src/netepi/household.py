@@ -10,11 +10,16 @@ introduction ultimately infects.  Backward: M, the number of housemates
 who would infect a focal node were they infected themselves (the local
 susceptibility set).  For a constant period the bonds are independent,
 so T and M coincide in law and the one pmf of M serves both directions;
-in general only their means do, and only M's law is used.
+in general only their means do (by exchangeability), and only M's law
+is used.
 
-Everything is driven by the Laplace transform of the period evaluated at
-integer multiples of the contact rate, so the same recursions serve the
-constant and general cases.
+M's law comes from one backward chain binomial (Sellke 1983), exact for
+any period and free of cancelling sums.  Members of the set are
+processed one at a time from the focal node; an outsider that escaped
+the first a escapes the next with probability phi(a+1)/phi(a),
+independently of the others, where phi(k) is the period's Laplace
+transform at k times the contact rate.  The set closes, with M = a - 1,
+when the a processed members are all that joined.
 
 Rewiring replaces a household's clique by a uniformly re-paired
 (locally tree-like) graph with the same degrees; its local epidemic is a
@@ -44,13 +49,14 @@ from .errors import NonConvergence
 _FIXED_POINT_TOL = 1e-14
 _FIXED_POINT_MAX_ITER = 100
 _PMF_SUM_TOL = 1e-10
-_PMF_NEG_TOL = 1e-9
+
+# C(s, t) as floats (zero for t > s); see _binomial_table
+_binomials = np.ones((1, 1))
 
 
 class HouseholdEngine:
-    """Caches the per-size susceptibility-set laws and final-size means for
-    one infectious-period specification, for household sizes up to
-    max_size."""
+    """The susceptibility-set law of every household size up to max_size
+    for one infectious-period specification, built once on construction."""
 
     def __init__(self, infection: InfectionSpec, max_size: int):
         if max_size < 1:
@@ -58,78 +64,30 @@ class HouseholdEngine:
         self.infection = infection
         self.max_size = int(max_size)
         # survival probabilities phi_I(k * rate) for k exposures
-        self._phi = np.array(
+        phi = np.array(
             [infection.phi_multiple(k) for k in range(self.max_size + 1)]
         )
-        self._alpha = self._mean_coefficients()
-        self._beta = self._susceptibility_coefficients()
-        self._mean_cache: dict[int, float] = {}
-        self._m_pmf_cache: dict[int, np.ndarray] = {}
-        self._pmf_matrices: dict[bytes, np.ndarray] = {}
-
-    # -- mean final size (general period) --------------------------------
-
-    def _mean_coefficients(self) -> list[float]:
-        # alpha_k solve sum_{l<=k} C(k,l) alpha_l phi(l)^(k-l) = k
-        alpha = [0.0] * self.max_size
-        if self.max_size >= 2:
-            alpha[1] = 1.0
-        for k in range(2, self.max_size):
-            acc = math.fsum(
-                math.comb(k, l) * alpha[l] * self._phi[l] ** (k - l)
-                for l in range(1, k)
+        self._pmf_table = _susceptibility_table(phi)
+        worst = np.abs(self._pmf_table.sum(axis=1) - 1.0).max()
+        if worst > _PMF_SUM_TOL:
+            raise NonConvergence(
+                f"susceptibility pmf lost precision (largest |sum - 1| = "
+                f"{worst} up to size {self.max_size})"
             )
-            alpha[k] = k - acc
-        return alpha
-
-    def final_size_mean(self, h: int) -> float:
-        """Expected number of housemates infected by one introduction."""
-        self._check_size(h)
-        if h not in self._mean_cache:
-            acc = math.fsum(
-                math.comb(h - 1, k) * self._alpha[k] * self._phi[k] ** (h - k)
-                for k in range(1, h)
-            )
-            self._mean_cache[h] = h - 1 - acc
-        return self._mean_cache[h]
+        self._means = self._pmf_table @ np.arange(self.max_size, dtype=float)
 
     # -- susceptibility set (any period) ----------------------------------
-
-    def _susceptibility_coefficients(self) -> list[float]:
-        # beta_k = P(all k-1 housemates of a size-k household join the set)
-        beta = [0.0, 1.0]
-        for k in range(2, self.max_size + 1):
-            acc = math.fsum(
-                math.comb(k - 1, l - 1) * self._phi[l] ** (k - l) * beta[l]
-                for l in range(1, k)
-            )
-            beta.append(1.0 - acc)
-        return beta
 
     def susceptibility_pmf(self, h: int) -> np.ndarray:
         """P(M = k), k = 0..h-1, for any infectious period."""
         self._check_size(h)
-        if h not in self._m_pmf_cache:
-            pmf = np.array(
-                [
-                    math.comb(h - 1, k)
-                    * self._phi[k + 1] ** (h - 1 - k)
-                    * self._beta[k + 1]
-                    for k in range(h)
-                ]
-            )
-            total = math.fsum(pmf)
-            if abs(total - 1.0) > _PMF_SUM_TOL or pmf.min() < -_PMF_NEG_TOL:
-                raise NonConvergence(
-                    f"susceptibility pmf for h={h} lost precision "
-                    f"(sum={total}, min={pmf.min()})"
-                )
-            self._m_pmf_cache[h] = np.clip(pmf, 0.0, None)
-        return self._m_pmf_cache[h]
+        return self._pmf_table[h - 1, :h]
 
     def susceptibility_mean(self, h: int) -> float:
-        pmf = self.susceptibility_pmf(h)
-        return float(np.dot(np.arange(h), pmf))
+        """E[M], which is also E[T], the expected number of housemates one
+        introduction infects, for any infectious period."""
+        self._check_size(h)
+        return float(self._means[h - 1])
 
     # -- rewired (tree-like) locals ---------------------------------------
 
@@ -149,11 +107,11 @@ class HouseholdEngine:
     def mixture_mean(self, h: int, p_rw: float) -> float:
         _check_prw(p_rw)
         if p_rw == 0.0:
-            return self.final_size_mean(h)
+            return self.susceptibility_mean(h)
         rew = self.rewired_final_size_mean(h)
         if math.isinf(rew):
             return math.inf
-        return (1.0 - p_rw) * self.final_size_mean(h) + p_rw * rew
+        return (1.0 - p_rw) * self.susceptibility_mean(h) + p_rw * rew
 
     # -- the PGF path used by the branching-process engine ----------------
 
@@ -193,17 +151,59 @@ class HouseholdEngine:
     def _pmf_matrix(self, sizes: np.ndarray) -> np.ndarray:
         """Row k holds the pmf of M for sizes[k], padded with zeros to the
         largest size."""
-        key = sizes.tobytes()
-        if key not in self._pmf_matrices:
-            mat = np.zeros((sizes.size, int(sizes.max(initial=1))))
-            for row, h in zip(mat, sizes):
-                row[:h] = self.susceptibility_pmf(int(h))
-            self._pmf_matrices[key] = mat
-        return self._pmf_matrices[key]
+        self._check_size(int(sizes.min(initial=1)))
+        largest = int(sizes.max(initial=1))
+        self._check_size(largest)
+        return self._pmf_table[sizes - 1, :largest]
 
     def _check_size(self, h: int) -> None:
         if not 1 <= h <= self.max_size:
             raise ValueError(f"household size {h} outside 1..{self.max_size}")
+
+
+def _susceptibility_table(phi: np.ndarray) -> np.ndarray:
+    """Row h-1 holds P(M = k), k = 0..h-1, zero-padded, for h = 1..H,
+    given phi(k) for k = 0..H.
+
+    One chain serves every size, as the thinning does not depend on h.
+    Before member a+1 is processed, mass[h-1-a, s] is the probability
+    that the set of a household of size h > a is open with s outsiders
+    left; processing thins s by Bin(s, stay[a]), and the mass then on the
+    diagonal, s = h-1-a, has closed with M = a.  Size a+1 is then done,
+    so the matrix sheds its first row and its last column.
+    """
+    size = phi.size - 1
+    # stay[a] = P(escape member a+1 | escaped members 1..a), at most 1 but
+    # for rounding; where phi(a) = 0 no outsider is left to thin, so 0/0
+    # reads as 0
+    stay = np.minimum(1.0, np.divide(phi[1:], phi[:-1], out=np.zeros(size),
+                                     where=phi[:-1] > 0.0))
+    k = np.arange(size)
+    drop = np.maximum(k[:, None] - k, 0)
+    # thin[a, s, t] = C(s, t) stay[a]^t (1 - stay[a])^(s - t)
+    thin = (_binomial_table(size) * (stay[:, None] ** k)[:, None, :]
+            * ((1.0 - stay)[:, None] ** k)[:, drop])
+    table = np.zeros((size, size))
+    mass = np.eye(size)  # one case; a household of size h has h-1 outsiders
+    for a in range(size):
+        mass = mass @ thin[a, :size - a, :size - a]
+        table[a:, a] = mass.diagonal()
+        np.fill_diagonal(mass, 0.0)
+        mass = mass[1:, :-1]
+    return table
+
+
+def _binomial_table(size: int) -> np.ndarray:
+    """C(s, t) for s, t < size.  One triangle, grown to the largest size
+    asked for, serves engines of every max_size; the local reference
+    keeps a concurrent regrowth from handing back a smaller one."""
+    global _binomials
+    table = _binomials
+    if table.shape[0] < size:
+        table = _binomials = np.array(
+            [[math.comb(s, t) for t in range(size)] for s in range(size)],
+            dtype=float)
+    return table[:size, :size]
 
 
 def _check_prw(p_rw: float) -> None:

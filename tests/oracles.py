@@ -9,7 +9,9 @@ exact random draws of `run_epidemic` on a given network, and
 edge-list writer and reader, pin the bytes the vectorised writer emits
 and the networks the block parser returns; and
 `reference_monotone_extinction`, the original extinction solver, which
-pins the least fixed point that Newton's method must reach.
+pins the least fixed point that Newton's method must reach; and
+`household_mean_by_alpha`, the original forward triangular recursion for
+the mean household final size, an independent route to E[T] = E[M].
 """
 
 import itertools
@@ -237,6 +239,66 @@ def household_pmf_chain_binomial(h, p):
                 nxt[key] = nxt.get(key, 0.0) + wk
         states = nxt
     return pmf
+
+
+def household_pmfs_general_by_enumeration(h, phi):
+    """Final-size (out) and susceptibility-set (in) pmfs for a complete
+    graph on h <= 4 nodes under any infectious period, by enumerating
+    every node's out-set.
+
+    phi(k) is E[exp(-k rate I)].  Given its period a node bonds to each
+    housemate independently with probability 1 - exp(-rate I), so its
+    out-set is exactly S with probability
+    sum_j (-1)^j C(|S|, j) phi(h-1-|S|+j); distinct nodes are
+    independent.
+    """
+    if h > 4:
+        raise ValueError("enumeration is for h <= 4")
+    nodes = range(h)
+    choices = []
+    for u in nodes:
+        mates = [v for v in nodes if v != u]
+        sets = []
+        for size in range(h):
+            prob = math.fsum((-1) ** j * math.comb(size, j)
+                             * phi(h - 1 - size + j) for j in range(size + 1))
+            sets += [(out, prob) for out in itertools.combinations(mates, size)]
+        choices.append(sets)
+    out_pmf = np.zeros(h)
+    in_pmf = np.zeros(h)
+    for pattern in itertools.product(*choices):
+        weight = math.prod(prob for _, prob in pattern)
+        adj = {u: list(out) for u, (out, _) in zip(nodes, pattern)}
+        radj = {v: [u for u in nodes if v in adj[u]] for v in nodes}
+        out_pmf[len(_reach(adj, 0)) - 1] += weight
+        in_pmf[len(_reach(radj, 0)) - 1] += weight
+    return out_pmf, in_pmf
+
+
+def household_mean_by_alpha(infection, h):
+    """E[T], the mean number of housemates one introduction infects in a
+    household of size h, for any infectious period, by the forward
+    triangular recursion of Ball (1986): alpha_k solves
+    sum_{l<=k} C(k,l) alpha_l phi(l)^(k-l) = k, and
+    E[T] = h - 1 - sum_k C(h-1,k) alpha_k phi(k)^(h-k).  Its sums
+    alternate in sign and cancel for wide households at small p_i, so it
+    serves as a reference at small sizes only."""
+    phi = np.array([infection.phi_multiple(k) for k in range(h + 1)])
+    # alpha_k solve sum_{l<=k} C(k,l) alpha_l phi(l)^(k-l) = k
+    alpha = [0.0] * h
+    if h >= 2:
+        alpha[1] = 1.0
+    for k in range(2, h):
+        acc = math.fsum(
+            math.comb(k, l) * alpha[l] * phi[l] ** (k - l)
+            for l in range(1, k)
+        )
+        alpha[k] = k - acc
+    acc = math.fsum(
+        math.comb(h - 1, k) * alpha[k] * phi[k] ** (h - k)
+        for k in range(1, h)
+    )
+    return h - 1 - acc
 
 
 def general_period_household_mean_mc(h, rate, sampler, n_runs, seed):

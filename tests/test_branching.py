@@ -38,10 +38,13 @@ from netepi.errors import (
     ReducibleMatrixWarning,
     ZeroMean,
 )
-from netepi.household import HouseholdEngine
 from netepi.netprops import poisson_c_rho
 
-from oracles import MultitypeForwardMC, reference_monotone_extinction
+from oracles import (
+    MultitypeForwardMC,
+    household_mean_by_alpha,
+    reference_monotone_extinction,
+)
 
 
 def params(h, g, r=0.0, n_q=1, p_i=0.2, p_rw=0.0, infection=None):
@@ -67,9 +70,9 @@ def test_threshold_matches_moment_assembly_single_type():
     pm = params(h, g, p_i=p_i)
     mu_g = g.mean()
     spare = g.falling_moment(2) / mu_g
-    engine = HouseholdEngine(InfectionSpec.constant(p_i), int(h.max_support()))
+    infection = InfectionSpec.constant(p_i)
     pi_tilde = h.support * h.probs / h.mean()
-    local = sum(w * engine.final_size_mean(int(hh))
+    local = sum(w * household_mean_by_alpha(infection, int(hh))
                 for hh, w in zip(h.support, pi_tilde))
     expect = p_i * (spare + mu_g * local)
     got = BranchingModel(pm).r_star()
@@ -209,6 +212,16 @@ def test_wide_households_at_small_transmission_stay_solvable():
     assert rep.r_star > 1.0
     assert rep.p_major == rep.z
     assert rep.z == pytest.approx(0.360326, abs=1e-6)
+
+
+def test_wider_households_at_smaller_transmission_stay_solvable():
+    # households up to size 25 at p_i = 0.015, where the inclusion-exclusion
+    # pmf once came out negative (-2.1e-9) and analyze raised
+    rep = analyze(params(poisson_plus(3.0), poisson(80.0), p_i=0.015))
+    assert math.isfinite(rep.r_star) and rep.r_star > 1.0
+    assert 0.0 <= rep.p_major <= 1.0
+    assert rep.p_major == rep.z
+    assert rep.z == pytest.approx(0.365868, abs=1e-6)
 
 
 def test_final_size_at_rounding_level_is_not_negative():

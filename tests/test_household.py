@@ -10,8 +10,10 @@ from netepi.household import HouseholdEngine, _subtree_fixed_point
 from oracles import (
     branching_total_progeny_mc,
     general_period_household_mean_mc,
+    household_mean_by_alpha,
     household_pmf_chain_binomial,
     household_pmfs_by_enumeration,
+    household_pmfs_general_by_enumeration,
 )
 
 
@@ -32,7 +34,7 @@ def test_final_size_pmf_matches_enumeration(h, p):
     out_pmf, _ = household_pmfs_by_enumeration(h, p)
     eng = engine(p)
     assert eng.susceptibility_pmf(h) == pytest.approx(out_pmf, abs=1e-12)
-    assert eng.final_size_mean(h) == pytest.approx(
+    assert eng.susceptibility_mean(h) == pytest.approx(
         float(np.dot(np.arange(h), out_pmf)), abs=1e-12
     )
 
@@ -49,7 +51,7 @@ def test_susceptibility_pmf_matches_enumeration(h, p):
 def test_final_size_pmf_matches_chain_binomial(h, p):
     # second independent oracle, cheap enough for larger h
     cb = household_pmf_chain_binomial(h, p)
-    assert engine(p).susceptibility_pmf(h) == pytest.approx(cb, abs=1e-11)
+    assert engine(p).susceptibility_pmf(h) == pytest.approx(cb, abs=1e-14)
 
 
 def test_large_household_small_p_matches_chain_binomial():
@@ -58,21 +60,47 @@ def test_large_household_small_p_matches_chain_binomial():
     # still match the forward oracle
     cb = household_pmf_chain_binomial(18, 0.02)
     assert engine(0.02, max_size=18).susceptibility_pmf(18) == pytest.approx(
-        cb, abs=1e-10)
+        cb, abs=1e-14)
+
+
+def test_wide_household_smaller_p_pmf_is_exact():
+    # h = 25 at p = 0.015, where the inclusion-exclusion coefficients
+    # once gave P(M = k) = -2.1e-9
+    pmf = engine(0.015, max_size=25).susceptibility_pmf(25)
+    assert abs(math.fsum(pmf) - 1.0) <= 1e-14
+    assert pmf.min() >= 0.0
+    assert pmf == pytest.approx(household_pmf_chain_binomial(25, 0.015),
+                                abs=1e-14)
+
+
+@pytest.mark.parametrize("spec", [
+    InfectionSpec.exponential(rate=0.7, mean=1.0),
+    InfectionSpec.gamma(rate=0.9, shape=2.0, scale=0.5),
+], ids=["exponential", "gamma"])
+def test_general_period_pmf_matches_enumeration(spec):
+    # for a non-constant period T and M differ in law; M's pmf and
+    # E[T] = E[M] are pinned by enumerating every node's out-set
+    eng = HouseholdEngine(spec, 4)
+    for h in range(1, 5):
+        out_pmf, in_pmf = household_pmfs_general_by_enumeration(
+            h, spec.phi_multiple)
+        assert eng.susceptibility_pmf(h) == pytest.approx(in_pmf, abs=1e-13)
+        assert eng.susceptibility_mean(h) == pytest.approx(
+            float(np.dot(np.arange(h), out_pmf)), abs=1e-13)
 
 
 def test_k3_frozen_values():
     # fixed by both oracles: sizes 1,2,3 have probs 1/4, 1/4, 1/2
     eng = engine(0.5)
     assert eng.susceptibility_pmf(3) == pytest.approx([0.25, 0.25, 0.5], abs=1e-14)
-    assert eng.final_size_mean(3) == pytest.approx(1.25, abs=1e-14)
+    assert eng.susceptibility_mean(3) == pytest.approx(1.25, abs=1e-14)
 
 
 def test_pair_household_closed_forms():
     eng = engine(0.3)
-    assert eng.final_size_mean(2) == pytest.approx(0.3, abs=1e-15)
+    assert eng.susceptibility_mean(2) == pytest.approx(0.3, abs=1e-15)
     assert local_pgf(eng, 2, 0.7) == pytest.approx(0.7 + 0.3 * 0.7, abs=1e-15)
-    assert eng.final_size_mean(1) == 0.0
+    assert eng.susceptibility_mean(1) == 0.0
     assert eng.susceptibility_pmf(1) == pytest.approx([1.0])
 
 
@@ -96,7 +124,7 @@ def test_pgf_derivative_matches_mean():
         deriv = (local_pgf(eng, h, 1.0 + step) - local_pgf(eng, h, 1.0 - step)) / (
             2 * step
         )
-        assert deriv == pytest.approx(eng.final_size_mean(h), abs=1e-6)
+        assert deriv == pytest.approx(eng.susceptibility_mean(h), abs=1e-6)
 
 
 def test_extreme_transmission_probabilities():
@@ -108,7 +136,8 @@ def test_extreme_transmission_probabilities():
 
 
 def test_mean_and_susceptibility_agree_for_general_periods():
-    # E[M] = E[T] holds for any infectious period
+    # E[M] = E[T] holds for any infectious period; the forward recursion
+    # for E[T] is an independent route
     for spec in (
         InfectionSpec.constant(0.2),
         InfectionSpec.exponential(rate=0.7, mean=1.0),
@@ -117,7 +146,7 @@ def test_mean_and_susceptibility_agree_for_general_periods():
         eng = HouseholdEngine(spec, 8)
         for h in range(1, 9):
             assert eng.susceptibility_mean(h) == pytest.approx(
-                eng.final_size_mean(h), abs=1e-9
+                household_mean_by_alpha(spec, h), abs=1e-12
             )
 
 
@@ -128,7 +157,8 @@ def test_general_period_mean_against_monte_carlo():
         4, 0.8, spec.sampler, n_runs=200_000, seed=17
     )
     # binomial-ish SE of the MC mean is ~0.003
-    assert eng.final_size_mean(4) == pytest.approx(mc, abs=0.01)
+    # E[T] = E[M] for any period
+    assert eng.susceptibility_mean(4) == pytest.approx(mc, abs=0.01)
 
 
 def test_susceptibility_pmf_general_period_sums_to_one():
@@ -264,7 +294,7 @@ def test_mixture_combines_convexly():
             (1 - p_rw) * intact + p_rw * rew, abs=1e-14
         )
     assert eng.mixture_mean(h, 0.3) == pytest.approx(
-        0.7 * eng.final_size_mean(h) + 0.3 * eng.rewired_final_size_mean(h)
+        0.7 * eng.susceptibility_mean(h) + 0.3 * eng.rewired_final_size_mean(h)
     )
     assert engine(0.6, 8).mixture_mean(5, 0.1) == math.inf
     with pytest.raises(ValueError):
@@ -319,9 +349,15 @@ def test_mixture_pgf_profile_matches_scalar_calls():
 def test_size_bounds_are_enforced():
     eng = engine(0.5, max_size=4)
     with pytest.raises(ValueError):
-        eng.final_size_mean(5)
+        eng.susceptibility_mean(5)
     with pytest.raises(ValueError):
         eng.susceptibility_pmf(0)
+    # the PGF path gathers pmf rows from one table, where size 0 would
+    # read a zero row and -1 the last one
+    for bad in (0, -1, 5):
+        with pytest.raises(ValueError):
+            eng.mixture_pgf_profile(np.array([2, bad]), np.array([0.5, 0.5]),
+                                    0.0)
     with pytest.raises(ValueError):
         HouseholdEngine(InfectionSpec.constant(0.5), 0)
 
@@ -329,8 +365,8 @@ def test_size_bounds_are_enforced():
 def test_large_household_moderate_p_stays_stable():
     eng = engine(0.3, max_size=30)
     pmf = eng.susceptibility_pmf(30)
-    assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all(pmf >= 0.0)
-    assert eng.final_size_mean(30) == pytest.approx(
-        float(np.dot(np.arange(30), pmf)), abs=1e-8
+    assert eng.susceptibility_mean(30) == pytest.approx(
+        float(np.dot(np.arange(30), pmf)), abs=1e-12
     )
