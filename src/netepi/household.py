@@ -39,6 +39,7 @@ of each PGF with respect to its argument when asked.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -49,9 +50,6 @@ from .errors import NonConvergence
 _FIXED_POINT_TOL = 1e-14
 _FIXED_POINT_MAX_ITER = 100
 _PMF_SUM_TOL = 1e-10
-
-# C(s, t) as floats (zero for t > s); see _binomial_table
-_binomials = np.ones((1, 1))
 
 
 class HouseholdEngine:
@@ -68,6 +66,8 @@ class HouseholdEngine:
             [infection.phi_multiple(k) for k in range(self.max_size + 1)]
         )
         self._pmf_table = _susceptibility_table(phi)
+        # shared by susceptibility_pmf, the means and every PGF profile
+        self._pmf_table.flags.writeable = False
         worst = np.abs(self._pmf_table.sum(axis=1) - 1.0).max()
         if worst > _PMF_SUM_TOL:
             raise NonConvergence(
@@ -170,7 +170,8 @@ def _susceptibility_table(phi: np.ndarray) -> np.ndarray:
     that the set of a household of size h > a is open with s outsiders
     left; processing thins s by Bin(s, stay[a]), and the mass then on the
     diagonal, s = h-1-a, has closed with M = a.  Size a+1 is then done,
-    so the matrix sheds its first row and its last column.
+    so the matrix sheds its first row and its last column.  Each step
+    builds its own thinning matrix, so memory stays O(H^2).
     """
     size = phi.size - 1
     # stay[a] = P(escape member a+1 | escaped members 1..a), at most 1 but
@@ -180,30 +181,30 @@ def _susceptibility_table(phi: np.ndarray) -> np.ndarray:
                                      where=phi[:-1] > 0.0))
     k = np.arange(size)
     drop = np.maximum(k[:, None] - k, 0)
-    # thin[a, s, t] = C(s, t) stay[a]^t (1 - stay[a])^(s - t)
-    thin = (_binomial_table(size) * (stay[:, None] ** k)[:, None, :]
-            * ((1.0 - stay)[:, None] ** k)[:, drop])
+    binom = _binomial_table(size)
+    keep = stay[:, None] ** k
+    lose = (1.0 - stay)[:, None] ** k
     table = np.zeros((size, size))
     mass = np.eye(size)  # one case; a household of size h has h-1 outsiders
     for a in range(size):
-        mass = mass @ thin[a, :size - a, :size - a]
+        m = size - a
+        # thin[s, t] = C(s, t) stay[a]^t (1 - stay[a])^(s - t)
+        thin = binom[:m, :m] * keep[a, :m] * lose[a, drop[:m, :m]]
+        mass = mass @ thin
         table[a:, a] = mass.diagonal()
         np.fill_diagonal(mass, 0.0)
         mass = mass[1:, :-1]
     return table
 
 
+@functools.lru_cache(maxsize=8)
 def _binomial_table(size: int) -> np.ndarray:
-    """C(s, t) for s, t < size.  One triangle, grown to the largest size
-    asked for, serves engines of every max_size; the local reference
-    keeps a concurrent regrowth from handing back a smaller one."""
-    global _binomials
-    table = _binomials
-    if table.shape[0] < size:
-        table = _binomials = np.array(
-            [[math.comb(s, t) for t in range(size)] for s in range(size)],
-            dtype=float)
-    return table[:size, :size]
+    """C(s, t) as floats for s, t < size, zero for t > s; read-only, as
+    engines of one max_size share it."""
+    table = np.array([[math.comb(s, t) for t in range(size)]
+                      for s in range(size)], dtype=float)
+    table.flags.writeable = False
+    return table
 
 
 def _check_prw(p_rw: float) -> None:

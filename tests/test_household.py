@@ -124,7 +124,9 @@ def test_pgf_derivative_matches_mean():
         deriv = (local_pgf(eng, h, 1.0 + step) - local_pgf(eng, h, 1.0 - step)) / (
             2 * step
         )
-        assert deriv == pytest.approx(eng.susceptibility_mean(h), abs=1e-6)
+        # the forward recursion for E[T] = E[M] is independent of the table
+        assert deriv == pytest.approx(
+            household_mean_by_alpha(eng.infection, h), abs=1e-6)
 
 
 def test_extreme_transmission_probabilities():
@@ -362,11 +364,24 @@ def test_size_bounds_are_enforced():
         HouseholdEngine(InfectionSpec.constant(0.5), 0)
 
 
+def test_pmf_table_is_read_only():
+    # the returned pmf is a view of the table behind the means and the
+    # PGF path, so writing into it must fail rather than corrupt them
+    eng = engine(0.4, max_size=5)
+    pmf = eng.susceptibility_pmf(4)
+    with pytest.raises(ValueError):
+        pmf[0] = 1.0
+    assert local_pgf(eng, 4, 0.0) == pytest.approx(pmf[0], abs=0.0)
+
+
 def test_large_household_moderate_p_stays_stable():
     eng = engine(0.3, max_size=30)
     pmf = eng.susceptibility_pmf(30)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all(pmf >= 0.0)
+    # both the pmf and the mean against routes that do not use the table
+    assert pmf == pytest.approx(household_pmf_chain_binomial(30, 0.3),
+                                abs=1e-14)
     assert eng.susceptibility_mean(30) == pytest.approx(
-        float(np.dot(np.arange(30), pmf)), abs=1e-12
+        household_mean_by_alpha(InfectionSpec.constant(0.3), 30), abs=1e-12
     )
