@@ -11,11 +11,13 @@ n_q + 1 - i when r < 0 (the middle block pairing internally when n_q is
 odd).  Unpairable leftovers are discarded and counted: at most one X=0
 stub and at most n_q X=1 stubs.
 
-The ranking shuffles the X=1 stubs and then sorts them stably by owner
+The ranking shuffles the X=1 stubs and then groups them stably by owner
 degree, so ties keep the uniform random order of the shuffle.  Both that
-sort and the adjacency build use `_stable_argsort`, LSD radix passes over
-16-bit digits, which runs in linear time where a comparison sort of
-labelled stubs or edge ends does not.
+ranking and the adjacency build use `_group_by`, one counting scatter
+(count each key, prefix-sum the counts, then drop every value into the
+next free slot of its key) in compiled code.  It runs in linear time
+where a comparison sort of labelled stubs or edge ends does not, and
+gives the same order as a stable argsort of the keys.
 
 Self-loops and parallel edges are kept (they vanish in proportion as n
 grows).  A `Network` stores only the discard counts; `imperfections`
@@ -41,6 +43,7 @@ from itertools import islice
 from typing import Iterable, TextIO, Union
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .distributions import DiscreteDist
 
@@ -82,25 +85,35 @@ class Imperfections:
     discarded_local: int = 0
 
 
-def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """np.argsort(keys, kind="stable") for non-negative integer keys.
+def _group_by(keys: np.ndarray, values: np.ndarray,
+              n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, grouped): `values` grouped stably by integer key.
 
-    LSD radix sort: one stable pass per 16-bit digit, least significant
-    first, each on uint16 digits (the cast keeps the low 16 bits), which
-    numpy sorts by counting.  Keys below 2**16 take one pass, keys below
-    2**32 two.
+    grouped[indptr[k]:indptr[k + 1]] holds the values whose key is k, in
+    input order, so grouped equals values[np.argsort(keys, kind="stable")]
+    and np.diff(indptr) equals np.bincount(keys, minlength=n_keys).  One
+    counting scatter, linear in keys.size + n_keys: scipy's COO->CSR
+    kernel with the values as column indices and an ignored int8 payload;
+    it keeps repeated (key, value) pairs.  Both outputs are int64.
     """
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        return np.empty(0, dtype=np.intp)
-    top = int(keys.max())
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    shift = 16
-    while top >> shift:
-        digit = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    # the kernel checks neither lengths nor indices: a short values array
+    # would be read past its end, and a key outside 0..n_keys-1 would
+    # write past the end of indptr
+    if keys.shape != values.shape:
+        raise ValueError("keys and values must have one shape")
+    if keys.size and (keys.min() < 0 or keys.max() >= n_keys):
+        raise ValueError(f"keys must lie in 0..{n_keys - 1}, got "
+                         f"{int(keys.min())}..{int(keys.max())}")
+    indptr = np.empty(n_keys + 1, dtype=np.int64)
+    grouped = np.empty(keys.size, dtype=np.int64)
+    # the payload is all zeros, so one buffer can be both its input and
+    # its output
+    payload = np.zeros(keys.size, dtype=np.int8)
+    _sparsetools.coo_tocsr(n_keys, 1, keys.size, keys, values, payload,
+                           indptr, grouped, payload)
+    return indptr, grouped
 
 
 @dataclass(frozen=True)
@@ -147,12 +160,9 @@ class Network:
         v ends of edges (v, w) in edge order, then those of edges (w, v).
         A self-loop lists its node twice.  Both arrays are read-only.
         """
-        src = np.concatenate([self.edges_u, self.edges_v])
-        order = _stable_argsort(src)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
-        del src  # free it before the heads are gathered
-        heads = np.concatenate([self.edges_v, self.edges_u])[order]
+        indptr, heads = _group_by(
+            np.concatenate([self.edges_u, self.edges_v]),
+            np.concatenate([self.edges_v, self.edges_u]), self.n)
         indptr.flags.writeable = False
         heads.flags.writeable = False
         return indptr, heads
@@ -261,11 +271,11 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
     g0_u, g0_v, disc_x0 = _pair_uniform(x0_owners, rng)
 
     # rank X=1 stubs by owner degree, uniform tie-break: shuffle, then a
-    # stable sort keeps the shuffled order within each degree; cut into
-    # blocks
+    # stable grouping keeps the shuffled order within each degree; cut
+    # into blocks
     n_q = spec.n_q
     shuffled = x1_owners[rng.permutation(x1_owners.size)]
-    ranked = shuffled[_stable_argsort(degree[shuffled])]
+    ranked = _group_by(degree[shuffled], shuffled, int(degree.max()) + 1)[1]
     bounds = np.concatenate(([0], np.cumsum(_block_sizes(ranked.size, n_q))))
 
     g1_u, g1_v, q_u, q_v = [], [], [], []

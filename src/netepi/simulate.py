@@ -59,13 +59,6 @@ class EpidemicOutcome:
             )
 
 
-def _ranges(counts: np.ndarray) -> np.ndarray:
-    """[0..counts[0]-1, 0..counts[1]-1, ...] as one array."""
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    return np.arange(total) - np.repeat(ends - counts, counts)
-
-
 def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
                  reverse: bool = False) -> EpidemicOutcome:
     """Percolation epidemic from `start` (uniform if None).
@@ -99,13 +92,17 @@ def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
     generations = [1]
     while frontier.size:
         counts = out_deg[frontier]
-        targets = heads[np.repeat(indptr[frontier], counts) + _ranges(counts)]
+        ends = np.cumsum(counts)
+        # edge positions: the i-th listed end sits at i plus the offset
+        # between its node's CSR row and that node's run in this level
+        targets = heads[np.arange(int(ends[-1]))
+                        + np.repeat(indptr[frontier] - (ends - counts), counts)]
         if infection.is_constant:
             prob = p_i
         elif reverse:
             prob = p_node[targets]
         else:
-            prob = p_node[np.repeat(frontier, counts)]
+            prob = np.repeat(p_node[frontier], counts)
         hit = targets[rng.random(targets.size) < prob]
         fresh[hit[~seen[hit]]] = True
         new = np.flatnonzero(fresh)

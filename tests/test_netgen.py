@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 
@@ -6,6 +7,8 @@ import pytest
 
 from netepi import distributions as dd
 from netepi import netgen as ng
+from netepi.distributions import InfectionSpec
+from netepi.simulate import run_epidemic
 from oracles import reference_read_network, reference_write_network
 
 
@@ -70,22 +73,69 @@ def test_full_correlation_pairs_within_blocks():
     assert net.imperfections.discarded_x0 == 0
 
 
-def test_stable_argsort_matches_numpy():
+def test_group_by_matches_stable_argsort_and_bincount():
     rng = np.random.default_rng(3)
     cases = [
         np.empty(0, dtype=np.int64),
         np.array([7]),
-        rng.integers(0, 40, 5000),                 # below 2**16, many ties
+        rng.integers(0, 40, 5000),                 # many ties
         rng.integers(0, 2**16, 5000),
-        rng.integers(0, 2**20, 5000),              # above 2**16: two digits
-        rng.integers(0, 2**40, 5000),              # above 2**32: three digits
-        rng.integers(0, 8, 5000) << 33,            # ties in the top digit only
-        np.array([2**32 + 1, 2**32, 1, 2**32 + 1, 0, 2**16]),
+        rng.integers(2**16, 2**16 + 5000, 5000),   # keys >= 2**16
         rng.integers(0, 300, 5000).astype(np.int16),
     ]
     for keys in cases:
-        assert np.array_equal(ng._stable_argsort(keys),
-                              np.argsort(keys, kind="stable")), keys
+        values = rng.integers(-2**40, 2**40, keys.size)
+        n_keys = int(keys.max(initial=-1)) + 3     # trailing empty groups
+        indptr, grouped = ng._group_by(keys, values, n_keys)
+        assert np.array_equal(grouped, values[np.argsort(keys, kind="stable")])
+        assert np.array_equal(np.diff(indptr),
+                              np.bincount(keys, minlength=n_keys))
+        assert indptr[0] == 0 and indptr.size == n_keys + 1
+    with pytest.raises(ValueError, match="one shape"):
+        ng._group_by(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64), 1)
+
+
+def test_adjacency_rejects_endpoints_outside_network():
+    for bad in (3, -1):
+        net = ng.Network(
+            n=3, household_index=np.zeros(3, dtype=np.int64),
+            household_sizes=np.array([3]),
+            edges_u=np.array([0, 1]), edges_v=np.array([2, bad]),
+            edge_local=np.zeros(2, dtype=bool),
+            stub_q_u=np.zeros(2, dtype=np.int16),
+            stub_q_v=np.zeros(2, dtype=np.int16))
+        with pytest.raises(ValueError, match="keys must lie in 0..2"):
+            net.adjacency
+
+
+# sha256 of the edge-list text and of the adjacency heads, and one forward
+# final size, of rewire(build_network(spec, 5), 0.3, 6) at n = 20000:
+# a change that moves the generator's or the adjacency's output, or the
+# RNG stream of run_epidemic, shows here
+GOLDEN = {
+    -0.5: ("9f7bbcd817814a119cf03ac90bf1cac53e91fa3bd91a6d9773c8a109a1612f3c",
+           "de232b8131a8990c21a77f77dd6dcf45534b76c4748527506cba07c6ac049b3a",
+           13964),
+    0.5: ("43902f7fdfae170a5fc45f80003a59c266fc46ec6a559574953d87204c47f4d4",
+          "52bf3fb55d1c31c0e29dcfa19a497edff3fd44c407e5d2f69925b0dd2f71f5fc",
+          13531),
+    1.0: ("fd4b25ca0c346d724a71e9d55015ac05988c1650a868d0a69e76992c0139bbb2",
+          "1cd358b54d68e172b8c2e43b3e6a42afc2da60e0bbf6969676acb77dd495c087",
+          12682),
+}
+
+
+@pytest.mark.parametrize("r", sorted(GOLDEN))
+def test_generator_adjacency_and_epidemic_match_golden_digests(r):
+    spec = ng.GenSpec(n=20_000, household=dd.poisson_plus(2.0),
+                      global_degree=dd.poisson(8.0), r=r, n_q=10)
+    net = ng.rewire(ng.build_network(spec, 5), 0.3, 6)
+    text, heads, final_size = GOLDEN[r]
+    digest = hashlib.sha256(ng.network_to_string(net).encode()).hexdigest()
+    assert digest == text
+    assert hashlib.sha256(net.adjacency[1].tobytes()).hexdigest() == heads
+    out = run_epidemic(net, InfectionSpec.gamma(0.1, 2.0), seed=1)
+    assert out.final_size == final_size
 
 
 def test_ranking_follows_quantile_table_with_random_tie_break():
