@@ -78,6 +78,8 @@ _NEWTON_MAX_ITER = 100
 # a residual this small is rounding in F; a Newton step from it is noise
 _NEWTON_RESIDUAL_FLOOR = 8.0 * np.finfo(float).eps
 _RESIDUAL_TOL = 1e-10
+# tune_poisson stops once its rho misses the target by no more than this
+_TUNE_RHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -480,7 +482,7 @@ class TuneResult:
 
 
 def tune_poisson(gamma: float, c_target: float, rho_target: float,
-                 n_q: int, tol: float = 1e-8) -> TuneResult:
+                 n_q: int) -> TuneResult:
     """Pick (mu, r) so the Poisson template hits (c, rho) at fixed gamma.
 
     Clustering pins mu = gamma sqrt(c); rho is then monotone in r, so a
@@ -505,14 +507,14 @@ def tune_poisson(gamma: float, c_target: float, rho_target: float,
     for _ in range(200):
         r = 0.5 * (lo + hi)
         c_val, rho_val = poisson_c_rho(gamma, mu, r, n_q)
-        if abs(rho_val - rho_target) <= tol:
+        if abs(rho_val - rho_target) <= _TUNE_RHO_TOL:
             return TuneResult(mu, r, c_val, rho_val)
         if rho_val < rho_target:
             lo = r
         else:
             hi = r
     c_val, rho_val = poisson_c_rho(gamma, mu, r, n_q)
-    if abs(rho_val - rho_target) > tol:
+    if abs(rho_val - rho_target) > _TUNE_RHO_TOL:
         raise NonConvergence(
             f"tuning bisection stalled at rho={rho_val} for target {rho_target}"
         )

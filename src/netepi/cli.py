@@ -1,11 +1,15 @@
 """Experiment runner: config files, subcommands, CSV outputs.
 
 Configs are YAML with sections `model`, `infection`, `simulation`,
-`output`, `tune` and `figure`; unknown keys anywhere are rejected so a
-typo cannot silently change an experiment.  Every output file starts
-with a `# config:` comment carrying the fully resolved configuration as
-sorted JSON; re-running with the same resolved config reproduces the
-file bit for bit.
+`output`, `tune` and `figure`.  `_READS` lists the keys each command
+reads.  Loading rejects a key that no command reads, and each command
+rejects any section, key or `--seed`/`--threads` flag (which set
+`simulation.master_seed` and `simulation.threads`) that it does not read,
+so a typo cannot silently change an experiment.  `main` turns a package
+error or a value outside its domain (`ValueError`) into `error: ...` and
+exit status 2.  Every output file starts with a `# config:` comment
+carrying the fully resolved configuration as sorted JSON; re-running with
+the same resolved config reproduces the file bit for bit.
 
 Subcommands:
   analyze    analytic network + epidemic quantities per r value
@@ -41,17 +45,45 @@ from .netprops import (
 )
 from .simulate import estimate
 
-_TOP_KEYS = {"model", "infection", "simulation", "output", "tune", "figure"}
-_MODEL_KEYS = {"household", "global_degree", "gamma", "mu", "r", "r_grid",
-               "n_q", "p_rw"}
-_INFECTION_KEYS = {"kind", "p_i", "rate", "mean", "shape", "scale"}
-_SIMULATION_KEYS = {"n", "n_sims", "cutoff", "master_seed", "threads"}
-_OUTPUT_KEYS = {"dir", "prefix"}
-_TUNE_KEYS = {"gamma", "n_q", "c", "rho"}
-_FIGURE_KEYS = {"name", "r_grid", "mu_grid", "p_i_grid", "p_i_factors",
-                "p_rw_grid", "rho", "gamma", "n_q", "p_i"}
+# each infection kind's fields in the argument order of its InfectionSpec
+# constructor, with their defaults (None: required)
+_INFECTION_FIELDS = {
+    "constant": {"p_i": None},
+    "exponential": {"rate": None, "mean": 1.0},
+    "gamma": {"rate": None, "shape": None, "scale": 1.0},
+}
+
+_MODEL = {"household", "global_degree", "gamma", "mu", "n_q", "p_rw"}
+_INFECTION = {"kind"}.union(*_INFECTION_FIELDS.values())
+_SIMULATION = {"n", "n_sims", "cutoff", "master_seed", "threads"}
+
+# the config keys each command reads, by section; every command reads
+# `output`
+_READS = {command: {"output": {"dir", "prefix"}, **sections}
+          for command, sections in {
+    "analyze": {"model": _MODEL | {"r", "r_grid"}, "infection": _INFECTION},
+    "generate": {"model": _MODEL | {"r"}, "simulation": {"n", "master_seed"}},
+    "simulate": {"model": _MODEL | {"r"}, "infection": _INFECTION,
+                 "simulation": _SIMULATION},
+    "tune": {"tune": {"gamma", "n_q", "c", "rho"}},
+    "fig2": {"model": _MODEL | {"r_grid"}, "infection": _INFECTION,
+             "simulation": _SIMULATION, "figure": {"r_grid"}},
+    "fig3": {"figure": {"gamma", "n_q", "mu_grid", "r_grid", "p_i_factors"}},
+    "fig4": {"model": _MODEL, "figure": {"n_q", "p_i_grid", "r_grid"}},
+    "fig5": {"figure": {"gamma", "n_q", "p_i", "rho", "p_rw_grid"}},
+}.items()}
+
+# (ignored, given): a command ignores the first setting when the second
+# (a key, or a whole section) is given
+_OVERRIDDEN = {"analyze": [("model.r", "model.r_grid")],
+               "fig2": [("model.r_grid", "figure.r_grid")],
+               "fig4": [("figure.n_q", "model")]}
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5")
+
+# section -> the keys that some command reads there
+_KNOWN = {section: set().union(*(r.get(section, ()) for r in _READS.values()))
+          for reads in _READS.values() for section in reads}
 
 
 # -- config loading ------------------------------------------------------
@@ -69,7 +101,8 @@ def _check_keys(section: str, mapping, allowed: set) -> dict:
 
 
 def load_config(path) -> dict:
-    """Parse and structurally validate a YAML experiment config."""
+    """Parse a YAML experiment config; a key that no command reads is a
+    ConfigError."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -77,23 +110,37 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("top level of the config must be a mapping")
-    unknown = sorted(set(raw) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-    return {
-        "model": _check_keys("model", raw.get("model"), _MODEL_KEYS),
-        "infection": _check_keys("infection", raw.get("infection"),
-                                 _INFECTION_KEYS),
-        "simulation": _check_keys("simulation", raw.get("simulation"),
-                                  _SIMULATION_KEYS),
-        "output": _check_keys("output", raw.get("output"), _OUTPUT_KEYS),
-        "tune": _check_keys("tune", raw.get("tune"), _TUNE_KEYS),
-        "figure": _check_keys("figure", raw.get("figure"), _FIGURE_KEYS),
-    }
+    raw = _check_keys("top level", raw, set(_KNOWN))
+    return {section: _check_keys(section, raw.get(section), keys)
+            for section, keys in _KNOWN.items()}
+
+
+def _given(cfg: dict, name: str) -> bool:
+    section, _, key = name.partition(".")
+    return key in cfg[section] if key else bool(cfg[section])
+
+
+def _command_config(command: str, path=None, seed=None, threads=None) -> dict:
+    """The config at `path` (none: empty) with the flags folded into
+    `simulation`; a key or flag `command` does not read is a ConfigError."""
+    cfg = load_config(path) if path else {section: {} for section in _KNOWN}
+    reads = _READS[command]
+    for section, mapping in cfg.items():
+        unread = sorted(set(mapping) - reads.get(section, set()))
+        if unread:
+            raise ConfigError(f"{command} does not read "
+                              + ", ".join(f"{section}.{k}" for k in unread))
+    for ignored, given in _OVERRIDDEN.get(command, ()):
+        if _given(cfg, ignored) and _given(cfg, given):
+            raise ConfigError(f"{command} ignores {ignored} when {given} "
+                              "is given")
+    for flag, key, value in (("--seed", "master_seed", seed),
+                             ("--threads", "threads", threads)):
+        if value is not None:
+            if key not in reads.get("simulation", ()):
+                raise ConfigError(f"{command} does not read {flag}")
+            cfg["simulation"] = {**cfg["simulation"], key: value}
+    return cfg
 
 
 def _require(section: dict, key: str, context: str):
@@ -140,26 +187,14 @@ def model_distributions(resolved: dict):
 
 def resolve_infection(infection: dict) -> dict:
     kind = infection.get("kind", "constant")
-    if kind == "constant":
-        p_i = float(_require(infection, "p_i", "constant infection"))
-        extra = set(infection) - {"kind", "p_i"}
-        if extra:
-            raise ConfigError(
-                f"constant infection does not take: {', '.join(sorted(extra))}")
-        return {"kind": "constant", "p_i": p_i}
-    if kind == "exponential":
-        out = {"kind": "exponential",
-               "rate": float(_require(infection, "rate", "exponential infection")),
-               "mean": float(infection.get("mean", 1.0))}
-        extra = set(infection) - {"kind", "rate", "mean"}
-    elif kind == "gamma":
-        out = {"kind": "gamma",
-               "rate": float(_require(infection, "rate", "gamma infection")),
-               "shape": float(_require(infection, "shape", "gamma infection")),
-               "scale": float(infection.get("scale", 1.0))}
-        extra = set(infection) - {"kind", "rate", "shape", "scale"}
-    else:
+    if not isinstance(kind, str) or kind not in _INFECTION_FIELDS:
         raise ConfigError(f"unknown infection kind {kind!r}")
+    fields = _INFECTION_FIELDS[kind]
+    out = {"kind": kind}
+    for key, default in fields.items():
+        out[key] = float(_require(infection, key, f"{kind} infection")
+                         if default is None else infection.get(key, default))
+    extra = set(infection) - {"kind", *fields}
     if extra:
         raise ConfigError(
             f"{kind} infection does not take: {', '.join(sorted(extra))}")
@@ -167,16 +202,12 @@ def resolve_infection(infection: dict) -> dict:
 
 
 def infection_spec(resolved: dict) -> InfectionSpec:
-    if resolved["kind"] == "constant":
-        return InfectionSpec.constant(resolved["p_i"])
-    if resolved["kind"] == "exponential":
-        return InfectionSpec.exponential(resolved["rate"], resolved["mean"])
-    return InfectionSpec.gamma(resolved["rate"], resolved["shape"],
-                               resolved["scale"])
+    kind = resolved["kind"]
+    return getattr(InfectionSpec, kind)(
+        *(resolved[key] for key in _INFECTION_FIELDS[kind]))
 
 
-def resolve_simulation(sim: dict, context: str, seed_override=None,
-                       threads_override=None) -> dict:
+def resolve_simulation(sim: dict, context: str) -> dict:
     out = {
         "n": int(_require(sim, "n", context)),
         "n_sims": int(sim.get("n_sims", 1000)),
@@ -184,10 +215,8 @@ def resolve_simulation(sim: dict, context: str, seed_override=None,
         "master_seed": int(sim.get("master_seed", 0)),
         "threads": int(sim.get("threads", 1)),
     }
-    if seed_override is not None:
-        out["master_seed"] = int(seed_override)
-    if threads_override is not None:
-        out["threads"] = int(threads_override)
+    if out["threads"] < 1:
+        raise ConfigError("simulation.threads must be >= 1")
     return out
 
 
@@ -237,22 +266,9 @@ def _prefix(cfg: dict) -> str:
 # -- subcommands ---------------------------------------------------------
 
 
-def _model_params(n=None, **fields) -> ModelParams:
-    """ModelParams from config values, and with n given the GenSpec of an
-    n-node network too; a value either one rejects is a ConfigError."""
-    try:
-        params = ModelParams(**fields)
-        if n is not None:
-            params.gen_spec(n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return params
-
-
 def _analytic_row(h, g, r, n_q, p_rw, spec):
-    params = _model_params(household=h, global_degree=g, r=r, n_q=n_q,
-                           infection=spec, p_rw=p_rw)
-    rep = analyze(params)
+    rep = analyze(ModelParams(household=h, global_degree=g, r=r, n_q=n_q,
+                              infection=spec, p_rw=p_rw))
     d = analytic_degree_dist(h, g)
     comp = degree_corr_components(h, g, r, n_q)
     c = rewired_clustering(h, g, p_rw)
@@ -278,21 +294,18 @@ def cmd_analyze(cfg: dict, out_override=None) -> Path:
     )
 
 
-def cmd_generate(cfg: dict, out_override=None, seed_override=None):
+def cmd_generate(cfg: dict, out_override=None):
     model = resolve_model(cfg["model"])
-    if "r_grid" in model:
-        raise ConfigError("generate builds a single network; use r, not r_grid")
     h, g = model_distributions(model)
     n = int(_require(cfg["simulation"], "n", "generate"))
-    seed = int(seed_override if seed_override is not None
-               else cfg["simulation"].get("master_seed", 0))
+    seed = int(cfg["simulation"].get("master_seed", 0))
     resolved = {"model": model, "n": n, "seed": seed}
     header = _config_header("generate", resolved)
 
-    params = _model_params(n=n, household=h, global_degree=g, r=model["r"],
-                           n_q=model["n_q"],
-                           infection=InfectionSpec.constant(0.0),
-                           p_rw=model["p_rw"])
+    params = ModelParams(household=h, global_degree=g, r=model["r"],
+                         n_q=model["n_q"],
+                         infection=InfectionSpec.constant(0.0),
+                         p_rw=model["p_rw"])
     ss = np.random.SeedSequence(seed)
     s_build, s_rewire = ss.spawn(2)
     net = build_network(params.gen_spec(n), seed=s_build)
@@ -323,19 +336,14 @@ def cmd_generate(cfg: dict, out_override=None, seed_override=None):
     return net_path, props_path
 
 
-def cmd_simulate(cfg: dict, out_override=None, seed_override=None,
-                 threads_override=None):
+def cmd_simulate(cfg: dict, out_override=None):
     model = resolve_model(cfg["model"])
-    if "r_grid" in model:
-        raise ConfigError("simulate runs a single point; use r, not r_grid")
     infection = resolve_infection(cfg["infection"])
-    sim = resolve_simulation(cfg["simulation"], "simulate",
-                             seed_override, threads_override)
+    sim = resolve_simulation(cfg["simulation"], "simulate")
     h, g = model_distributions(model)
-    params = _model_params(n=sim["n"], household=h, global_degree=g,
-                           r=model["r"], n_q=model["n_q"],
-                           infection=infection_spec(infection),
-                           p_rw=model["p_rw"])
+    params = ModelParams(household=h, global_degree=g, r=model["r"],
+                         n_q=model["n_q"], infection=infection_spec(infection),
+                         p_rw=model["p_rw"])
     rep = estimate(params, n=sim["n"], n_sims=sim["n_sims"],
                    master_seed=sim["master_seed"], cutoff=sim["cutoff"],
                    threads=sim["threads"])
@@ -375,19 +383,36 @@ def cmd_simulate(cfg: dict, out_override=None, seed_override=None,
 
 # -- canned figures ------------------------------------------------------
 
+# fig2's and fig4's model when the config gives none
+_DEFAULT_MODEL = {"household": "poisson_plus(2)",
+                  "global_degree": "poisson(8)", "n_q": 10}
+
+_BISECT_WIDTH = 1e-10
+
 
 def _default_r_grid():
     return [round(x, 4) for x in np.linspace(-1.0, 1.0, 9)]
 
 
-def _critical_p_i(h, g, r, n_q, p_rw=0.0, tol=1e-10):
+def _bisect(above, lo, hi):
+    """Halve [lo, hi] until it is at most _BISECT_WIDTH wide, keeping
+    `above` false at lo and true at hi (`above` is monotone)."""
+    while hi - lo > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _critical_p_i(h, g, r, n_q):
     """Smallest transmission probability with threshold above one,
     by bisection (the threshold increases with p_i); the structure
     tables are built once and shared by every step."""
-    lo, hi = 0.0, 1.0
-    params = _model_params(household=h, global_degree=g, r=r, n_q=n_q,
-                           infection=InfectionSpec.constant(1.0), p_rw=p_rw)
-    structure = BranchingModel(params)
+    structure = BranchingModel(ModelParams(
+        household=h, global_degree=g, r=r, n_q=n_q,
+        infection=InfectionSpec.constant(1.0)))
 
     def supercritical(p_i):
         model = structure.with_infection(InfectionSpec.constant(p_i))
@@ -395,52 +420,36 @@ def _critical_p_i(h, g, r, n_q, p_rw=0.0, tol=1e-10):
 
     if not supercritical(1.0):
         raise ConfigError("no supercritical transmission probability exists")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if supercritical(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(supercritical, 0.0, 1.0)[1]
 
 
-def _mu_for_rho(gamma, rho_target, r, n_q, tol=1e-10):
+def _mu_for_rho(gamma, rho_target, r, n_q):
     """mu with template correlation rho_target at fixed r (monotone)."""
-    lo, hi = 0.0, gamma
-    rho_lo = poisson_c_rho(gamma, lo, r, n_q)[1]
-    rho_hi = poisson_c_rho(gamma, hi, r, n_q)[1]
+    rho_lo = poisson_c_rho(gamma, 0.0, r, n_q)[1]
+    rho_hi = poisson_c_rho(gamma, gamma, r, n_q)[1]
     if not rho_lo <= rho_target <= rho_hi:
         raise ConfigError(
             f"rho={rho_target} not attainable at r={r}: "
             f"range [{rho_lo:.6f}, {rho_hi:.6f}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if poisson_c_rho(gamma, mid, r, n_q)[1] < rho_target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(
+        lambda mu: poisson_c_rho(gamma, mu, r, n_q)[1] >= rho_target,
+        0.0, gamma)
     return 0.5 * (lo + hi)
 
 
-def _figure_fig2(cfg, out, seed_override, threads_override):
-    fig = cfg["figure"]
-    model = resolve_model(cfg["model"]) if cfg["model"] else {
-        "household": "poisson_plus(2)", "global_degree": "poisson(8)",
-        "r": 0.0, "n_q": 10, "p_rw": 0.0}
-    infection = (resolve_infection(cfg["infection"]) if cfg["infection"]
-                 else {"kind": "constant", "p_i": 0.2})
-    sim_cfg = dict(cfg["simulation"])
-    sim_cfg.setdefault("n", 10_000)
-    sim = resolve_simulation(sim_cfg, "fig2", seed_override, threads_override)
-    r_grid = [float(x) for x in fig.get("r_grid",
-                                        model.get("r_grid", _default_r_grid()))]
+def _figure_fig2(cfg, out):
+    model = resolve_model(cfg["model"] or _DEFAULT_MODEL)
+    infection = resolve_infection(cfg["infection"] or {"p_i": 0.2})
+    sim = resolve_simulation({"n": 10_000, **cfg["simulation"]}, "fig2")
+    r_grid = [float(x) for x in cfg["figure"].get(
+        "r_grid", model.get("r_grid", _default_r_grid()))]
     h, g = model_distributions(model)
     spec = infection_spec(infection)
     rows = []
     for r in r_grid:
-        params = _model_params(n=sim["n"], household=h, global_degree=g,
-                               r=r, n_q=model["n_q"], infection=spec,
-                               p_rw=model["p_rw"])
+        params = ModelParams(household=h, global_degree=g, r=r,
+                             n_q=model["n_q"], infection=spec,
+                             p_rw=model["p_rw"])
         rep = analyze(params)
         c = rewired_clustering(h, g, model["p_rw"])
         rho = analytic_degree_corr(h, g, r, model["n_q"])
@@ -479,9 +488,8 @@ def _figure_fig3(cfg, out):
             p_i = min(1.0, factor * p_base)
             spec = InfectionSpec.constant(p_i)
             for r in r_grid:
-                params = _model_params(household=h, global_degree=g, r=r,
-                                       n_q=n_q, infection=spec)
-                rep = analyze(params)
+                rep = analyze(ModelParams(household=h, global_degree=g, r=r,
+                                          n_q=n_q, infection=spec))
                 c, rho = poisson_c_rho(gamma, mu, r, n_q)
                 rows.append([mu, factor, p_i, r, c, rho,
                              rep.r_star, rep.p_major, rep.z])
@@ -497,22 +505,19 @@ def _figure_fig3(cfg, out):
 
 def _figure_fig4(cfg, out):
     fig = cfg["figure"]
-    n_q = int(fig.get("n_q", 10))
     p_i_grid = [float(x) for x in fig.get("p_i_grid",
                                           [0.102, 0.103, 0.104, 0.105])]
     r_grid = [float(x) for x in fig.get("r_grid", _default_r_grid())]
-    model = resolve_model(cfg["model"]) if cfg["model"] else {
-        "household": "poisson_plus(2)", "global_degree": "poisson(8)",
-        "r": 0.0, "n_q": n_q, "p_rw": 0.0}
+    model = resolve_model(cfg["model"]
+                          or {**_DEFAULT_MODEL, "n_q": fig.get("n_q", 10)})
     h, g = model_distributions(model)
     rows = []
     for p_i in p_i_grid:
         spec = InfectionSpec.constant(p_i)
         for r in r_grid:
-            params = _model_params(household=h, global_degree=g, r=r,
-                                   n_q=model["n_q"], infection=spec,
-                                   p_rw=model["p_rw"])
-            rep = analyze(params)
+            rep = analyze(ModelParams(household=h, global_degree=g, r=r,
+                                      n_q=model["n_q"], infection=spec,
+                                      p_rw=model["p_rw"]))
             rows.append([p_i, r, rep.r_star, rep.p_major, rep.z])
     resolved = {"figure": {"name": "fig4", "p_i_grid": p_i_grid,
                            "r_grid": r_grid}, "model": model}
@@ -541,17 +546,15 @@ def _figure_fig5(cfg, out):
     rows = []
     for p_rw in p_rw_grid:
         c_target = (1.0 - p_rw) * c_base
-        rew = _model_params(household=poisson_plus(mu_base),
-                            global_degree=poisson(gamma - mu_base), r=-1.0,
-                            n_q=n_q, infection=spec, p_rw=p_rw)
-        rep = analyze(rew)
+        rep = analyze(ModelParams(household=poisson_plus(mu_base),
+                                  global_degree=poisson(gamma - mu_base),
+                                  r=-1.0, n_q=n_q, infection=spec, p_rw=p_rw))
         rows.append(["rewired", c_target, rho_target, mu_base, -1.0, p_rw,
                      rep.r_star, rep.p_major, rep.z])
         tuned = tune_poisson(gamma, c_target, rho_target, n_q)
-        unrew = ModelParams(household=poisson_plus(tuned.mu),
-                            global_degree=poisson(gamma - tuned.mu),
-                            r=tuned.r, n_q=n_q, infection=spec)
-        rep_u = analyze(unrew)
+        rep_u = analyze(ModelParams(household=poisson_plus(tuned.mu),
+                                    global_degree=poisson(gamma - tuned.mu),
+                                    r=tuned.r, n_q=n_q, infection=spec))
         rows.append(["unrewired", tuned.c, tuned.rho, tuned.mu, tuned.r, 0.0,
                      rep_u.r_star, rep_u.p_major, rep_u.z])
     resolved = {"figure": {"name": "fig5", "gamma": gamma, "n_q": n_q,
@@ -565,19 +568,13 @@ def _figure_fig5(cfg, out):
     )
 
 
-def cmd_figure(name: str, cfg: dict, out_override=None, seed_override=None,
-               threads_override=None) -> Path:
+def cmd_figure(name: str, cfg: dict, out_override=None) -> Path:
     if name not in FIGURE_NAMES:
         raise ConfigError(
             f"unknown figure {name!r}; choose from {', '.join(FIGURE_NAMES)}")
-    out = _out_dir(cfg, out_override)
-    if name == "fig2":
-        return _figure_fig2(cfg, out, seed_override, threads_override)
-    if name == "fig3":
-        return _figure_fig3(cfg, out)
-    if name == "fig4":
-        return _figure_fig4(cfg, out)
-    return _figure_fig5(cfg, out)
+    make = {"fig2": _figure_fig2, "fig3": _figure_fig3,
+            "fig4": _figure_fig4, "fig5": _figure_fig5}[name]
+    return make(cfg, _out_dir(cfg, out_override))
 
 
 def cmd_tune(cfg: dict, out_override=None) -> Path:
@@ -614,9 +611,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="YAML experiment config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="override simulation.master_seed")
+                       help="set simulation.master_seed "
+                            "(generate, simulate, fig2)")
         p.add_argument("--threads", type=int, default=None,
-                       help="override simulation.threads")
+                       help="set simulation.threads (simulate, fig2)")
 
     common(sub.add_parser("analyze", help="analytic quantities per r value"))
     common(sub.add_parser("generate", help="build and write one network"))
@@ -628,24 +626,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EMPTY_CONFIG = {key: {} for key in _TOP_KEYS}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = args.name if args.command == "figure" else args.command
     try:
-        cfg = load_config(args.config) if args.config else dict(_EMPTY_CONFIG)
-        if args.command == "analyze":
-            cmd_analyze(cfg, args.out)
-        elif args.command == "generate":
-            cmd_generate(cfg, args.out, args.seed)
-        elif args.command == "simulate":
-            cmd_simulate(cfg, args.out, args.seed, args.threads)
-        elif args.command == "figure":
-            cmd_figure(args.name, cfg, args.out, args.seed, args.threads)
-        elif args.command == "tune":
-            cmd_tune(cfg, args.out)
-    except NetepiError as exc:
+        cfg = _command_config(command, args.config, args.seed, args.threads)
+        if args.command == "figure":
+            cmd_figure(command, cfg, args.out)
+        else:
+            {"analyze": cmd_analyze, "generate": cmd_generate,
+             "simulate": cmd_simulate, "tune": cmd_tune}[command](cfg, args.out)
+    except (NetepiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -26,9 +26,9 @@ from scipy import stats
 
 from .errors import EmptyDistribution, NoEdges, ZeroMean
 
-# Default bound on the probability mass discarded when truncating an
-# infinite support.  Small enough that third factorial moments of the
-# laws used here are good to ~1e-12.
+# Bound on the probability mass discarded when truncating an infinite
+# support.  Small enough that third factorial moments of the laws used
+# here are good to ~1e-12.
 DEFAULT_TAIL_EPS = 1e-14
 
 _SUM_TOL = 1e-9
@@ -139,52 +139,52 @@ def point(k: int) -> DiscreteDist:
     return DiscreteDist(np.array([int(k)]), np.array([1.0]))
 
 
-def poisson(mean: float, eps: float = DEFAULT_TAIL_EPS) -> DiscreteDist:
+def poisson(mean: float) -> DiscreteDist:
     if mean < 0:
         raise ValueError("poisson mean must be >= 0")
     if mean == 0:
         return point(0)
-    hi = int(stats.poisson.isf(eps, mean)) + 1
+    hi = int(stats.poisson.isf(DEFAULT_TAIL_EPS, mean)) + 1
     support = np.arange(hi + 1)
     probs = stats.poisson.pmf(support, mean)
     tail = max(0.0, 1.0 - float(probs.sum()))
     return DiscreteDist(support, probs, tail)
 
 
-def poisson_plus(mean: float, eps: float = DEFAULT_TAIL_EPS) -> DiscreteDist:
+def poisson_plus(mean: float) -> DiscreteDist:
     """Zero-truncated Poisson; degenerates to the point mass at 1 when
     mean == 0."""
     if mean < 0:
         raise ValueError("poisson_plus mean must be >= 0")
     if mean == 0:
         return point(1)
-    hi = max(1, int(stats.poisson.isf(eps, mean)) + 1)
+    hi = max(1, int(stats.poisson.isf(DEFAULT_TAIL_EPS, mean)) + 1)
     support = np.arange(1, hi + 1)
     probs = stats.poisson.pmf(support, mean) / (1.0 - math.exp(-mean))
     tail = max(0.0, 1.0 - float(probs.sum()))
     return DiscreteDist(support, probs, tail)
 
 
-def geometric(p: float, eps: float = DEFAULT_TAIL_EPS) -> DiscreteDist:
+def geometric(p: float) -> DiscreteDist:
     """P(X = k) = p (1-p)^k on k = 0, 1, 2, ..."""
     if not 0.0 < p <= 1.0:
         raise ValueError("geometric parameter must lie in (0, 1]")
     if p == 1.0:
         return point(0)
-    hi = max(1, int(math.ceil(math.log(eps) / math.log1p(-p))))
+    hi = max(1, int(math.ceil(math.log(DEFAULT_TAIL_EPS) / math.log1p(-p))))
     support = np.arange(hi + 1)
     probs = p * np.exp(support * math.log1p(-p))
     tail = max(0.0, 1.0 - float(probs.sum()))
     return DiscreteDist(support, probs, tail)
 
 
-def negative_binomial(r: float, p: float, eps: float = DEFAULT_TAIL_EPS) -> DiscreteDist:
+def negative_binomial(r: float, p: float) -> DiscreteDist:
     """P(X = k) = C(k+r-1, k) p^r (1-p)^k on k = 0, 1, 2, ..."""
     if r <= 0 or not 0.0 < p <= 1.0:
         raise ValueError("negative_binomial needs r > 0 and p in (0, 1]")
     if p == 1.0:
         return point(0)
-    hi = max(1, int(stats.nbinom.isf(eps, r, p)) + 1)
+    hi = max(1, int(stats.nbinom.isf(DEFAULT_TAIL_EPS, r, p)) + 1)
     support = np.arange(hi + 1)
     probs = stats.nbinom.pmf(support, r, p)
     tail = max(0.0, 1.0 - float(probs.sum()))
@@ -212,7 +212,7 @@ _CALL_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")
 _PMF_ITEM_RE = re.compile(r"^\s*(\d+)\s*:\s*([0-9.eE+-]+)\s*$")
 
 
-def parse_distribution(text: str, eps: float = DEFAULT_TAIL_EPS) -> DiscreteDist:
+def parse_distribution(text: str) -> DiscreteDist:
     """Parse a distribution expression.
 
     Accepted forms: poisson(m), poisson_plus(m), point(k) / point_mass(k),
@@ -240,17 +240,17 @@ def parse_distribution(text: str, eps: float = DEFAULT_TAIL_EPS) -> DiscreteDist
     except ValueError:
         raise ValueError(f"bad numeric arguments in {text!r}") from None
     if name == "poisson" and len(vals) == 1:
-        return poisson(vals[0], eps)
+        return poisson(vals[0])
     if name == "poisson_plus" and len(vals) == 1:
-        return poisson_plus(vals[0], eps)
+        return poisson_plus(vals[0])
     if name in ("point", "point_mass") and len(vals) == 1:
         if vals[0] != int(vals[0]):
             raise ValueError(f"point mass needs an integer, got {vals[0]}")
         return point(int(vals[0]))
     if name == "geometric" and len(vals) == 1:
-        return geometric(vals[0], eps)
+        return geometric(vals[0])
     if name == "negative_binomial" and len(vals) == 2:
-        return negative_binomial(vals[0], vals[1], eps)
+        return negative_binomial(vals[0], vals[1])
     raise ValueError(f"unknown distribution form {text!r}")
 
 
@@ -412,7 +412,6 @@ class InfectionSpec:
     rate: Optional[float] = None
     phi: Optional[Callable[[float], float]] = None
     sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
-    label: str = field(default="")
 
     def __post_init__(self):
         if self.kind not in ("constant", "general"):
@@ -435,30 +434,34 @@ class InfectionSpec:
 
     @classmethod
     def constant(cls, p_i: float) -> "InfectionSpec":
-        return cls(kind="constant", p_i=float(p_i), label=f"constant(p_i={p_i})")
+        return cls(kind="constant", p_i=float(p_i))
 
     @classmethod
-    def general(cls, rate, phi, sampler=None, label="general") -> "InfectionSpec":
+    def general(cls, rate, phi, sampler=None) -> "InfectionSpec":
+        if rate < 0:
+            raise ValueError("contact rate must be >= 0")
         p_i = 1.0 - float(phi(rate))
         return cls(kind="general", p_i=p_i, rate=float(rate), phi=phi,
-                   sampler=sampler, label=label)
+                   sampler=sampler)
 
     @classmethod
     def exponential(cls, rate: float, mean: float = 1.0) -> "InfectionSpec":
         """Exponentially distributed period with the given mean."""
+        if mean < 0:
+            raise ValueError("exponential period needs mean >= 0")
         # partials of module-level functions keep the spec picklable for
         # multi-process simulation
         phi = functools.partial(_exponential_transform, mean=mean)
         sampler = functools.partial(_exponential_sampler, mean=mean)
-        return cls.general(rate, phi, sampler,
-                           label=f"exponential(rate={rate}, mean={mean})")
+        return cls.general(rate, phi, sampler)
 
     @classmethod
     def gamma(cls, rate: float, shape: float, scale: float = 1.0) -> "InfectionSpec":
+        if shape < 0 or scale < 0:
+            raise ValueError("gamma period needs shape >= 0 and scale >= 0")
         phi = functools.partial(_gamma_transform, shape=shape, scale=scale)
         sampler = functools.partial(_gamma_sampler, shape=shape, scale=scale)
-        return cls.general(rate, phi, sampler,
-                           label=f"gamma(rate={rate}, shape={shape}, scale={scale})")
+        return cls.general(rate, phi, sampler)
 
 
 def _exponential_transform(theta, mean):

@@ -184,24 +184,22 @@ class EstimateReport:
         return float(fracs.std(ddof=1) / math.sqrt(self.n_major))
 
 
-def _run_one(params: ModelParams, n: int, seed_value: int, reverse: bool) -> int:
+def _run_one(params: ModelParams, n: int, seed_value: int) -> int:
     ss = np.random.SeedSequence(seed_value)
     s_build, s_rewire, s_epi = ss.spawn(3)
     net = build_network(params.gen_spec(n), seed=s_build)
     if params.p_rw > 0.0:
         net = rewire(net, params.p_rw, seed=s_rewire)
-    out = run_epidemic(net, params.infection, seed=s_epi, reverse=reverse)
-    return out.final_size
+    return run_epidemic(net, params.infection, seed=s_epi).final_size
 
 
 def _run_block(args):
-    params, n, seed_values, reverse = args
-    return [_run_one(params, n, int(s), reverse) for s in seed_values]
+    params, n, seed_values = args
+    return [_run_one(params, n, int(s)) for s in seed_values]
 
 
 def estimate(params: ModelParams, n: int, n_sims: int, master_seed: int,
-             cutoff: float = DEFAULT_CUTOFF, threads: int = 1,
-             reverse: bool = False) -> EstimateReport:
+             cutoff: float = DEFAULT_CUTOFF, threads: int = 1) -> EstimateReport:
     """Build a fresh network per run, infect one uniform seed, classify
     runs as major at the cutoff (fraction of n or absolute count).
 
@@ -211,21 +209,23 @@ def estimate(params: ModelParams, n: int, n_sims: int, master_seed: int,
     """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
+    if cutoff <= 0.0:
+        raise ValueError("cutoff must be positive")
+    params.gen_spec(n)  # a bad n fails here, before any run or worker
     ss = np.random.SeedSequence(master_seed)
     seeds = ss.generate_state(n_sims, dtype=np.uint64)
 
     if threads > 1:
         blocks = np.array_split(np.arange(n_sims), threads * 4)
         blocks = [b for b in blocks if b.size]
-        jobs = [(params, n, seeds[b].tolist(), reverse) for b in blocks]
+        jobs = [(params, n, seeds[b].tolist()) for b in blocks]
         final_sizes = np.empty(n_sims, dtype=np.int64)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for b, result in zip(blocks, pool.map(_run_block, jobs)):
                 final_sizes[b] = result
     else:
         final_sizes = np.array(
-            [_run_one(params, n, int(s), reverse) for s in seeds],
-            dtype=np.int64)
+            [_run_one(params, n, int(s)) for s in seeds], dtype=np.int64)
 
     major, threshold = classify(final_sizes, cutoff, n)
     p_hat = float(major.mean())

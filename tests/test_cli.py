@@ -103,20 +103,109 @@ def test_rejected_model_parameters_exit_2_without_traceback(tmp_path, capsys):
     assert code == 2
     assert "error: n_q must lie in 1..32767" in capsys.readouterr().err
 
+    template = {"gamma": 10, "mu": 2}
+    constant = {"kind": "constant", "p_i": 0.2}
+    sim = {"n": 100, "n_sims": 2}
     bad_runs = [
-        ("analyze", {"model": {"gamma": 10, "mu": 2, "r": 1.5},
-                     "infection": {"kind": "constant", "p_i": 0.2}}, "r must"),
-        ("simulate", {"model": {"gamma": 10, "mu": 2, "n_q": 40000},
-                      "infection": {"kind": "constant", "p_i": 0.2},
-                      "simulation": {"n": 100, "n_sims": 2}}, "n_q must"),
-        ("simulate", {"model": {"gamma": 10, "mu": 2},
-                      "infection": {"kind": "constant", "p_i": 0.2},
+        ("analyze", {"model": {**template, "r": 1.5},
+                     "infection": constant}, "r must"),
+        ("simulate", {"model": {**template, "n_q": 40000},
+                      "infection": constant, "simulation": sim}, "n_q must"),
+        ("simulate", {"model": template, "infection": constant,
                       "simulation": {"n": 0, "n_sims": 2}}, "n must"),
+        ("simulate", {"model": template, "infection": constant,
+                      "simulation": {"n": 100, "n_sims": 0}},
+         "n_sims must be >= 1"),
+        ("simulate", {"model": template, "infection": constant,
+                      "simulation": {**sim, "cutoff": -1}},
+         "cutoff must be positive"),
+        ("simulate", {"model": template, "infection": constant,
+                      "simulation": {**sim, "threads": 0}},
+         "simulation.threads must be >= 1"),
+        ("simulate", {"model": template,
+                      "infection": {"kind": "constant", "p_i": 1.5},
+                      "simulation": sim},
+         "transmission probability must lie in [0, 1]"),
+        ("analyze", {"model": template,
+                     "infection": {"kind": "constant", "p_i": "abc"}},
+         "could not convert string to float: 'abc'"),
+        ("analyze", {"model": {"household": "bogus(3)",
+                               "global_degree": "poisson(8)"},
+                     "infection": constant},
+         "unknown distribution form 'bogus(3)'"),
+        ("analyze", {"model": template,
+                     "infection": {"kind": "gamma", "rate": 0.2,
+                                   "shape": -2}},
+         "gamma period needs shape >= 0"),
+        ("analyze", {"model": template,
+                     "infection": {"kind": "exponential", "rate": -1}},
+         "contact rate must be >= 0"),
     ]
-    for command, cfg, message in bad_runs:
+    for i, (command, cfg, message) in enumerate(bad_runs):
         path = write_yaml(tmp_path / "c.yaml", cfg)
-        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        out = tmp_path / f"out{i}"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+
+_FIG3_SMALL = {"mu_grid": [4.0], "r_grid": [0.0], "p_i_factors": [1.1]}
+_TEMPLATE = {"gamma": 10, "mu": 2, "n_q": 10}
+_GRAMMAR = {"household": "poisson_plus(2)", "global_degree": "poisson(8)"}
+_CONSTANT = {"kind": "constant", "p_i": 0.2}
+_ANALYZE = {"model": {**_TEMPLATE, "r": 0.5}, "infection": _CONSTANT}
+_GENERATE = {"model": {**_TEMPLATE, "r": 0.5}, "simulation": {"n": 200}}
+_FIG4 = {"p_i_grid": [0.104], "r_grid": [0.0]}
+
+
+@pytest.mark.parametrize("argv, cfg, named", [
+    (["figure", "fig4"], {"figure": {**_FIG4, "mu_grid": [2.0]}},
+     "figure.mu_grid"),
+    (["figure", "fig4"], {"figure": {**_FIG4, "p_rw_grid": [0.2]}},
+     "figure.p_rw_grid"),
+    (["figure", "fig4"], {"figure": {**_FIG4, "gamma": 12}}, "figure.gamma"),
+    (["figure", "fig5"], {"model": _TEMPLATE}, "model.gamma"),
+    (["figure", "fig5"], {"infection": _CONSTANT}, "infection.p_i"),
+    (["figure", "fig5"], {"simulation": {"n": 100}}, "simulation.n"),
+    (["analyze"], {**_ANALYZE, "simulation": {"n": 100}}, "simulation.n"),
+    (["generate"], {**_GENERATE, "infection": _CONSTANT}, "infection.p_i"),
+    (["generate"], {**_GENERATE, "simulation": {"n": 200, "n_sims": 5}},
+     "simulation.n_sims"),
+    (["analyze", "--seed", "3"], _ANALYZE, "--seed"),
+    (["analyze", "--threads", "2"], _ANALYZE, "--threads"),
+    (["tune", "--seed", "3"], {"tune": {"gamma": 10, "c": 0.16, "rho": 0.3}},
+     "--seed"),
+    (["tune", "--threads", "2"],
+     {"tune": {"gamma": 10, "c": 0.16, "rho": 0.3}}, "--threads"),
+    (["figure", "fig3", "--seed", "3"], {"figure": _FIG3_SMALL}, "--seed"),
+    (["figure", "fig3", "--threads", "2"], {"figure": _FIG3_SMALL},
+     "--threads"),
+    (["generate", "--threads", "2"], _GENERATE, "--threads"),
+    (["analyze"], {**_ANALYZE, "model": {**_ANALYZE["model"],
+                                         "r_grid": [0.0, 0.5]}}, "model.r"),
+    (["figure", "fig2"], {"model": {**_GRAMMAR, "r": 0.5},
+                          "figure": {"r_grid": [0.0]}}, "model.r"),
+    (["figure", "fig2"], {"model": {**_GRAMMAR, "r_grid": [0.5]},
+                          "figure": {"r_grid": [0.0]}}, "model.r_grid"),
+    (["figure", "fig4"], {"model": {**_GRAMMAR, "r": 0.5}, "figure": _FIG4},
+     "model.r"),
+    (["figure", "fig4"], {"model": _GRAMMAR, "figure": {**_FIG4, "n_q": 5}},
+     "figure.n_q"),
+    (["figure", "fig4"], {"figure": {**_FIG4, "name": "fig4"}}, "name"),
+])
+def test_settings_a_command_does_not_read_exit_2(tmp_path, capsys, argv,
+                                                 cfg, named):
+    # each of these was accepted and silently dropped: a setting the
+    # command does not read, or one it ignores because another is given
+    path = write_yaml(tmp_path / "c.yaml", cfg)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_analyze_rejects_too_many_blocks_without_traceback(tmp_path, capsys):

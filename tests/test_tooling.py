@@ -3,12 +3,13 @@
 bench/spans.py traces a run by replacing public callables of netepi with
 wrappers and restoring them afterwards.  Renaming or deleting one of
 those callables would only show up when a traced benchmark run crashes;
-this test makes it fail the suite instead.
+these tests make it fail the suite instead.  The same holds for the
+configs the benchmark workloads hand to the command line.
 """
 
 from pathlib import Path
 
-from netepi import netgen, simulate
+from netepi import cli, netgen, simulate
 from netepi.distributions import InfectionSpec, poisson, poisson_plus
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -56,3 +57,24 @@ def test_span_observers_read_lazy_counts(monkeypatch):
     assert "netgen.rewire" in counts
     assert (counts["simulate.run_epidemic"]["generations"]
             == outcome.generations.size)
+
+
+def test_benchmark_configs_are_read_by_their_commands(monkeypatch, tmp_path):
+    # every config the benchmark writes must pass the command-line checks
+    # of the command it runs (or, for network_large, which runs no command,
+    # of `simulate`, whose resolution `model_params` mirrors), so a
+    # stricter table fails the suite instead of a benchmark run
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    runs = [(argv[-1], cfg, None)
+            for _, argv, cfg, _ in workloads.sweep_steps()]
+    runs += [("simulate", workloads.McSmall(0, tmp_path).cfg, 1),
+             ("simulate", workloads.NetworkLarge(0, tmp_path).cfg, None),
+             ("generate", workloads.GenerateIO(0, tmp_path).cfg, 1)]
+    for command, cfg, seed in runs:
+        path = workloads.write_config(tmp_path / "c.yaml", cfg)
+        cli._command_config(command, path, seed=seed)
+        if "model" in cfg:
+            workloads.model_params(
+                {"infection": {"kind": "constant", "p_i": 0.0}, **cfg})
