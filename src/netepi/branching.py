@@ -519,13 +519,3 @@ def tune_poisson(gamma: float, c_target: float, rho_target: float,
             f"tuning bisection stalled at rho={rho_val} for target {rho_target}"
         )
     return TuneResult(mu, r, c_val, rho_val)
-
-
-def rewired_tuning(gamma: float, mu: float, r: float, p_rw: float,
-                   n_q: int) -> tuple[float, float]:
-    """(c, rho) reached by rewiring the tuned base template: correlation
-    is untouched, clustering scales by 1 - p_rw."""
-    if not 0.0 <= p_rw <= 1.0:
-        raise ValueError("p_rw must lie in [0, 1]")
-    c, rho = poisson_c_rho(gamma, mu, r, n_q)
-    return (1.0 - p_rw) * c, rho

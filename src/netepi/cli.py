@@ -1,12 +1,12 @@
 """Experiment runner: config files, subcommands, CSV outputs.
 
 Configs are YAML with sections `model`, `infection`, `simulation`,
-`output`, `tune` and `figure`.  `_READS` lists the keys each command
-reads.  Loading rejects a key that no command reads, and each command
-rejects any section, key or `--seed`/`--threads` flag (which set
-`simulation.master_seed` and `simulation.threads`) that it does not read,
-so a typo cannot silently change an experiment.  `main` turns a package
-error or a value outside its domain (`ValueError`) into `error: ...` and
+`output`, `tune` and `figure`.  The table `_KEYS` gives each key its kind,
+default and readers.  Loading rejects a key that no command reads; each
+command rejects a key or `--seed`/`--threads` flag (which set
+`simulation.master_seed` and `simulation.threads`) it does not read, and a
+value of the wrong kind, naming the key.  `main` turns these, any package
+error and a value outside its domain (`ValueError`) into `error: ...` and
 exit status 2.  Every output file starts with a `# config:` comment
 carrying the fully resolved configuration as sorted JSON; re-running with
 the same resolved config reproduces the file bit for bit.
@@ -22,6 +22,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -43,35 +44,120 @@ from .netprops import (
     poisson_c_rho,
     rewired_clustering,
 )
-from .simulate import estimate
+from .simulate import DEFAULT_CUTOFF, estimate
 
-# each infection kind's fields in the argument order of its InfectionSpec
-# constructor, with their defaults (None: required)
-_INFECTION_FIELDS = {
-    "constant": {"p_i": None},
-    "exponential": {"rate": None, "mean": 1.0},
-    "gamma": {"rate": None, "shape": None, "scale": 1.0},
+REQUIRED = object()  # a config table default: the key must be given
+
+_GRID = [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
+_ALL = "analyze generate simulate tune fig2 fig3 fig4 fig5"
+
+FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5")
+
+
+# -- value kinds: each takes (section.key, value) and returns the typed
+# value or raises a ConfigError naming the key ----------------------------
+
+
+def _real(name: str, value) -> float:
+    # PyYAML reads 1e-3 (no dot) as the string "1e-3", which float() takes
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if isinstance(value, bool) or not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite real, not {value!r}")
+    return x
+
+
+def _integer(lo: int):
+    # integers >= lo; an integral float such as 10.0 counts
+    def kind(name: str, value) -> int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, not {value!r}")
+        if value < lo:
+            raise ConfigError(f"{name} must be >= {lo}")
+        return value
+    return kind
+
+
+def _reals(name: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, not {value!r}")
+    return [_real(f"{name}[{i}]", x) for i, x in enumerate(value)]
+
+
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be text, not {value!r}")
+    return value
+
+
+def _infection_kind(name: str, value) -> str:
+    if value not in ("constant", "exponential", "gamma"):
+        raise ConfigError(f"{name} must be constant, exponential or gamma, "
+                          f"not {value!r}")
+    return value
+
+
+# The config table, section.key: (kind, default, the commands that read
+# it).  A default of REQUIRED makes the key required, None leaves it out
+# unless given, and a dict gives per-command defaults (REQUIRED for the
+# commands it does not name).  The model takes household/global_degree or
+# the template gamma/mu (H zero-truncated Poi(mu), G Poi(gamma - mu)); an
+# infection of each kind takes the parameters of its InfectionSpec
+# constructor.
+_MODEL_READERS = "analyze generate simulate fig2 fig4"
+_KEYS = {
+    "model.household": (_text, REQUIRED, _MODEL_READERS),
+    "model.global_degree": (_text, REQUIRED, _MODEL_READERS),
+    "model.gamma": (_real, REQUIRED, _MODEL_READERS),
+    "model.mu": (_real, REQUIRED, _MODEL_READERS),
+    "model.r": (_real, 0.0, "analyze generate simulate"),
+    "model.r_grid": (_reals, None, "analyze fig2"),
+    "model.n_q": (_integer(1), 1, _MODEL_READERS),
+    "model.p_rw": (_real, 0.0, _MODEL_READERS),
+    "infection.kind": (_infection_kind, "constant", "analyze simulate fig2"),
+    "infection.p_i": (_real, REQUIRED, "analyze simulate fig2"),
+    "infection.rate": (_real, REQUIRED, "analyze simulate fig2"),
+    "infection.mean": (_real, 1.0, "analyze simulate fig2"),
+    "infection.shape": (_real, REQUIRED, "analyze simulate fig2"),
+    "infection.scale": (_real, 1.0, "analyze simulate fig2"),
+    "simulation.n": (_integer(1), {"fig2": 10_000}, "generate simulate fig2"),
+    "simulation.n_sims": (_integer(1), 1000, "simulate fig2"),
+    "simulation.cutoff": (_real, DEFAULT_CUTOFF, "simulate fig2"),
+    "simulation.master_seed": (_integer(0), 0, "generate simulate fig2"),
+    "simulation.threads": (_integer(1), 1, "simulate fig2"),
+    "output.dir": (_text, ".", _ALL),
+    "output.prefix": (_text, "", _ALL),
+    "tune.gamma": (_real, REQUIRED, "tune"),
+    "tune.n_q": (_integer(1), 1, "tune"),
+    "tune.c": (_real, REQUIRED, "tune"),
+    "tune.rho": (_real, REQUIRED, "tune"),
+    "figure.r_grid": (_reals, _GRID, "fig2 fig3 fig4"),
+    "figure.mu_grid": (_reals, [0.1, 2.0, 4.0, 6.0], "fig3"),
+    "figure.p_i_factors": (_reals, [1.05, 1.5, 2.5, 4.0], "fig3"),
+    "figure.p_i_grid": (_reals, [0.102, 0.103, 0.104, 0.105], "fig4"),
+    "figure.p_rw_grid": (_reals, [0.0, 0.2, 0.4, 0.6, 0.8], "fig5"),
+    "figure.gamma": (_real, 10.0, "fig3 fig5"),
+    "figure.n_q": (_integer(1), 10, "fig3 fig4 fig5"),
+    "figure.p_i": (_real, 0.15, "fig5"),
+    "figure.rho": (_real, 0.2, "fig5"),
 }
 
-_MODEL = {"household", "global_degree", "gamma", "mu", "n_q", "p_rw"}
-_INFECTION = {"kind"}.union(*_INFECTION_FIELDS.values())
-_SIMULATION = {"n", "n_sims", "cutoff", "master_seed", "threads"}
 
-# the config keys each command reads, by section; every command reads
-# `output`
-_READS = {command: {"output": {"dir", "prefix"}, **sections}
-          for command, sections in {
-    "analyze": {"model": _MODEL | {"r", "r_grid"}, "infection": _INFECTION},
-    "generate": {"model": _MODEL | {"r"}, "simulation": {"n", "master_seed"}},
-    "simulate": {"model": _MODEL | {"r"}, "infection": _INFECTION,
-                 "simulation": _SIMULATION},
-    "tune": {"tune": {"gamma", "n_q", "c", "rho"}},
-    "fig2": {"model": _MODEL | {"r_grid"}, "infection": _INFECTION,
-             "simulation": _SIMULATION, "figure": {"r_grid"}},
-    "fig3": {"figure": {"gamma", "n_q", "mu_grid", "r_grid", "p_i_factors"}},
-    "fig4": {"model": _MODEL, "figure": {"n_q", "p_i_grid", "r_grid"}},
-    "fig5": {"figure": {"gamma", "n_q", "p_i", "rho", "p_rw_grid"}},
-}.items()}
+# (section, key, readers) of each row; then section -> its keys and
+# command -> section -> the keys it reads there, in table order
+_ROWS = [(*name.split("."), readers.split())
+         for name, (_, _, readers) in _KEYS.items()]
+_KNOWN = {s: [key for t, key, _ in _ROWS if t == s] for s, _, _ in _ROWS}
+_READS = {c: {s: [key for t, key, readers in _ROWS if t == s and c in readers]
+              for s in _KNOWN} for c in _ALL.split()}
+
+# the model of fig2 and fig4 when the config has no model section
+_DEFAULT_MODEL = {"household": "poisson_plus(2)",
+                  "global_degree": "poisson(8)", "n_q": 10}
 
 # (ignored, given): a command ignores the first setting when the second
 # (a key, or a whole section) is given
@@ -79,22 +165,16 @@ _OVERRIDDEN = {"analyze": [("model.r", "model.r_grid")],
                "fig2": [("model.r_grid", "figure.r_grid")],
                "fig4": [("figure.n_q", "model")]}
 
-FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5")
-
-# section -> the keys that some command reads there
-_KNOWN = {section: set().union(*(r.get(section, ()) for r in _READS.values()))
-          for reads in _READS.values() for section in reads}
-
 
 # -- config loading ------------------------------------------------------
 
 
-def _check_keys(section: str, mapping, allowed: set) -> dict:
+def _check_keys(section: str, mapping, allowed) -> dict:
     if mapping is None:
         return {}
     if not isinstance(mapping, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(set(mapping).difference(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
     return dict(mapping)
@@ -110,7 +190,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
-    raw = _check_keys("top level", raw, set(_KNOWN))
+    raw = _check_keys("top level", raw, _KNOWN)
     return {section: _check_keys(section, raw.get(section), keys)
             for section, keys in _KNOWN.items()}
 
@@ -122,11 +202,12 @@ def _given(cfg: dict, name: str) -> bool:
 
 def _command_config(command: str, path=None, seed=None, threads=None) -> dict:
     """The config at `path` (none: empty) with the flags folded into
-    `simulation`; a key or flag `command` does not read is a ConfigError."""
+    `simulation`, resolved for `command`; a key or flag `command` does not
+    read, or an ill-typed value, is a ConfigError."""
     cfg = load_config(path) if path else {section: {} for section in _KNOWN}
     reads = _READS[command]
     for section, mapping in cfg.items():
-        unread = sorted(set(mapping) - reads.get(section, set()))
+        unread = sorted(set(mapping).difference(reads.get(section, ())))
         if unread:
             raise ConfigError(f"{command} does not read "
                               + ", ".join(f"{section}.{k}" for k in unread))
@@ -140,40 +221,60 @@ def _command_config(command: str, path=None, seed=None, threads=None) -> dict:
             if key not in reads.get("simulation", ()):
                 raise ConfigError(f"{command} does not read {flag}")
             cfg["simulation"] = {**cfg["simulation"], key: value}
-    return cfg
+    return _typed(command, cfg)
 
 
-def _require(section: dict, key: str, context: str):
-    if key not in section:
-        raise ConfigError(f"{context} requires {key!r}")
-    return section[key]
+def _resolve(section: str, given: dict, keys, command=None) -> dict:
+    """The typed values of `keys` of `section`: each given value checked
+    by its kind, each missing one its default for `command`."""
+    out = {}
+    for key in keys:
+        name = f"{section}.{key}"
+        kind, default, _ = _KEYS[name]
+        if isinstance(default, dict):
+            default = default.get(command, REQUIRED)
+        if key in given:
+            out[key] = kind(name, given[key])
+        elif default is REQUIRED:
+            raise ConfigError(f"{name} is required")
+        elif default is not None:
+            out[key] = kind(name, default)
+    return out
+
+
+def _typed(command: str, cfg: dict) -> dict:
+    """Each section `command` reads, typed and with its defaults; the
+    model and infection go through resolve_model and resolve_infection."""
+    reads = _READS[command]
+    typed = {section: _resolve(section, cfg[section], keys, command)
+             for section, keys in reads.items()
+             if keys and section not in ("model", "infection")}
+    if command in ("fig2", "fig4"):
+        # the model, and fig2's infection, when the config has none
+        model = dict(_DEFAULT_MODEL)
+        if command == "fig4":
+            model["n_q"] = typed["figure"]["n_q"]
+        cfg = {**cfg, "model": cfg["model"] or model,
+               "infection": cfg["infection"] or {"p_i": 0.2}}
+    for section, resolve in (("model", resolve_model),
+                             ("infection", resolve_infection)):
+        if reads[section]:
+            typed[section] = resolve(cfg[section])
+    return typed
 
 
 def resolve_model(model: dict) -> dict:
     """Canonical model block: either explicit distributions or the
-    Poisson template (gamma, mu) -> H zero-truncated Poi(mu),
-    G Poi(gamma - mu)."""
-    has_dists = "household" in model or "global_degree" in model
-    has_template = "gamma" in model or "mu" in model
-    if has_dists and has_template:
+    Poisson template (gamma, mu)."""
+    template = "gamma" in model or "mu" in model
+    if template and ("household" in model or "global_degree" in model):
         raise ConfigError(
             "model: give either household/global_degree or gamma/mu, not both")
-    out = {
-        "r": float(model.get("r", 0.0)),
-        "n_q": int(model.get("n_q", 1)),
-        "p_rw": float(model.get("p_rw", 0.0)),
-    }
-    if "r_grid" in model:
-        out["r_grid"] = [float(x) for x in model["r_grid"]]
-    if has_template:
-        gamma = float(_require(model, "gamma", "template model"))
-        mu = float(_require(model, "mu", "template model"))
-        if not 0.0 <= mu <= gamma:
-            raise ConfigError("template model needs 0 <= mu <= gamma")
-        out["gamma"], out["mu"] = gamma, mu
-    else:
-        out["household"] = str(_require(model, "household", "model"))
-        out["global_degree"] = str(_require(model, "global_degree", "model"))
+    other = ("household", "global_degree") if template else ("gamma", "mu")
+    out = _resolve("model", model,
+                   [key for key in _KNOWN["model"] if key not in other])
+    if template and not 0.0 <= out["mu"] <= out["gamma"]:
+        raise ConfigError("template model needs 0 <= mu <= gamma")
     return out
 
 
@@ -186,38 +287,18 @@ def model_distributions(resolved: dict):
 
 
 def resolve_infection(infection: dict) -> dict:
-    kind = infection.get("kind", "constant")
-    if not isinstance(kind, str) or kind not in _INFECTION_FIELDS:
-        raise ConfigError(f"unknown infection kind {kind!r}")
-    fields = _INFECTION_FIELDS[kind]
-    out = {"kind": kind}
-    for key, default in fields.items():
-        out[key] = float(_require(infection, key, f"{kind} infection")
-                         if default is None else infection.get(key, default))
+    kind = _resolve("infection", infection, ["kind"])["kind"]
+    fields = list(inspect.signature(getattr(InfectionSpec, kind)).parameters)
     extra = set(infection) - {"kind", *fields}
     if extra:
         raise ConfigError(
             f"{kind} infection does not take: {', '.join(sorted(extra))}")
-    return out
+    return {"kind": kind, **_resolve("infection", infection, fields)}
 
 
 def infection_spec(resolved: dict) -> InfectionSpec:
-    kind = resolved["kind"]
-    return getattr(InfectionSpec, kind)(
-        *(resolved[key] for key in _INFECTION_FIELDS[kind]))
-
-
-def resolve_simulation(sim: dict, context: str) -> dict:
-    out = {
-        "n": int(_require(sim, "n", context)),
-        "n_sims": int(sim.get("n_sims", 1000)),
-        "cutoff": float(sim.get("cutoff", 0.05)),
-        "master_seed": int(sim.get("master_seed", 0)),
-        "threads": int(sim.get("threads", 1)),
-    }
-    if out["threads"] < 1:
-        raise ConfigError("simulation.threads must be >= 1")
-    return out
+    fields = {key: value for key, value in resolved.items() if key != "kind"}
+    return getattr(InfectionSpec, resolved["kind"])(**fields)
 
 
 # -- output helpers ------------------------------------------------------
@@ -226,9 +307,7 @@ def resolve_simulation(sim: dict, context: str) -> dict:
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
         return str(int(x))
     if x is None:
         return "nan"
@@ -243,6 +322,18 @@ def _config_header(command: str, resolved: dict) -> str:
                                      separators=(",", ":"))
 
 
+def _output(cfg: dict, out_override):
+    """The path of an output file: the prefix and the file name in the
+    output directory (`out_override` if given), made on first use."""
+    directory = Path(out_override or cfg["output"]["dir"])
+    prefix = f"{cfg['output']['prefix']}_" if cfg["output"]["prefix"] else ""
+
+    def path(name: str) -> Path:
+        directory.mkdir(parents=True, exist_ok=True)
+        return directory / f"{prefix}{name}"
+    return path
+
+
 def _write_csv(path: Path, header: str, columns, rows):
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -250,17 +341,6 @@ def _write_csv(path: Path, header: str, columns, rows):
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
     return path
-
-
-def _out_dir(cfg: dict, out_override) -> Path:
-    d = Path(out_override) if out_override else Path(cfg["output"].get("dir", "."))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _prefix(cfg: dict) -> str:
-    p = cfg["output"].get("prefix", "")
-    return f"{p}_" if p else ""
 
 
 # -- subcommands ---------------------------------------------------------
@@ -277,43 +357,36 @@ def _analytic_row(h, g, r, n_q, p_rw, spec):
 
 
 def cmd_analyze(cfg: dict, out_override=None) -> Path:
-    model = resolve_model(cfg["model"])
-    infection = resolve_infection(cfg["infection"])
+    model, infection = cfg["model"], cfg["infection"]
+    path = _output(cfg, out_override)
     h, g = model_distributions(model)
     spec = infection_spec(infection)
-    r_values = model.get("r_grid", [model["r"]])
     rows = [_analytic_row(h, g, r, model["n_q"], model["p_rw"], spec)
-            for r in r_values]
+            for r in model.get("r_grid", [model["r"]])]
     resolved = {"model": model, "infection": infection}
-    out = _out_dir(cfg, out_override)
     return _write_csv(
-        out / f"{_prefix(cfg)}analyze.csv",
-        _config_header("analyze", resolved),
+        path("analyze.csv"), _config_header("analyze", resolved),
         ["r", "mu_D", "var_D", "c", "rho", "p_G", "r_star", "p_maj", "z"],
         rows,
     )
 
 
 def cmd_generate(cfg: dict, out_override=None):
-    model = resolve_model(cfg["model"])
+    model, sim = cfg["model"], cfg["simulation"]
+    path = _output(cfg, out_override)
     h, g = model_distributions(model)
-    n = int(_require(cfg["simulation"], "n", "generate"))
-    seed = int(cfg["simulation"].get("master_seed", 0))
-    resolved = {"model": model, "n": n, "seed": seed}
-    header = _config_header("generate", resolved)
+    header = _config_header("generate", {"model": model, "n": sim["n"],
+                                         "seed": sim["master_seed"]})
 
     params = ModelParams(household=h, global_degree=g, r=model["r"],
-                         n_q=model["n_q"],
-                         infection=InfectionSpec.constant(0.0),
-                         p_rw=model["p_rw"])
-    ss = np.random.SeedSequence(seed)
-    s_build, s_rewire = ss.spawn(2)
-    net = build_network(params.gen_spec(n), seed=s_build)
+                         n_q=model["n_q"], p_rw=model["p_rw"],
+                         infection=InfectionSpec.constant(0.0))
+    s_build, s_rewire = np.random.SeedSequence(sim["master_seed"]).spawn(2)
+    net = build_network(params.gen_spec(sim["n"]), seed=s_build)
     if model["p_rw"] > 0.0:
         net = rewire(net, model["p_rw"], seed=s_rewire)
 
-    out = _out_dir(cfg, out_override)
-    net_path = out / f"{_prefix(cfg)}network.txt"
+    net_path = path("network.txt")
     with open(net_path, "w") as fh:
         fh.write(header + "\n")
         write_network(net, fh)
@@ -327,7 +400,7 @@ def cmd_generate(cfg: dict, out_override=None):
            rewired_clustering(h, g, model["p_rw"]),
            analytic_degree_corr(h, g, model["r"], model["n_q"])]
     props_path = _write_csv(
-        out / f"{_prefix(cfg)}network_properties.csv", header,
+        path("network_properties.csv"), header,
         ["n", "n_edges", "self_loops", "parallel_edges", "discarded_x0",
          "discarded_x1", "discarded_local", "mu_D", "var_D", "c_empirical",
          "rho_empirical", "c_analytic", "rho_analytic"],
@@ -337,9 +410,8 @@ def cmd_generate(cfg: dict, out_override=None):
 
 
 def cmd_simulate(cfg: dict, out_override=None):
-    model = resolve_model(cfg["model"])
-    infection = resolve_infection(cfg["infection"])
-    sim = resolve_simulation(cfg["simulation"], "simulate")
+    model, infection, sim = cfg["model"], cfg["infection"], cfg["simulation"]
+    path = _output(cfg, out_override)
     h, g = model_distributions(model)
     params = ModelParams(household=h, global_degree=g, r=model["r"],
                          n_q=model["n_q"], infection=infection_spec(infection),
@@ -349,11 +421,9 @@ def cmd_simulate(cfg: dict, out_override=None):
                    threads=sim["threads"])
     resolved = {"model": model, "infection": infection, "simulation": sim}
     header = _config_header("simulate", resolved)
-    out = _out_dir(cfg, out_override)
-    pre = _prefix(cfg)
 
     runs_path = _write_csv(
-        out / f"{pre}runs.csv", header,
+        path("runs.csv"), header,
         ["run", "seed", "final_size", "major"],
         [[k, int(rep.seeds[k]), int(rep.final_sizes[k]), bool(rep.major[k])]
          for k in range(rep.n_sims)],
@@ -365,7 +435,7 @@ def cmd_simulate(cfg: dict, out_override=None):
         z_hat, z_se = float("nan"), float("nan")
         summary_header = header + "\n# no major outbreaks"
     summary_path = _write_csv(
-        out / f"{pre}summary.csv", summary_header,
+        path("summary.csv"), summary_header,
         ["n", "n_sims", "n_major", "cutoff_used", "p_hat", "p_se",
          "z_hat", "z_se"],
         [[rep.n, rep.n_sims, rep.n_major, rep.cutoff_used, rep.p_hat,
@@ -374,7 +444,7 @@ def cmd_simulate(cfg: dict, out_override=None):
     hist = rep.histogram
     sizes = np.flatnonzero(hist)
     hist_path = _write_csv(
-        out / f"{pre}histogram.csv", header,
+        path("histogram.csv"), header,
         ["final_size", "count"],
         [[int(s), int(hist[s])] for s in sizes],
     )
@@ -383,15 +453,7 @@ def cmd_simulate(cfg: dict, out_override=None):
 
 # -- canned figures ------------------------------------------------------
 
-# fig2's and fig4's model when the config gives none
-_DEFAULT_MODEL = {"household": "poisson_plus(2)",
-                  "global_degree": "poisson(8)", "n_q": 10}
-
 _BISECT_WIDTH = 1e-10
-
-
-def _default_r_grid():
-    return [round(x, 4) for x in np.linspace(-1.0, 1.0, 9)]
 
 
 def _bisect(above, lo, hi):
@@ -437,12 +499,13 @@ def _mu_for_rho(gamma, rho_target, r, n_q):
     return 0.5 * (lo + hi)
 
 
-def _figure_fig2(cfg, out):
-    model = resolve_model(cfg["model"] or _DEFAULT_MODEL)
-    infection = resolve_infection(cfg["infection"] or {"p_i": 0.2})
-    sim = resolve_simulation({"n": 10_000, **cfg["simulation"]}, "fig2")
-    r_grid = [float(x) for x in cfg["figure"].get(
-        "r_grid", model.get("r_grid", _default_r_grid()))]
+# each figure takes the typed config and returns (resolved config, columns,
+# rows)
+
+
+def _figure_fig2(cfg):
+    model, infection, sim = cfg["model"], cfg["infection"], cfg["simulation"]
+    r_grid = model.get("r_grid", cfg["figure"]["r_grid"])
     h, g = model_distributions(model)
     spec = infection_spec(infection)
     rows = []
@@ -462,81 +525,53 @@ def _figure_fig2(cfg, out):
                      est.p_hat, est.p_se, z_hat, z_se, est.n_major])
     resolved = {"figure": {"name": "fig2", "r_grid": r_grid},
                 "model": model, "infection": infection, "simulation": sim}
-    return _write_csv(
-        out / f"{_prefix(cfg)}fig2.csv", _config_header("figure", resolved),
-        ["r", "c", "rho", "r_star", "p_maj", "z",
-         "p_hat", "p_se", "z_hat", "z_se", "n_major"],
-        rows,
-    )
+    return resolved, ["r", "c", "rho", "r_star", "p_maj", "z",
+                      "p_hat", "p_se", "z_hat", "z_se", "n_major"], rows
 
 
-def _figure_fig3(cfg, out):
+def _figure_fig3(cfg):
     fig = cfg["figure"]
-    gamma = float(fig.get("gamma", 10.0))
-    n_q = int(fig.get("n_q", 10))
-    mu_grid = [float(x) for x in fig.get("mu_grid", [0.1, 2.0, 4.0, 6.0])]
-    r_grid = [float(x) for x in fig.get("r_grid", _default_r_grid())]
-    factors = [float(x) for x in fig.get("p_i_factors",
-                                         [1.05, 1.5, 2.5, 4.0])]
+    gamma, n_q = fig["gamma"], fig["n_q"]
     rows = []
-    for mu in mu_grid:
+    for mu in fig["mu_grid"]:
         h, g = poisson_plus(mu), poisson(gamma - mu)
         # the flattest supercritical line: just above the critical p_i of
         # the hardest r on the grid
-        p_base = max(_critical_p_i(h, g, r, n_q) for r in r_grid)
-        for factor in factors:
+        p_base = max(_critical_p_i(h, g, r, n_q) for r in fig["r_grid"])
+        for factor in fig["p_i_factors"]:
             p_i = min(1.0, factor * p_base)
             spec = InfectionSpec.constant(p_i)
-            for r in r_grid:
+            for r in fig["r_grid"]:
                 rep = analyze(ModelParams(household=h, global_degree=g, r=r,
                                           n_q=n_q, infection=spec))
                 c, rho = poisson_c_rho(gamma, mu, r, n_q)
                 rows.append([mu, factor, p_i, r, c, rho,
                              rep.r_star, rep.p_major, rep.z])
-    resolved = {"figure": {"name": "fig3", "gamma": gamma, "n_q": n_q,
-                           "mu_grid": mu_grid, "r_grid": r_grid,
-                           "p_i_factors": factors}}
-    return _write_csv(
-        out / f"{_prefix(cfg)}fig3.csv", _config_header("figure", resolved),
-        ["mu", "p_i_factor", "p_i", "r", "c", "rho", "r_star", "p_maj", "z"],
-        rows,
-    )
+    return ({"figure": {"name": "fig3", **fig}},
+            ["mu", "p_i_factor", "p_i", "r", "c", "rho", "r_star", "p_maj",
+             "z"], rows)
 
 
-def _figure_fig4(cfg, out):
-    fig = cfg["figure"]
-    p_i_grid = [float(x) for x in fig.get("p_i_grid",
-                                          [0.102, 0.103, 0.104, 0.105])]
-    r_grid = [float(x) for x in fig.get("r_grid", _default_r_grid())]
-    model = resolve_model(cfg["model"]
-                          or {**_DEFAULT_MODEL, "n_q": fig.get("n_q", 10)})
+def _figure_fig4(cfg):
+    fig, model = cfg["figure"], cfg["model"]
     h, g = model_distributions(model)
     rows = []
-    for p_i in p_i_grid:
+    for p_i in fig["p_i_grid"]:
         spec = InfectionSpec.constant(p_i)
-        for r in r_grid:
+        for r in fig["r_grid"]:
             rep = analyze(ModelParams(household=h, global_degree=g, r=r,
                                       n_q=model["n_q"], infection=spec,
                                       p_rw=model["p_rw"]))
             rows.append([p_i, r, rep.r_star, rep.p_major, rep.z])
-    resolved = {"figure": {"name": "fig4", "p_i_grid": p_i_grid,
-                           "r_grid": r_grid}, "model": model}
-    return _write_csv(
-        out / f"{_prefix(cfg)}fig4.csv", _config_header("figure", resolved),
-        ["p_i", "r", "r_star", "p_maj", "z"],
-        rows,
-    )
+    resolved = {"figure": {"name": "fig4", "p_i_grid": fig["p_i_grid"],
+                           "r_grid": fig["r_grid"]}, "model": model}
+    return resolved, ["p_i", "r", "r_star", "p_maj", "z"], rows
 
 
-def _figure_fig5(cfg, out):
+def _figure_fig5(cfg):
     fig = cfg["figure"]
-    gamma = float(fig.get("gamma", 10.0))
-    n_q = int(fig.get("n_q", 10))
-    p_i = float(fig.get("p_i", 0.15))
-    rho_target = float(fig.get("rho", 0.2))
-    p_rw_grid = [float(x) for x in fig.get("p_rw_grid",
-                                           [0.0, 0.2, 0.4, 0.6, 0.8])]
-    spec = InfectionSpec.constant(p_i)
+    gamma, n_q, rho_target = fig["gamma"], fig["n_q"], fig["rho"]
+    spec = InfectionSpec.constant(fig["p_i"])
 
     # base template: most negative correlation structure that still hits
     # rho_target; rewiring then dilutes clustering at constant rho
@@ -544,7 +579,7 @@ def _figure_fig5(cfg, out):
     c_base = poisson_c_rho(gamma, mu_base, -1.0, n_q)[0]
 
     rows = []
-    for p_rw in p_rw_grid:
+    for p_rw in fig["p_rw_grid"]:
         c_target = (1.0 - p_rw) * c_base
         rep = analyze(ModelParams(household=poisson_plus(mu_base),
                                   global_degree=poisson(gamma - mu_base),
@@ -557,44 +592,33 @@ def _figure_fig5(cfg, out):
                                     r=tuned.r, n_q=n_q, infection=spec))
         rows.append(["unrewired", tuned.c, tuned.rho, tuned.mu, tuned.r, 0.0,
                      rep_u.r_star, rep_u.p_major, rep_u.z])
-    resolved = {"figure": {"name": "fig5", "gamma": gamma, "n_q": n_q,
-                           "p_i": p_i, "rho": rho_target,
-                           "p_rw_grid": p_rw_grid,
+    resolved = {"figure": {"name": "fig5", **fig,
                            "mu_base": mu_base, "c_base": c_base}}
-    return _write_csv(
-        out / f"{_prefix(cfg)}fig5.csv", _config_header("figure", resolved),
-        ["branch", "c", "rho", "mu", "r", "p_rw", "r_star", "p_maj", "z"],
-        rows,
-    )
+    return resolved, ["branch", "c", "rho", "mu", "r", "p_rw", "r_star",
+                      "p_maj", "z"], rows
 
 
 def cmd_figure(name: str, cfg: dict, out_override=None) -> Path:
-    if name not in FIGURE_NAMES:
-        raise ConfigError(
-            f"unknown figure {name!r}; choose from {', '.join(FIGURE_NAMES)}")
     make = {"fig2": _figure_fig2, "fig3": _figure_fig3,
             "fig4": _figure_fig4, "fig5": _figure_fig5}[name]
-    return make(cfg, _out_dir(cfg, out_override))
+    path = _output(cfg, out_override)
+    resolved, columns, rows = make(cfg)
+    return _write_csv(path(f"{name}.csv"),
+                      _config_header("figure", resolved), columns, rows)
 
 
 def cmd_tune(cfg: dict, out_override=None) -> Path:
     tune = cfg["tune"]
-    gamma = float(_require(tune, "gamma", "tune"))
-    c_target = float(_require(tune, "c", "tune"))
-    rho_target = float(_require(tune, "rho", "tune"))
-    n_q = int(tune.get("n_q", 1))
-    res = tune_poisson(gamma, c_target, rho_target, n_q)
-    resolved = {"tune": {"gamma": gamma, "c": c_target, "rho": rho_target,
-                         "n_q": n_q}}
-    out = _out_dir(cfg, out_override)
-    path = _write_csv(
-        out / f"{_prefix(cfg)}tune.csv", _config_header("tune", resolved),
-        ["gamma", "n_q", "c_target", "rho_target", "mu", "r", "c", "rho"],
-        [[gamma, n_q, c_target, rho_target, res.mu, res.r, res.c, res.rho]],
-    )
+    path = _output(cfg, out_override)
+    res = tune_poisson(tune["gamma"], tune["c"], tune["rho"], tune["n_q"])
     print(f"mu={_fmt(res.mu)} r={_fmt(res.r)} "
           f"(c={_fmt(res.c)}, rho={_fmt(res.rho)})")
-    return path
+    return _write_csv(
+        path("tune.csv"), _config_header("tune", {"tune": tune}),
+        ["gamma", "n_q", "c_target", "rho_target", "mu", "r", "c", "rho"],
+        [[tune["gamma"], tune["n_q"], tune["c"], tune["rho"], res.mu, res.r,
+          res.c, res.rho]],
+    )
 
 
 # -- entry point ---------------------------------------------------------

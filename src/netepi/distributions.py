@@ -257,11 +257,6 @@ def parse_distribution(text: str) -> DiscreteDist:
 # -- biased laws --------------------------------------------------------
 
 
-def moments(dist: DiscreteDist) -> tuple[float, float]:
-    """(mean, variance) over the retained support."""
-    return dist.mean(), dist.variance()
-
-
 def size_bias(dist: DiscreteDist) -> DiscreteDist:
     """The law seen by a uniformly chosen unit of size: P ~ k p_k.
 

@@ -20,7 +20,6 @@ from netepi.branching import (
     TuneResult,
     analyze,
     r_star,
-    rewired_tuning,
     tune_poisson,
 )
 from netepi.distributions import (
@@ -548,13 +547,6 @@ def test_tune_poisson_invalid_targets():
         tune_poisson(10.0, -0.1, 0.0, n_q=10)
     with pytest.raises(InvalidTarget):
         tune_poisson(0.0, 0.25, 0.0, n_q=10)
-
-
-def test_rewired_tuning_scales_clustering_only():
-    c0, rho0 = rewired_tuning(10.0, 6.0, -0.5, 0.0, 10)
-    c1, rho1 = rewired_tuning(10.0, 6.0, -0.5, 0.4, 10)
-    assert c1 == pytest.approx(0.6 * c0, abs=1e-12)
-    assert rho1 == pytest.approx(rho0, abs=1e-15)
 
 
 def test_analyze_report_shape():

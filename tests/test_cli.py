@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 from netepi.cli import (
+    _KNOWN,
     _critical_p_i,
     load_config,
     main,
@@ -112,10 +113,11 @@ def test_rejected_model_parameters_exit_2_without_traceback(tmp_path, capsys):
         ("simulate", {"model": {**template, "n_q": 40000},
                       "infection": constant, "simulation": sim}, "n_q must"),
         ("simulate", {"model": template, "infection": constant,
-                      "simulation": {"n": 0, "n_sims": 2}}, "n must"),
+                      "simulation": {"n": 0, "n_sims": 2}},
+         "simulation.n must be >= 1"),
         ("simulate", {"model": template, "infection": constant,
                       "simulation": {"n": 100, "n_sims": 0}},
-         "n_sims must be >= 1"),
+         "simulation.n_sims must be >= 1"),
         ("simulate", {"model": template, "infection": constant,
                       "simulation": {**sim, "cutoff": -1}},
          "cutoff must be positive"),
@@ -128,7 +130,7 @@ def test_rejected_model_parameters_exit_2_without_traceback(tmp_path, capsys):
          "transmission probability must lie in [0, 1]"),
         ("analyze", {"model": template,
                      "infection": {"kind": "constant", "p_i": "abc"}},
-         "could not convert string to float: 'abc'"),
+         "infection.p_i must be a finite real, not 'abc'"),
         ("analyze", {"model": {"household": "bogus(3)",
                                "global_degree": "poisson(8)"},
                      "infection": constant},
@@ -140,11 +142,46 @@ def test_rejected_model_parameters_exit_2_without_traceback(tmp_path, capsys):
         ("analyze", {"model": template,
                      "infection": {"kind": "exponential", "rate": -1}},
          "contact rate must be >= 0"),
+        # ill-typed values: each names its key instead of a traceback, a
+        # silently truncated integer or a message without the key
+        ("analyze", {"model": {**template, "r_grid": 5},
+                     "infection": constant},
+         "model.r_grid must be a list, not 5"),
+        ("figure fig2", {"infection": {"p_i": [0.2]},
+                         "simulation": {"n": 100, "n_sims": 2}},
+         "infection.p_i must be a finite real, not [0.2]"),
+        ("analyze", {"model": {**template, "n_q": 2.7},
+                     "infection": constant},
+         "model.n_q must be an integer, not 2.7"),
+        ("tune", {"tune": {"gamma": 10, "n_q": 10.9, "c": 0.16, "rho": 0.3}},
+         "tune.n_q must be an integer, not 10.9"),
+        ("figure fig3", {"figure": {"n_q": 3.9, "mu_grid": [4.0],
+                                    "r_grid": [0.0], "p_i_factors": [1.1]}},
+         "figure.n_q must be an integer, not 3.9"),
+        ("simulate", {"model": template, "infection": constant,
+                      "simulation": {**sim, "n_sims": 3.5}},
+         "simulation.n_sims must be an integer, not 3.5"),
+        ("simulate", {"model": template, "infection": constant,
+                      "simulation": {**sim, "n": "1e3"}},
+         "simulation.n must be an integer, not '1e3'"),
+        ("simulate", {"model": template, "infection": constant,
+                      "simulation": {**sim, "cutoff": float("nan")}},
+         "simulation.cutoff must be a finite real, not nan"),
+        ("simulate --seed -1", {"model": template, "infection": constant,
+                                "simulation": sim},
+         "simulation.master_seed must be >= 0"),
+        ("analyze", {"model": {**template, "p_rw": True},
+                     "infection": constant},
+         "model.p_rw must be a finite real, not True"),
+        ("analyze", {"model": {"household": 3, "global_degree": "poisson(8)"},
+                     "infection": constant},
+         "model.household must be text, not 3"),
     ]
     for i, (command, cfg, message) in enumerate(bad_runs):
         path = write_yaml(tmp_path / "c.yaml", cfg)
         out = tmp_path / f"out{i}"
-        assert main([command, "--config", path, "--out", str(out)]) == 2
+        argv = [*command.split(), "--config", path, "--out", str(out)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "Traceback" not in err
@@ -219,6 +256,125 @@ def test_analyze_rejects_too_many_blocks_without_traceback(tmp_path, capsys):
     assert "error: n_q must lie in 1..32767" in err
     assert "Traceback" not in err
     assert not (tmp_path / "analyze.csv").exists()
+
+
+# (argv, config text, output file, its `# config:` line), each line as the
+# parent of the typed config table wrote it: an int for a real key prints
+# as a float, PyYAML's string "1e-3" parses as a real, an integral float
+# for an integer key prints as an int, and defaults print in their own type
+_HEADERS = [
+    (["analyze"], "model: {gamma: 10, mu: 2, r: 0.5, n_q: 10}\n"
+     "infection: {kind: constant, p_i: 0.2}\n", "analyze.csv",
+     '{"command":"analyze","infection":{"kind":"constant","p_i":0.2},'
+     '"model":{"gamma":10.0,"mu":2.0,"n_q":10,"p_rw":0.0,"r":0.5}}'),
+    (["analyze"], "model: {household: poisson_plus(2), global_degree: "
+     "poisson(8), r: 0.5, n_q: 10.0}\ninfection: {p_i: 1e-3}\n",
+     "analyze.csv",
+     '{"command":"analyze","infection":{"kind":"constant","p_i":0.001},'
+     '"model":{"global_degree":"poisson(8)","household":"poisson_plus(2)",'
+     '"n_q":10,"p_rw":0.0,"r":0.5}}'),
+    (["analyze"], "model: {gamma: 10, mu: 2, r_grid: [-1, 0, 0.5], n_q: 10, "
+     "p_rw: 0}\ninfection: {kind: gamma, rate: 1, shape: 2}\n", "analyze.csv",
+     '{"command":"analyze","infection":{"kind":"gamma","rate":1.0,'
+     '"scale":1.0,"shape":2.0},"model":{"gamma":10.0,"mu":2.0,"n_q":10,'
+     '"p_rw":0.0,"r":0.0,"r_grid":[-1.0,0.0,0.5]}}'),
+    (["analyze"], "model: {gamma: 10, mu: 2}\n"
+     "infection: {kind: exponential, rate: 0.25}\n", "analyze.csv",
+     '{"command":"analyze","infection":{"kind":"exponential","mean":1.0,'
+     '"rate":0.25},"model":{"gamma":10.0,"mu":2.0,"n_q":1,"p_rw":0.0,'
+     '"r":0.0}}'),
+    (["generate"], "model: {gamma: 10, mu: 2, r: 0.5, n_q: 10}\n"
+     "simulation: {n: 200}\n", "network_properties.csv",
+     '{"command":"generate","model":{"gamma":10.0,"mu":2.0,"n_q":10,'
+     '"p_rw":0.0,"r":0.5},"n":200,"seed":0}'),
+    (["generate", "--seed", "7"], "model: {gamma: 10.0, mu: 2, n_q: 4.0}\n"
+     "simulation: {n: 200.0, master_seed: 3}\n", "network.txt",
+     '{"command":"generate","model":{"gamma":10.0,"mu":2.0,"n_q":4,'
+     '"p_rw":0.0,"r":0.0},"n":200,"seed":7}'),
+    (["simulate"], "model: {gamma: 10, mu: 2, r: 0.5, n_q: 10}\n"
+     "infection: {p_i: 0.2}\nsimulation: {n: 300, n_sims: 4}\n",
+     "summary.csv",
+     '{"command":"simulate","infection":{"kind":"constant","p_i":0.2},'
+     '"model":{"gamma":10.0,"mu":2.0,"n_q":10,"p_rw":0.0,"r":0.5},'
+     '"simulation":{"cutoff":0.05,"master_seed":0,"n":300,"n_sims":4,'
+     '"threads":1}}'),
+    (["simulate", "--seed", "5", "--threads", "2"],
+     "model: {gamma: 10, mu: 2}\ninfection: {p_i: 2e-1}\n"
+     "simulation: {n: 300.0, n_sims: 3, cutoff: 20}\n", "runs.csv",
+     '{"command":"simulate","infection":{"kind":"constant","p_i":0.2},'
+     '"model":{"gamma":10.0,"mu":2.0,"n_q":1,"p_rw":0.0,"r":0.0},'
+     '"simulation":{"cutoff":20.0,"master_seed":5,"n":300,"n_sims":3,'
+     '"threads":2}}'),
+    (["tune"], "tune: {gamma: 10, n_q: 10, c: 0.16, rho: 0.3}\n", "tune.csv",
+     '{"command":"tune","tune":{"c":0.16,"gamma":10.0,"n_q":10,"rho":0.3}}'),
+    (["tune"], "tune: {gamma: 10.0, n_q: 10.0, c: 0.16, rho: 3e-1}\n",
+     "tune.csv",
+     '{"command":"tune","tune":{"c":0.16,"gamma":10.0,"n_q":10,"rho":0.3}}'),
+    (["figure", "fig2"], "simulation: {n: 200, n_sims: 3}\n", "fig2.csv",
+     '{"command":"figure","figure":{"name":"fig2","r_grid":[-1.0,-0.75,-0.5,'
+     '-0.25,0.0,0.25,0.5,0.75,1.0]},"infection":{"kind":"constant",'
+     '"p_i":0.2},"model":{"global_degree":"poisson(8)",'
+     '"household":"poisson_plus(2)","n_q":10,"p_rw":0.0,"r":0.0},'
+     '"simulation":{"cutoff":0.05,"master_seed":0,"n":200,"n_sims":3,'
+     '"threads":1}}'),
+    (["figure", "fig2"], "model: {gamma: 10, mu: 2, r_grid: [0, 1], n_q: 3}\n"
+     "infection: {kind: exponential, rate: 0.3, mean: 2}\n"
+     "simulation: {n: 200, n_sims: 2, master_seed: 4}\n", "fig2.csv",
+     '{"command":"figure","figure":{"name":"fig2","r_grid":[0.0,1.0]},'
+     '"infection":{"kind":"exponential","mean":2.0,"rate":0.3},'
+     '"model":{"gamma":10.0,"mu":2.0,"n_q":3,"p_rw":0.0,"r":0.0,'
+     '"r_grid":[0.0,1.0]},"simulation":{"cutoff":0.05,"master_seed":4,'
+     '"n":200,"n_sims":2,"threads":1}}'),
+    (["figure", "fig3"], "figure: {mu_grid: [4], r_grid: [0], "
+     "p_i_factors: [1.1]}\n", "fig3.csv",
+     '{"command":"figure","figure":{"gamma":10.0,"mu_grid":[4.0],"n_q":10,'
+     '"name":"fig3","p_i_factors":[1.1],"r_grid":[0.0]}}'),
+    (["figure", "fig3"], "figure: {gamma: 12, n_q: 5.0, mu_grid: [4.0], "
+     "r_grid: [-1, 1], p_i_factors: [2]}\n", "fig3.csv",
+     '{"command":"figure","figure":{"gamma":12.0,"mu_grid":[4.0],"n_q":5,'
+     '"name":"fig3","p_i_factors":[2.0],"r_grid":[-1.0,1.0]}}'),
+    (["figure", "fig4"], "figure: {p_i_grid: [0.104], r_grid: [0]}\n",
+     "fig4.csv",
+     '{"command":"figure","figure":{"name":"fig4","p_i_grid":[0.104],'
+     '"r_grid":[0.0]},"model":{"global_degree":"poisson(8)",'
+     '"household":"poisson_plus(2)","n_q":10,"p_rw":0.0,"r":0.0}}'),
+    (["figure", "fig4"], "figure: {p_i_grid: [0.2], r_grid: [0.5], n_q: 5}\n",
+     "fig4.csv",
+     '{"command":"figure","figure":{"name":"fig4","p_i_grid":[0.2],'
+     '"r_grid":[0.5]},"model":{"global_degree":"poisson(8)",'
+     '"household":"poisson_plus(2)","n_q":5,"p_rw":0.0,"r":0.0}}'),
+    (["figure", "fig4"], "model: {gamma: 10, mu: 2, n_q: 2}\n"
+     "figure: {p_i_grid: [0.3], r_grid: [1]}\n", "fig4.csv",
+     '{"command":"figure","figure":{"name":"fig4","p_i_grid":[0.3],'
+     '"r_grid":[1.0]},"model":{"gamma":10.0,"mu":2.0,"n_q":2,"p_rw":0.0,'
+     '"r":0.0}}'),
+    (["figure", "fig5"], "", "fig5.csv",
+     '{"command":"figure","figure":{"c_base":0.4854725649334344,'
+     '"gamma":10.0,"mu_base":6.967586131031567,"n_q":10,"name":"fig5",'
+     '"p_i":0.15,"p_rw_grid":[0.0,0.2,0.4,0.6,0.8],"rho":0.2}}'),
+]
+
+
+@pytest.mark.parametrize("argv, text, name, header", _HEADERS)
+def test_config_header_is_pinned(tmp_path, argv, text, name, header):
+    # the resolved config keeps each value's Python type, so the header,
+    # and with it every output file, stays byte for byte the same
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 0
+    with open(out / name) as fh:
+        assert fh.readline() == f"# config: {header}\n"
+
+
+def test_readme_config_reference_lists_the_table_keys():
+    # the README's config reference is a YAML block; its sections list
+    # exactly the keys of the config table, in table order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    reference = readme.split("### Config reference", 1)[1]
+    block = reference.split("```yaml\n", 1)[1].split("```", 1)[0]
+    listed = yaml.safe_load(block)
+    assert {section: list(keys) for section, keys in listed.items()} == _KNOWN
 
 
 def test_unreadable_or_malformed_config_is_a_clean_error(tmp_path, capsys):

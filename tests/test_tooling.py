@@ -7,6 +7,8 @@ these tests make it fail the suite instead.  The same holds for the
 configs the benchmark workloads hand to the command line.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 from netepi import cli, netgen, simulate
@@ -60,10 +62,11 @@ def test_span_observers_read_lazy_counts(monkeypatch):
 
 
 def test_benchmark_configs_are_read_by_their_commands(monkeypatch, tmp_path):
-    # every config the benchmark writes must pass the command-line checks
+    # every config the benchmark writes must pass the full typed resolution
     # of the command it runs (or, for network_large, which runs no command,
-    # of `simulate`, whose resolution `model_params` mirrors), so a
-    # stricter table fails the suite instead of a benchmark run
+    # of `simulate`, whose resolution `model_params` mirrors), and
+    # bench/setup_probe.py must load each workload's probe config, so a
+    # stricter config table fails the suite instead of a benchmark run
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
@@ -74,7 +77,18 @@ def test_benchmark_configs_are_read_by_their_commands(monkeypatch, tmp_path):
              ("generate", workloads.GenerateIO(0, tmp_path).cfg, 1)]
     for command, cfg, seed in runs:
         path = workloads.write_config(tmp_path / "c.yaml", cfg)
-        cli._command_config(command, path, seed=seed)
+        typed = cli._command_config(command, path, seed=seed)
+        assert set(typed) == {section for section, keys
+                              in cli._READS[command].items() if keys}
         if "model" in cfg:
             workloads.model_params(
                 {"infection": {"kind": "constant", "p_i": 0.0}, **cfg})
+
+    for name, workload in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        probe = workload(0, tmp_path / name).probe_config
+        proc = subprocess.run(
+            [sys.executable, str(BENCH / "setup_probe.py"), str(probe)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        float(proc.stdout)  # the probe's perf_counter reading
