@@ -28,10 +28,10 @@ as `Network.adjacency`.
 
 `write_network` and `read_network` round-trip a plain-text edge list
 (format and grammar in the comment above them) without a Python step per
-edge: the writer formats chunks of 2**16 edges with one str.format call
-per line over Python lists, and the reader parses blocks of 2**16 lines
-with a numpy tokenizer and integer parser, so memory stays bounded by
-the chunk size.
+edge: the writer lays out chunks of 2**16 edges in a byte buffer and
+writes the decimal digits of each column with numpy, one pass per digit
+place, and the reader parses blocks of 2**16 lines with a numpy
+tokenizer and integer parser, so memory stays bounded by the chunk size.
 """
 
 from __future__ import annotations
@@ -406,20 +406,26 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
 # household by household, matching the generator's layout.
 #
 # Both directions work in chunks of _IO_CHUNK edges or lines, so memory
-# stays bounded.  The writer formats a chunk with one str.format per
-# line over Python lists and patches in the label fields of labelled
-# edges by index.  The reader joins a block of lines, hands the "#"
-# lines to _read_header, and tokenises and parses the rest in numpy
-# (_parse_block, _parse_ints).
+# stays bounded.  The writer counts the decimal digits of every number
+# in a chunk, takes each line's length and offset from one cumsum, and
+# fills a byte buffer by position: spaces, the kind and the newline, then
+# the digits, one divide-by-ten pass per digit place (_format_edges,
+# _put_decimal).  It hands the chunk to the text file as one str, so a
+# caller's own lines before it stay in order.  The reader joins a block
+# of lines, hands the "#" lines to _read_header, and tokenises and parses
+# the rest in numpy (_parse_block, _parse_ints).
 
 _IO_CHUNK = 1 << 16
-_KIND_NAMES = np.array(["global", "local"], dtype=object)
 _LOCAL = np.frombuffer(b"local", dtype=np.uint8)
+_LOCAL_PADDED = np.frombuffer(b"local ", dtype=np.uint8)
 _GLOBAL = np.frombuffer(b"global", dtype=np.uint8)
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 _MAX_DIGITS = 18  # any 18-digit decimal fits in int64
 
 
 def write_network(net: Network, out: Union[str, TextIO]) -> None:
+    """Write `net` in the edge-list format above to a path or an open
+    text file, at the file's current position."""
     if isinstance(out, str):
         with open(out, "w") as fh:
             write_network(net, fh)
@@ -431,16 +437,66 @@ def write_network(net: Network, out: Union[str, TextIO]) -> None:
               f"{net.discarded_local}\n")
     for lo in range(0, net.n_edges, _IO_CHUNK):
         part = slice(lo, lo + _IO_CHUNK)
-        q_u, q_v = net.stub_q_u[part], net.stub_q_v[part]
-        tails = np.full(q_u.size, "", dtype=object)
-        labelled = np.flatnonzero(q_u | q_v)
-        tails[labelled] = list(map(" {} {}".format, q_u[labelled].tolist(),
-                                   q_v[labelled].tolist()))
-        kinds = _KIND_NAMES[net.edge_local[part].astype(np.intp)]
-        out.write("".join(map("{} {} {}{}\n".format,
-                              net.edges_u[part].tolist(),
-                              net.edges_v[part].tolist(),
-                              kinds.tolist(), tails.tolist())))
+        out.write(_format_edges(net.edges_u[part], net.edges_v[part],
+                                net.edge_local[part], net.stub_q_u[part],
+                                net.stub_q_v[part]))
+
+
+def _format_edges(u, v, local, q_u, q_v) -> str:
+    """The edge lines of aligned, non-empty edge columns."""
+    u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
+    labelled = np.flatnonzero(q_u | q_v)
+    q_u = np.asarray(q_u[labelled], np.int64)
+    q_v = np.asarray(q_v[labelled], np.int64)
+    w_u, w_v = _decimal_width(u), _decimal_width(v)
+    w_qu, w_qv = _decimal_width(q_u), _decimal_width(q_v)
+    # "u v kind", then " qu qv" on labelled edges, then the newline
+    kind_offset = w_u + w_v + 2
+    line_len = kind_offset + np.where(local, 6, 7)
+    line_len[labelled] += w_qu + w_qv + 2
+    line_end = np.cumsum(line_len)
+    kind = line_end - line_len + kind_offset
+    # one spare byte at the end takes the writes that land nowhere
+    buf = np.full(int(line_end[-1]) + 1, ord(" "), dtype=np.uint8)
+    buf[kind[:, None] + np.arange(6)] = np.where(local[:, None],
+                                                 _LOCAL_PADDED, _GLOBAL)
+    buf[line_end - 1] = ord("\n")
+    _put_decimal(buf, kind - 2 - w_v, u, w_u)
+    _put_decimal(buf, kind - 1, v, w_v)
+    q_end = line_end[labelled] - 1
+    _put_decimal(buf, q_end - 1 - w_qv, q_u, w_qu)
+    _put_decimal(buf, q_end, q_v, w_qv)
+    return buf[:-1].tobytes().decode("ascii")
+
+
+def _decimal_width(x: np.ndarray) -> np.ndarray:
+    """len(str(x[i])) for each int64 x[i]."""
+    magnitude = np.abs(x)
+    width = 1 + (x < 0)
+    for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= magnitude.max(initial=0)]:
+        width += magnitude >= power
+    return width
+
+
+def _put_decimal(buf: np.ndarray, end: np.ndarray, x: np.ndarray,
+                 width: np.ndarray) -> None:
+    """Write str(x[i]) into buf[end[i] - width[i]:end[i]] for each i.
+
+    One pass per digit place; a place beyond a number's digits writes to
+    buf's last byte instead, which the caller drops.
+    """
+    spare = buf.size - 1
+    negative = x < 0
+    digits = width - negative
+    most = int(digits.max(initial=0))
+    # uint32 divides by 10 several times faster than int64
+    rest = np.abs(x).astype(np.uint32 if most <= 9 else np.uint64)
+    for place in range(most):
+        quotient = rest // 10
+        buf[np.where(digits > place, end - 1 - place, spare)] = (
+            rest - quotient * 10 + ord("0"))
+        rest = quotient
+    buf[np.where(negative, end - width, spare)] = ord("-")
 
 
 def read_network(src: Union[str, TextIO, Iterable[str]]) -> Network:

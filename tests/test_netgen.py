@@ -320,6 +320,88 @@ def test_writer_matches_reference_writer():
         assert ng.network_to_string(net) == reference_text(net)
 
 
+def edge_network(n, u, v, local, q_u, q_v):
+    """A one-household network on n nodes with the given edge columns."""
+    return ng.Network(n, np.zeros(n, dtype=np.int64), np.array([n]),
+                      np.asarray(u, dtype=np.int64),
+                      np.asarray(v, dtype=np.int64),
+                      np.asarray(local, dtype=bool),
+                      np.asarray(q_u, dtype=np.int16),
+                      np.asarray(q_v, dtype=np.int16))
+
+
+def test_writer_matches_reference_at_digit_boundaries():
+    # every endpoint width from 1 to 7 digits against every other, with
+    # label pairs of every width, one-sided ones included, on local and
+    # global edges
+    ends = [0, 9, 10, 99, 100, 999, 1_000, 9_999, 10_000, 99_999, 100_000,
+            999_999, 1_000_000]
+    labels = [0, 1, 9, 10, 99, 100, 9_999, 10_000, ng.MAX_BLOCKS]
+    u, v, q_u, q_v, local = (grid.ravel() for grid in np.meshgrid(
+        ends, ends, labels, labels, [False, True], indexing="ij"))
+    net = edge_network(1_000_001, u, v, local, q_u, q_v)
+    one_sided = (q_u == 0) != (q_v == 0)
+    assert one_sided[local].any() and one_sided[~local].any()
+    text = ng.network_to_string(net)
+    assert text == reference_text(net)
+    assert ng.read_network(io.StringIO(text)) == net
+
+
+@pytest.mark.parametrize("top", [10**9 - 1, 2**32 - 1, 2**32, 2**63 - 1])
+def test_writer_writes_values_outside_the_format_as_str_does(top):
+    # the reader rejects these, but the writer still writes what it is
+    # given: signs, and endpoints as wide as int64 allows
+    ends = [-top, -1_000, -1, 0, 7, top // 10, top]
+    labels = [-32_768, -10, -1, 0, 3]
+    u, v, q = (grid.ravel() for grid in np.meshgrid(ends, ends, labels,
+                                                    indexing="ij"))
+    net = edge_network(3, u, v, u % 2 == 0, q, q[::-1])
+    assert ng.network_to_string(net) == reference_text(net)
+
+
+@pytest.mark.parametrize("n_edges", [ng._IO_CHUNK - 1, ng._IO_CHUNK,
+                                     ng._IO_CHUNK + 1, 2 * ng._IO_CHUNK])
+@pytest.mark.parametrize("labelled_first", [True, False])
+def test_writer_matches_reference_across_chunk_seams(n_edges, labelled_first):
+    # the last line of a chunk and the first of the next differ in
+    # whether they carry labels
+    rng = np.random.default_rng(n_edges)
+    n = 5_000
+    q_u = np.where(rng.random(n_edges) < 0.3,
+                   rng.integers(0, 200, n_edges), 0)
+    q_v = np.where(rng.random(n_edges) < 0.3,
+                   rng.integers(0, 200, n_edges), 0)
+    seams = np.arange(ng._IO_CHUNK, n_edges, ng._IO_CHUNK)
+    for line, labelled in [([n_edges - 1], labelled_first),
+                           (seams - 1, labelled_first),
+                           (seams, not labelled_first)]:
+        q_u[line], q_v[line] = (17, 4) if labelled else (0, 0)
+    net = edge_network(n, rng.integers(0, n, n_edges),
+                       rng.integers(0, n, n_edges),
+                       rng.random(n_edges) < 0.5, q_u, q_v)
+    assert ng.network_to_string(net) == reference_text(net)
+
+
+def test_writer_appends_to_an_open_text_file(tmp_path):
+    # generate writes its "# config:" line first and then the network
+    # into the same file; the span tracer reads the bytes written from
+    # the file position
+    net = ng.rewire(ng.build_network(
+        small_spec(n=20_000, global_degree=dd.poisson(8.0), r=-0.5, n_q=7),
+        42), 0.3, 43)
+    assert net.n_edges > ng._IO_CHUNK
+    header = '# config: {"seed": 1}\n'
+    path = tmp_path / "network.txt"
+    with open(path, "w") as fh:
+        fh.write(header)
+        before = fh.tell()
+        ng.write_network(net, fh)
+        after = fh.tell()
+    text = ng.network_to_string(net)
+    assert path.read_text() == header + text
+    assert after - before == len(text.encode())
+
+
 def decorated(text, rng):
     """The same file with foreign comments and blank lines in the middle,
     leading and trailing whitespace on every line, and CRLF line ends."""

@@ -92,3 +92,31 @@ def test_benchmark_configs_are_read_by_their_commands(monkeypatch, tmp_path):
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         float(proc.stdout)  # the probe's perf_counter reading
+
+
+def test_write_span_counts_the_bytes_of_the_edge_list(monkeypatch, tmp_path):
+    # netgen.write_network.bytes is the file position moved by the call:
+    # everything generate writes to network.txt after its "# config:" line
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    import workloads
+
+    cfg = {"model": {"gamma": 10.0, "mu": 2.0, "r": 0.5, "n_q": 10,
+                     "p_rw": 0.3},
+           "simulation": {"n": 30_000}}
+    path = workloads.write_config(tmp_path / "generate.yaml", cfg)
+    tracer = spans.Tracer("t")
+    tracer.install()
+    try:
+        assert cli.main(["generate", "--config", str(path), "--out",
+                         str(tmp_path / "out"), "--seed", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    written = [rec[6]["bytes"] for rec in tracer.spans
+               if rec[2] == "netgen.write_network"]
+    network = (tmp_path / "out" / "network.txt").read_bytes()
+    config_line = network[:network.index(b"\n") + 1]
+    assert config_line.startswith(b"# config: ")
+    assert written == [len(network) - len(config_line)]
+    # the header lines, then more than one chunk of edge lines
+    assert network.count(b"\n") > 4 + netgen._IO_CHUNK
