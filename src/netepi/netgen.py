@@ -30,8 +30,10 @@ as `Network.adjacency`.
 (format and grammar in the comment above them) without a Python step per
 edge: the writer lays out chunks of 2**16 edges in a byte buffer and
 writes the decimal digits of each column with numpy, one pass per digit
-place, and the reader parses blocks of 2**16 lines with a numpy
-tokenizer and integer parser, so memory stays bounded by the chunk size.
+place, and the reader parses blocks of whole lines with a numpy
+tokenizer and integer parser.  A path is read as raw bytes, 256 KiB at a
+time, and an open file or an iterable of lines 2**16 lines at a time, so
+memory stays bounded by the block size.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import io
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, TextIO, Union
+from typing import BinaryIO, Iterable, TextIO, Union
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -224,7 +226,8 @@ def _draw_household_sizes(household: DiscreteDist, n: int,
 
 def _household_edges(sizes: np.ndarray, starts: np.ndarray):
     chunks_u, chunks_v = [], []
-    for s in np.unique(sizes):
+    # the sizes present, ascending, as np.unique gives them
+    for s in np.flatnonzero(np.bincount(sizes)):
         if s < 2:
             continue
         hs = starts[sizes == s]
@@ -359,7 +362,7 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
 
     new_u, new_v = [], []
     disc_local = 0
-    for h in np.unique(stub_label):
+    for h in np.flatnonzero(np.bincount(stub_label)):
         u, v, disc = _pair_uniform(stub_owner[stub_label == h], rng)
         disc_local += disc
         new_u.append(u)
@@ -393,6 +396,8 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
 #   0 1 local
 #   4 9 global 2 7            (block labels of the two stubs, if any)
 #
+# In a file named by its path, a line ends at "\n", "\r" or "\r\n", as
+# in a file opened as text; an iterable gives one line per element.
 # Every line is read with its leading and trailing whitespace stripped;
 # blank lines are skipped.  A line whose first character is "#" is a
 # header or a comment: #n (n >= 1), #households (sizes >= 1 summing to n)
@@ -402,20 +407,27 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
 # fields split on whitespace, the endpoints, the kind ("local" or
 # "global") and optionally the two block labels (0..MAX_BLOCKS).  Numbers
 # are ASCII decimal integers with an optional sign; a "#" after an edge
-# is not a comment, so the line is rejected.  Nodes are numbered
+# is not a comment, so the line is rejected.  Non-ASCII text (UTF-8 in a
+# file named by its path) may appear only in "#" lines.  Nodes are numbered
 # household by household, matching the generator's layout.
 #
-# Both directions work in chunks of _IO_CHUNK edges or lines, so memory
-# stays bounded.  The writer counts the decimal digits of every number
-# in a chunk, takes each line's length and offset from one cumsum, and
-# fills a byte buffer by position: spaces, the kind and the newline, then
-# the digits, one divide-by-ten pass per digit place (_format_edges,
+# Both directions work in bounded blocks.  The writer takes _IO_CHUNK
+# edges at a time: it counts the decimal digits of every number in the
+# chunk, takes each line's length and offset from one cumsum, and fills a
+# byte buffer by position: spaces, the kind and the newline, then the
+# digits, one divide-by-ten pass per digit place (_format_edges,
 # _put_decimal).  It hands the chunk to the text file as one str, so a
-# caller's own lines before it stay in order.  The reader joins a block
-# of lines, hands the "#" lines to _read_header, and tokenises and parses
-# the rest in numpy (_parse_block, _parse_ints).
+# caller's own lines before it stay in order.  The reader has two front
+# ends that feed one parser the bytes of whole lines and each line's end
+# offset: a path is read in binary, _READ_BLOCK bytes at a time, cut after
+# the last line end (_byte_blocks); an open text file or an iterable of
+# lines is joined and encoded _IO_CHUNK lines at a time (_line_blocks).
+# The parser finds the tokens in numpy, decodes only the "#" lines for
+# _read_header and parses the edge lines' integers in numpy
+# (_parse_block, _parse_ints).
 
 _IO_CHUNK = 1 << 16
+_READ_BLOCK = 1 << 18  # bytes
 _LOCAL = np.frombuffer(b"local", dtype=np.uint8)
 _LOCAL_PADDED = np.frombuffer(b"local ", dtype=np.uint8)
 _GLOBAL = np.frombuffer(b"global", dtype=np.uint8)
@@ -506,14 +518,13 @@ def read_network(src: Union[str, TextIO, Iterable[str]]) -> Network:
     Raises ValueError, naming the offending line where there is one,
     for anything outside that format.
     """
-    if isinstance(src, str):
-        with open(src) as fh:
-            return read_network(fh)
     header = {"n": None, "sizes": None, "discarded": (0, 0, 0)}
-    lines = iter(src)
-    blocks = []
-    while block := list(islice(lines, _IO_CHUNK)):
-        blocks.append(_parse_block(block, header))
+    if isinstance(src, str):
+        with open(src, "rb") as fh:
+            blocks = [_parse_block(*block, header)
+                      for block in _byte_blocks(fh)]
+    else:
+        blocks = [_parse_block(*block, header) for block in _line_blocks(src)]
     n, sizes = header["n"], header["sizes"]
     if n is None or sizes is None:
         raise ValueError("missing #n or #households header")
@@ -527,6 +538,46 @@ def read_network(src: Union[str, TextIO, Iterable[str]]) -> Network:
     household_index = np.repeat(np.arange(sizes.size), sizes)
     return Network(n, household_index, sizes, edges_u, edges_v, edge_local,
                    stub_q_u, stub_q_v, *header["discarded"])
+
+
+def _byte_blocks(fh: BinaryIO):
+    """(data, line_end) blocks of whole lines of a binary file, read
+    _READ_BLOCK bytes at a time: data holds the lines' bytes as uint8 and
+    line_end[i] is the offset just past line i.  A line ends after "\n"
+    or "\r", so "\r\n" leaves a blank line, which is skipped; the
+    file's last line needs no end.  A line longer than a block is carried
+    into the next."""
+    carry = b""
+    while chunk := fh.read(_READ_BLOCK):
+        raw = np.frombuffer(chunk, dtype=np.uint8)
+        ends = np.flatnonzero((raw == ord("\n")) | (raw == ord("\r")))
+        if ends.size == 0:
+            carry += chunk
+            continue
+        cut = int(ends[-1]) + 1
+        yield (np.frombuffer(carry + chunk[:cut], dtype=np.uint8),
+               ends + (len(carry) + 1))
+        carry = chunk[cut:]
+    if carry:
+        yield np.frombuffer(carry, dtype=np.uint8), np.array([len(carry)])
+
+
+def _line_blocks(lines: Iterable[str]):
+    """The (data, line_end) blocks of _byte_blocks for _IO_CHUNK lines of
+    an iterable at a time, UTF-8 encoded: each element is one line, to
+    which a "\n" is added.  Lone surrogates pass through, so that a
+    comment may hold them as it may in a str."""
+    lines = iter(lines)
+    while block := list(islice(lines, _IO_CHUNK)):
+        text = "\n".join(block) + "\n"
+        data = text.encode("utf-8", "surrogatepass")
+        if len(data) == len(text):
+            size = np.fromiter(map(len, block), dtype=np.int64,
+                               count=len(block))
+        else:
+            size = np.array([len(line.encode("utf-8", "surrogatepass"))
+                             for line in block], dtype=np.int64)
+        yield np.frombuffer(data, dtype=np.uint8), np.cumsum(size + 1)
 
 
 def _read_header(line: str, header: dict) -> None:
@@ -551,76 +602,86 @@ def _read_header(line: str, header: dict) -> None:
         raise ValueError(f"bad header line {line!r}")
 
 
-def _parse_block(block: list, header: dict):
+def _parse_block(data: np.ndarray, line_end: np.ndarray, header: dict):
     """(edges_u, edges_v, edge_local, stub_q_u, stub_q_v) of a block of
-    lines; its "#" lines go to _read_header in order."""
-    text = "".join(block)
-    if "#" in text:
-        for i, raw in enumerate(block):
-            if "#" in raw and raw.strip().startswith("#"):
-                _read_header(raw.strip(), header)
-                block[i] = ""
-        text = "".join(block)
-    line_end = np.cumsum(np.fromiter(map(len, block), dtype=np.int64,
-                                     count=len(block)))
+    whole lines from _byte_blocks or _line_blocks, in which every line but
+    the last ends in a space; its "#" lines go to _read_header in order."""
+
+    def line(i):
+        text = data[line_end[i - 1] if i else 0 : line_end[i]].tobytes()
+        return text.decode("utf-8", "surrogatepass").strip()
 
     def bad(what, offset):
-        line = block[int(np.searchsorted(line_end, offset, side="right"))]
-        return ValueError(f"{what} {line.strip()!r}")
+        i = int(np.searchsorted(line_end, offset, side="right"))
+        return ValueError(f"{what} {line(i)!r}")
 
-    try:
-        data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError as err:
-        raise bad("non-ASCII character in line", err.start) from None
+    # a token is a run of non-spaces, the spaces being the ASCII
+    # characters str.split() splits on (9..13 and 28..32); with a space
+    # padded on each side the mask changes at token starts and ends in turn
+    pad = np.ones(data.size + 2, dtype=bool)
+    pad[1:-1] = ((data - np.uint8(9)) <= 4) | ((data - np.uint8(28)) <= 4)
+    bounds = np.flatnonzero(pad[1:] != pad[:-1])
+    start, end = bounds[::2], bounds[1::2]
 
-    # a token runs from a non-space after a space or a line start to a
-    # non-space before a space or a line end; the spaces are the ASCII
-    # characters str.split() splits on, 9..13 and 28..32
-    space = ((data - np.uint8(9)) <= 4) | ((data - np.uint8(28)) <= 4)
-    filled = line_end[np.diff(line_end, prepend=0) > 0]
-    after_gap = np.ones(data.size, dtype=bool)
-    after_gap[1:] = space[:-1]
-    after_gap[filled[:-1]] = True
-    before_gap = np.ones(data.size, dtype=bool)
-    before_gap[:-1] = space[1:]
-    before_gap[filled - 1] = True
-    start = np.flatnonzero(~space & after_gap)
-    end = np.flatnonzero(~space & before_gap) + 1
+    through = np.searchsorted(start, line_end)
+    per_line = np.diff(through, prepend=0)
+    first = through - per_line
+    comment = per_line > 0
+    comment[comment] = data[start[first[comment]]] == ord("#")
+    # a line with non-ASCII bytes is judged on its decoded text: a
+    # comment if that starts with "#" once stripped, else rejected
+    non_ascii = np.unique(np.searchsorted(
+        line_end, np.flatnonzero(data >= 0x80), side="right"))
+    for i in non_ascii[~comment[non_ascii]]:
+        comment[i] = line(i).startswith("#")
+    for i in np.flatnonzero(comment):
+        _read_header(line(i), header)
+    rejected = non_ascii[~comment[non_ascii]]
+    if rejected.size:
+        raise ValueError(f"non-ASCII character in line {line(rejected[0])!r}")
 
-    per_line = np.diff(np.searchsorted(start, line_end), prepend=0)
-    wrong = (per_line != 0) & (per_line != 3) & (per_line != 5)
+    edge = (per_line > 0) & ~comment
+    per_line, first = per_line[edge], first[edge]
+    wrong = (per_line != 3) & (per_line != 5)
     if wrong.any():
-        raise bad("bad edge line", line_end[np.argmax(wrong)] - 1)
-    first = (np.cumsum(per_line) - per_line)[per_line > 0]
-    five = per_line[per_line > 0] == 5
+        raise bad("bad edge line", start[first[np.argmax(wrong)]])
+    five = per_line == 5
 
-    kind, width = start[first + 2], end[first + 2] - start[first + 2]
+    kind_end = end[first + 2]
+    width = kind_end - start[first + 2]
     local, glob = width == 5, width == 6
-    for j in range(6):
-        char = data[np.minimum(kind + j, data.size - 1)]
-        if j < 5:
-            local &= char == _LOCAL[j]
-        glob &= char == _GLOBAL[j]
+    # read each kind backwards from its end; two tokens and two spaces
+    # come before it, so kind_end - j >= -1 and never leaves the data
+    for j in range(1, 7):
+        char = data[kind_end - j]
+        if j <= 5:
+            local &= char == _LOCAL[-j]
+        glob &= char == _GLOBAL[-j]
     known = local | glob
     if not known.all():
-        raise bad("bad edge kind in line", kind[np.argmin(known)])
+        raise bad("bad edge kind in line", kind_end[np.argmin(known)] - 1)
 
-    number = np.concatenate([first, first + 1, first[five] + 3,
-                             first[five] + 4])
-    values, valid = _parse_ints(data, start[number], end[number])
-    if not valid.all():
-        raise bad("bad edge line", start[number[np.argmin(valid)]])
+    def integers(token):
+        values, valid = _parse_ints(data, start[token], end[token])
+        if not valid.all():
+            raise bad("bad edge line", start[token[np.argmin(valid)]])
+        return values
+
+    # endpoints and labels apart, so that short labels take no more
+    # Horner passes than their own digits
     m, k = first.size, int(five.sum())
-    labels = values[2 * m:]
+    ends = integers(np.concatenate([first, first + 1]))
+    label_token = np.concatenate([first[five] + 3, first[five] + 4])
+    labels = integers(label_token)
     if labels.size and (labels.min() < 0 or labels.max() > MAX_BLOCKS):
         outside = (labels < 0) | (labels > MAX_BLOCKS)
         raise bad(f"block label outside 0..{MAX_BLOCKS} in line",
-                  start[number[2 * m + np.argmax(outside)]])
+                  start[label_token[np.argmax(outside)]])
     stub_q_u = np.zeros(m, dtype=np.int16)
     stub_q_v = np.zeros(m, dtype=np.int16)
     stub_q_u[five] = labels[:k]
     stub_q_v[five] = labels[k:]
-    return values[:m], values[m:2 * m], local, stub_q_u, stub_q_v
+    return ends[:m], ends[m:], local, stub_q_u, stub_q_v
 
 
 def _parse_ints(data: np.ndarray, start: np.ndarray, end: np.ndarray):
@@ -635,22 +696,29 @@ def _parse_ints(data: np.ndarray, start: np.ndarray, end: np.ndarray):
     negative = sign == ord("-")
     start = start + (negative | (sign == ord("+")))
     width = end - start
-    valid = width > 0
     w = min(int(width.max(initial=1)), _MAX_DIGITS)
-    values = np.zeros(start.size, dtype=np.int64)
+    # zeros before the data keep end - j in range for every j <= w
+    padded = np.full(w + data.size, ord("0"), dtype=np.uint8)
+    padded[w:] = data
+    # uint32 holds any 9-digit decimal and multiplies faster than int64
+    values = np.zeros(start.size, dtype=np.uint32 if w <= 9 else np.int64)
+    largest = np.zeros(start.size, dtype=np.uint8)
     # Horner over the last w characters of each token, the j-th from the
-    # right read as 0 where the token is shorter than j
+    # right read as 0 where the token is shorter than j; a non-digit
+    # reads as more than 9
     for j in range(w, 0, -1):
-        digit = data[np.maximum(end - j, 0)] - np.uint8(ord("0"))
-        digit[width < j] = 0
-        valid &= digit <= 9
+        digit = padded[w - j:][end] - np.uint8(ord("0"))
+        digit *= width >= j
+        np.maximum(largest, digit, out=largest)
         values *= 10
         values += digit
+    valid = (width > 0) & (largest <= 9)
     long = np.flatnonzero(width > w)
     if long.size:
         # characters before the last w must all be zeros
         nonzero = np.concatenate(([0], np.cumsum(data != ord("0"))))
         valid[long] &= nonzero[end[long] - w] == nonzero[start[long]]
+    values = values.astype(np.int64, copy=False)
     np.negative(values, out=values, where=negative)
     return values, valid
 

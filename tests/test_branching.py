@@ -7,11 +7,13 @@ table with the implementation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from netepi.branching import (
     AnalyticReport,
@@ -469,10 +471,27 @@ def test_threshold_monotone_in_transmission(w1, w2, w3, gmu, r, p_lo):
     tot = w1 + w2 + w3
     h = from_pmf({1: w1 / tot, 2: w2 / tot, 3: w3 / tot})
     g = poisson(gmu)
-    lo = BranchingModel(params(h, g, r=r, n_q=4, p_i=p_lo)).r_star()
-    hi = BranchingModel(params(h, g, r=r, n_q=4, p_i=min(1.0, p_lo * 2))).r_star()
+    lo, hi = (_r_star_warning_iff_reducible(
+        BranchingModel(params(h, g, r=r, n_q=4, p_i=p)))
+        for p in (p_lo, min(1.0, p_lo * 2)))
     assert lo >= 0.0
     assert hi >= lo - 1e-12
+
+
+def _r_star_warning_iff_reducible(model):
+    """model.r_star(), checking that it warns of a reducible mean matrix
+    exactly when the matrix has more than one strong component (with few
+    global stubs, as at gmu = 1, the lowest block can have no offspring,
+    which leaves a zero row or column)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ReducibleMatrixWarning)
+        value = model.r_star()
+    warned = any(issubclass(w.category, ReducibleMatrixWarning)
+                 for w in caught)
+    components, _ = connected_components(model.mean_matrix().entries > 0,
+                                         connection="strong")
+    assert warned == (components > 1)
+    return value
 
 
 # -- Monte Carlo oracle comparisons -------------------------------------

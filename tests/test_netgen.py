@@ -505,6 +505,79 @@ def test_bad_line_is_named_in_later_blocks():
         ng.read_network(lines)
 
 
+def read_outcome(read, src):
+    """What `read` makes of `src`: a Network, or the class of its error."""
+    try:
+        return read(src)
+    except Exception as err:
+        return type(err)
+
+
+def path_outcome(text, tmp_path, monkeypatch, block_sizes):
+    """Read `text` from a UTF-8 file by its path at each of `block_sizes`
+    bytes per block; each read must give what an open file, a list of
+    its lines and reference_read_network give.  Returns that outcome."""
+    path = tmp_path / "seams.txt"
+    path.write_bytes(text.encode("utf-8"))
+    lines = io.StringIO(text, newline="").readlines()
+    expected = read_outcome(reference_read_network, lines)
+    with open(path, encoding="utf-8") as fh:
+        assert read_outcome(ng.read_network, fh) == expected
+    assert read_outcome(ng.read_network, lines) == expected
+    for size in block_sizes:
+        monkeypatch.setattr(ng, "_READ_BLOCK", size)
+        assert read_outcome(ng.read_network, str(path)) == expected, size
+    return expected
+
+
+SHORT_HEAD = "#n 4\n#households 2,2\n"
+
+
+@pytest.mark.parametrize("text, accepted", [
+    # a "\r\n" split after its "\r" at block size index + 1
+    (SHORT_HEAD.replace("\n", "\r\n") + "0 1 local\r\n2 3 global 1 2\r\n",
+     True),
+    ("#n 4\r#households 2,2\r0 1 local\r2 3 global 1 2\r", True),
+    (SHORT_HEAD + "0 1 local\n2 3 global 1 2", True),
+    # UTF-8 characters of two and three bytes, split at some sizes
+    (SHORT_HEAD + "# réseau — ✓\n0 1 local\n\u3000#ünï\n2 3 local\n", True),
+    (SHORT_HEAD + "0 1 local\n2 3 lócal\n", False),
+], ids=["crlf", "lone_cr", "no_final_newline", "utf8_comment",
+        "non_ascii_edge"])
+def test_path_reader_matches_other_inputs_at_every_block_seam(
+        text, accepted, tmp_path, monkeypatch):
+    sizes = range(1, len(text.encode("utf-8")) + 2)
+    outcome = path_outcome(text, tmp_path, monkeypatch, sizes)
+    assert isinstance(outcome, ng.Network) == accepted
+    if not accepted:
+        path = tmp_path / "seams.txt"
+        for size in sizes:
+            monkeypatch.setattr(ng, "_READ_BLOCK", size)
+            with pytest.raises(ValueError, match="line"):
+                ng.read_network(str(path))
+
+
+def test_path_reader_carries_a_line_longer_than_a_block(tmp_path,
+                                                         monkeypatch):
+    sizes = [1] * 300 + [2]
+    text = (f"#n 302\n#households {','.join(map(str, sizes))}\n"
+            "300 301 local\n")
+    assert len(text.splitlines()[1]) > 600
+    net = path_outcome(text, tmp_path, monkeypatch,
+                       [7, 64, 256, ng._READ_BLOCK])
+    assert net.household_sizes.tolist() == sizes
+
+
+def test_path_reader_names_a_bad_line_several_blocks_in(tmp_path,
+                                                        monkeypatch):
+    text = SHORT_HEAD + "0 1 local\n" * 200 + "2 3 local # x\n" + "0 1 local\n"
+    assert path_outcome(text, tmp_path, monkeypatch, [16, 64]) is ValueError
+    for size in (16, 64):
+        monkeypatch.setattr(ng, "_READ_BLOCK", size)
+        with pytest.raises(ValueError, match="2 3 local # x"):
+            ng.read_network(str(tmp_path / "seams.txt"))
+
+
 def test_block_count_bounded_by_int16_labels():
     # stub block labels are int16, so 32767 blocks is the most a spec can ask
     assert small_spec(n_q=ng.MAX_BLOCKS).n_q == 32767

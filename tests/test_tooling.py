@@ -120,3 +120,29 @@ def test_write_span_counts_the_bytes_of_the_edge_list(monkeypatch, tmp_path):
     assert written == [len(network) - len(config_line)]
     # the header lines, then more than one chunk of edge lines
     assert network.count(b"\n") > 4 + netgen._IO_CHUNK
+
+
+def test_read_span_is_one_per_call_and_counts_the_file(monkeypatch, tmp_path):
+    # netgen.read_network.bytes is the size of the file named by the path;
+    # each call must leave exactly one span, whatever the reader calls
+    # inside
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    import workloads
+
+    cfg = {"model": {"gamma": 10.0, "mu": 2.0, "r": 0.5, "n_q": 10,
+                     "p_rw": 0.3},
+           "simulation": {"n": 2_000}}
+    path = workloads.write_config(tmp_path / "generate.yaml", cfg)
+    assert cli.main(["generate", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--seed", "1"]) == 0
+    network = tmp_path / "out" / "network.txt"
+    tracer = spans.Tracer("t")
+    tracer.install()
+    try:
+        nets = [netgen.read_network(str(network)) for _ in range(2)]
+    finally:
+        tracer.uninstall()
+    read = [rec for rec in tracer.spans if rec[2] == "netgen.read_network"]
+    assert [rec[6]["bytes"] for rec in read] == [network.stat().st_size] * 2
+    assert nets[0] == nets[1] and nets[0].n == 2_000
