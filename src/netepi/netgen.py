@@ -31,18 +31,19 @@ as `Network.adjacency`.
 edge: the writer lays out chunks of 2**16 edges in a byte buffer and
 writes the decimal digits of each column with numpy, one pass per digit
 place, and the reader parses blocks of whole lines with a numpy
-tokenizer and integer parser.  A path is read as raw bytes, 256 KiB at a
-time, and an open file or an iterable of lines 2**16 lines at a time, so
-memory stays bounded by the block size.
+tokenizer and integer parser.  A path is read as raw bytes and an open
+text file as its UTF-8 encoding, 2**18 bytes or characters at a time, so
+memory stays bounded by the block size, and both take one line-end rule.
+A bad file's error names its first bad line, at any block size.
 """
 
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import BinaryIO, Iterable, TextIO, Union
+from typing import Callable, TextIO, Union
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -396,20 +397,21 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
 #   0 1 local
 #   4 9 global 2 7            (block labels of the two stubs, if any)
 #
-# In a file named by its path, a line ends at "\n", "\r" or "\r\n", as
-# in a file opened as text; an iterable gives one line per element.
-# Every line is read with its leading and trailing whitespace stripped;
-# blank lines are skipped.  A line whose first character is "#" is a
-# header or a comment: #n (n >= 1), #households (sizes >= 1 summing to n)
-# and #discarded (three counts >= 0) are headers, the last of each kind
-# wins, and any other "#" line is skipped, so callers may prepend their
-# own provenance comments.  Every other line is an edge: three or five
-# fields split on whitespace, the endpoints, the kind ("local" or
-# "global") and optionally the two block labels (0..MAX_BLOCKS).  Numbers
-# are ASCII decimal integers with an optional sign; a "#" after an edge
-# is not a comment, so the line is rejected.  Non-ASCII text (UTF-8 in a
-# file named by its path) may appear only in "#" lines.  Nodes are numbered
-# household by household, matching the generator's layout.
+# A line ends at "\n", "\r" or "\r\n", in a file named by its path as in
+# an open text file.  Every line is read with its leading and trailing
+# whitespace stripped; blank lines are skipped.  A line whose first
+# character is "#" is a header or a comment: #n (n >= 1), #households
+# (sizes >= 1 summing to n) and #discarded (three counts >= 0) are
+# headers, the last of each kind wins, and any other "#" line is skipped,
+# so callers may prepend their own provenance comments.  Every other line
+# is an edge: three or five fields split on whitespace, the endpoints, the
+# kind ("local" or "global") and optionally the two block labels
+# (0..MAX_BLOCKS).  Numbers are ASCII decimal integers with an optional
+# sign; a "#" after an edge is not a comment, so the line is rejected.
+# Non-ASCII text, which must be UTF-8 in a file named by its path, may
+# appear only in "#" lines.  Nodes are numbered household by household,
+# matching the generator's layout.  The error for a file with several bad
+# lines names the first of them.
 #
 # Both directions work in bounded blocks.  The writer takes _IO_CHUNK
 # edges at a time: it counts the decimal digits of every number in the
@@ -417,17 +419,16 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
 # byte buffer by position: spaces, the kind and the newline, then the
 # digits, one divide-by-ten pass per digit place (_format_edges,
 # _put_decimal).  It hands the chunk to the text file as one str, so a
-# caller's own lines before it stay in order.  The reader has two front
-# ends that feed one parser the bytes of whole lines and each line's end
-# offset: a path is read in binary, _READ_BLOCK bytes at a time, cut after
-# the last line end (_byte_blocks); an open text file or an iterable of
-# lines is joined and encoded _IO_CHUNK lines at a time (_line_blocks).
-# The parser finds the tokens in numpy, decodes only the "#" lines for
-# _read_header and parses the edge lines' integers in numpy
+# caller's own lines before it stay in order.  The reader reads a path in
+# binary and an open text file encoded to UTF-8, _READ_BLOCK bytes or
+# characters at a time, and cuts each block after its last line end
+# (_byte_blocks).  The parser finds the tokens of a block in numpy,
+# decodes only the "#" lines for _read_header, parses the edge lines'
+# integers in numpy, and raises the first bad line's first fault
 # (_parse_block, _parse_ints).
 
 _IO_CHUNK = 1 << 16
-_READ_BLOCK = 1 << 18  # bytes
+_READ_BLOCK = 1 << 18  # bytes, or characters of a text file
 _LOCAL = np.frombuffer(b"local", dtype=np.uint8)
 _LOCAL_PADDED = np.frombuffer(b"local ", dtype=np.uint8)
 _GLOBAL = np.frombuffer(b"global", dtype=np.uint8)
@@ -435,10 +436,10 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 _MAX_DIGITS = 18  # any 18-digit decimal fits in int64
 
 
-def write_network(net: Network, out: Union[str, TextIO]) -> None:
+def write_network(net: Network, out: Union[str, os.PathLike, TextIO]) -> None:
     """Write `net` in the edge-list format above to a path or an open
     text file, at the file's current position."""
-    if isinstance(out, str):
+    if isinstance(out, (str, os.PathLike)):
         with open(out, "w") as fh:
             write_network(net, fh)
         return
@@ -511,20 +512,24 @@ def _put_decimal(buf: np.ndarray, end: np.ndarray, x: np.ndarray,
     buf[np.where(negative, end - width, spare)] = ord("-")
 
 
-def read_network(src: Union[str, TextIO, Iterable[str]]) -> Network:
-    """Read the edge-list format above from a path, an open text file or
-    an iterable of lines (with or without their newlines).
+def read_network(src: Union[str, os.PathLike, TextIO]) -> Network:
+    """Read the edge-list format above from a path or an open text file.
 
-    Raises ValueError, naming the offending line where there is one,
-    for anything outside that format.
+    Raises ValueError for anything outside that format, naming the
+    file's first bad line where a line is at fault, and TypeError for a
+    `src` that is neither.
     """
     header = {"n": None, "sizes": None, "discarded": (0, 0, 0)}
-    if isinstance(src, str):
+    if isinstance(src, (str, os.PathLike)):
         with open(src, "rb") as fh:
             blocks = [_parse_block(*block, header)
-                      for block in _byte_blocks(fh)]
+                      for block in _byte_blocks(fh.read)]
+    elif hasattr(src, "read"):
+        blocks = [_parse_block(*block, header) for block in _byte_blocks(
+            lambda size: src.read(size).encode("utf-8", "surrogatepass"))]
     else:
-        blocks = [_parse_block(*block, header) for block in _line_blocks(src)]
+        raise TypeError("read_network takes a path or an open text file, "
+                        f"not {type(src).__name__}")
     n, sizes = header["n"], header["sizes"]
     if n is None or sizes is None:
         raise ValueError("missing #n or #households header")
@@ -540,15 +545,15 @@ def read_network(src: Union[str, TextIO, Iterable[str]]) -> Network:
                    stub_q_u, stub_q_v, *header["discarded"])
 
 
-def _byte_blocks(fh: BinaryIO):
-    """(data, line_end) blocks of whole lines of a binary file, read
-    _READ_BLOCK bytes at a time: data holds the lines' bytes as uint8 and
-    line_end[i] is the offset just past line i.  A line ends after "\n"
-    or "\r", so "\r\n" leaves a blank line, which is skipped; the
-    file's last line needs no end.  A line longer than a block is carried
-    into the next."""
+def _byte_blocks(read: Callable[[int], bytes]):
+    """(data, line_end) blocks of whole lines of the bytes that
+    `read(size)` returns, read _READ_BLOCK at a time: data holds the
+    lines' bytes as uint8 and line_end[i] is the offset just past line i.
+    A line ends after "\n" or "\r", so "\r\n" leaves a blank line, which
+    is skipped; the last line needs no end.  A line longer than a block
+    is carried into the next."""
     carry = b""
-    while chunk := fh.read(_READ_BLOCK):
+    while chunk := read(_READ_BLOCK):
         raw = np.frombuffer(chunk, dtype=np.uint8)
         ends = np.flatnonzero((raw == ord("\n")) | (raw == ord("\r")))
         if ends.size == 0:
@@ -560,24 +565,6 @@ def _byte_blocks(fh: BinaryIO):
         carry = chunk[cut:]
     if carry:
         yield np.frombuffer(carry, dtype=np.uint8), np.array([len(carry)])
-
-
-def _line_blocks(lines: Iterable[str]):
-    """The (data, line_end) blocks of _byte_blocks for _IO_CHUNK lines of
-    an iterable at a time, UTF-8 encoded: each element is one line, to
-    which a "\n" is added.  Lone surrogates pass through, so that a
-    comment may hold them as it may in a str."""
-    lines = iter(lines)
-    while block := list(islice(lines, _IO_CHUNK)):
-        text = "\n".join(block) + "\n"
-        data = text.encode("utf-8", "surrogatepass")
-        if len(data) == len(text):
-            size = np.fromiter(map(len, block), dtype=np.int64,
-                               count=len(block))
-        else:
-            size = np.array([len(line.encode("utf-8", "surrogatepass"))
-                             for line in block], dtype=np.int64)
-        yield np.frombuffer(data, dtype=np.uint8), np.cumsum(size + 1)
 
 
 def _read_header(line: str, header: dict) -> None:
@@ -604,16 +591,13 @@ def _read_header(line: str, header: dict) -> None:
 
 def _parse_block(data: np.ndarray, line_end: np.ndarray, header: dict):
     """(edges_u, edges_v, edge_local, stub_q_u, stub_q_v) of a block of
-    whole lines from _byte_blocks or _line_blocks, in which every line but
-    the last ends in a space; its "#" lines go to _read_header in order."""
+    whole lines from _byte_blocks, in which every line but the last ends
+    in a space.  Its "#" lines go to _read_header in order up to its first
+    faulty line, whose first fault is then raised."""
 
-    def line(i):
+    def line(i, errors="surrogatepass"):
         text = data[line_end[i - 1] if i else 0 : line_end[i]].tobytes()
-        return text.decode("utf-8", "surrogatepass").strip()
-
-    def bad(what, offset):
-        i = int(np.searchsorted(line_end, offset, side="right"))
-        return ValueError(f"{what} {line(i)!r}")
+        return text.decode("utf-8", errors).strip()
 
     # a token is a run of non-spaces, the spaces being the ASCII
     # characters str.split() splits on (9..13 and 28..32); with a space
@@ -629,26 +613,24 @@ def _parse_block(data: np.ndarray, line_end: np.ndarray, header: dict):
     comment = per_line > 0
     comment[comment] = data[start[first[comment]]] == ord("#")
     # a line with non-ASCII bytes is judged on its decoded text: a
-    # comment if that starts with "#" once stripped, else rejected
+    # comment if that starts with "#" once stripped, else rejected; one
+    # that does not decode is rejected either way
     non_ascii = np.unique(np.searchsorted(
         line_end, np.flatnonzero(data >= 0x80), side="right"))
-    for i in non_ascii[~comment[non_ascii]]:
-        comment[i] = line(i).startswith("#")
-    for i in np.flatnonzero(comment):
-        _read_header(line(i), header)
-    rejected = non_ascii[~comment[non_ascii]]
-    if rejected.size:
-        raise ValueError(f"non-ASCII character in line {line(rejected[0])!r}")
-
+    not_utf8 = []
+    for i in non_ascii:
+        try:
+            comment[i] = line(i).startswith("#")
+        except UnicodeDecodeError:
+            not_utf8.append(i)
     edge = (per_line > 0) & ~comment
-    per_line, first = per_line[edge], first[edge]
-    wrong = (per_line != 3) & (per_line != 5)
-    if wrong.any():
-        raise bad("bad edge line", start[first[np.argmax(wrong)]])
-    five = per_line == 5
+    shaped = edge & ((per_line == 3) | (per_line == 5))
 
-    kind_end = end[first + 2]
-    width = kind_end - start[first + 2]
+    # the kind and integers of each edge line with three or five fields
+    rows = np.flatnonzero(shaped)
+    row_first, five = first[rows], per_line[rows] == 5
+    kind_end = end[row_first + 2]
+    width = kind_end - start[row_first + 2]
     local, glob = width == 5, width == 6
     # read each kind backwards from its end; two tokens and two spaces
     # come before it, so kind_end - j >= -1 and never leaves the data
@@ -657,26 +639,38 @@ def _parse_block(data: np.ndarray, line_end: np.ndarray, header: dict):
         if j <= 5:
             local &= char == _LOCAL[-j]
         glob &= char == _GLOBAL[-j]
-    known = local | glob
-    if not known.all():
-        raise bad("bad edge kind in line", kind_end[np.argmin(known)] - 1)
-
-    def integers(token):
-        values, valid = _parse_ints(data, start[token], end[token])
-        if not valid.all():
-            raise bad("bad edge line", start[token[np.argmin(valid)]])
-        return values
-
     # endpoints and labels apart, so that short labels take no more
     # Horner passes than their own digits
-    m, k = first.size, int(five.sum())
-    ends = integers(np.concatenate([first, first + 1]))
-    label_token = np.concatenate([first[five] + 3, first[five] + 4])
-    labels = integers(label_token)
-    if labels.size and (labels.min() < 0 or labels.max() > MAX_BLOCKS):
-        outside = (labels < 0) | (labels > MAX_BLOCKS)
-        raise bad(f"block label outside 0..{MAX_BLOCKS} in line",
-                  start[label_token[np.argmax(outside)]])
+    m, k = rows.size, int(five.sum())
+    end_token = np.concatenate([row_first, row_first + 1])
+    ends, ends_valid = _parse_ints(data, start[end_token], end[end_token])
+    label_token = np.concatenate([row_first[five] + 3, row_first[five] + 4])
+    labels, labels_valid = _parse_ints(data, start[label_token],
+                                       end[label_token])
+    outside = (labels < 0) | (labels > MAX_BLOCKS)
+
+    # a line's first fault is the first entry here that holds it, and
+    # each entry's lines are in file order
+    faults = [
+        ("invalid UTF-8 in line", np.array(not_utf8, dtype=np.int64)),
+        ("non-ASCII character in line", non_ascii[edge[non_ascii]]),
+        ("bad edge line", np.flatnonzero(edge & ~shaped)),
+        ("bad edge kind in line", rows[~(local | glob)]),
+        ("bad edge line", rows[~(ends_valid[:m] & ends_valid[m:])]),
+        ("bad edge line", rows[five][~(labels_valid[:k] & labels_valid[k:])]),
+        (f"block label outside 0..{MAX_BLOCKS} in line",
+         rows[five][outside[:k] | outside[k:]]),
+    ]
+    bad = min(((lines[0], order) for order, (_, lines) in enumerate(faults)
+               if lines.size), default=None)
+    stop = line_end.size if bad is None else bad[0]
+    for i in np.flatnonzero(comment[:stop]):
+        _read_header(line(i), header)
+    if bad is not None:
+        i, order = bad
+        text = line(i, "replace" if i in not_utf8 else "surrogatepass")
+        raise ValueError(f"{faults[order][0]} {text!r}")
+
     stub_q_u = np.zeros(m, dtype=np.int16)
     stub_q_v = np.zeros(m, dtype=np.int16)
     stub_q_u[five] = labels[:k]

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+import re
 
 import numpy as np
 import pytest
@@ -418,16 +419,16 @@ def decorated(text, rng):
 
 
 def as_inputs(text, tmp_path):
-    """The file as a path, as an open file, and as lists of lines with and
-    without their line ends."""
+    """The file as a path, and as open text files with and without
+    newline translation."""
     path = tmp_path / "net.txt"
     path.write_text(text, newline="")
     yield str(path)
     with open(path) as fh:
         yield fh
-    lines = io.StringIO(text, newline="").readlines()
-    yield lines
-    yield [line.rstrip("\n") for line in lines]
+    with open(path, newline="") as fh:
+        yield fh
+    yield io.StringIO(text, newline="")
 
 
 def test_reader_matches_reference_reader(tmp_path):
@@ -450,12 +451,11 @@ def test_reader_accepts_what_reference_accepts():
                  "0 3 global +2 00007", "-0 1 local",
                  "# edge comment\n2 3 local", "#n\n#nope 9\n1 2 local",
                  "#households 1,3\n#households  2, 2 \n0 2 local",
-                 "2 3 global 32767 0", "0 000000000000000000000000001 local"]:
-        lines = (head + body).split("\n")
-        assert ng.read_network(lines) == reference_read_network(lines)
-    # an iterable element is one line even with a newline inside
-    lines = ["#n 4", "#households 2,2", "0 1\nlocal\n"]
-    assert ng.read_network(lines) == reference_read_network(lines)
+                 "2 3 global 32767 0", "0 000000000000000000000000001 local",
+                 "# a lone \ud800 surrogate\n2 3 local"]:
+        text = head + body
+        assert (ng.read_network(io.StringIO(text))
+                == reference_read_network(io.StringIO(text)))
 
 
 def test_reader_rejects_what_reference_rejects():
@@ -467,16 +467,15 @@ def test_reader_rejects_what_reference_rejects():
               "0 1_0 local", "0 0x1 local", "0 1 global 1 -1",
               "0 1 global 32768 1", "0 1 global 1 a",
               "0 99999999999999999999 global", "0 1000000000000000000001 local",
-              "0 4 local", "-1 0 local",
-              "0 1 local 2 local", "#n x", "#households 2,x",
+              "0 4 local", "-1 0 local", "0 1 local 2 local",
+              "0 1 loc\udfffal", "#n x", "#households 2,x",
               "#discarded 1 2 z", "#n 5"]
     for body in bodies:
         for text in (head + body, head + "0 1 local\n" * 3 + body):
-            lines = text.split("\n")
             with pytest.raises(Exception):
-                reference_read_network(lines)
+                reference_read_network(io.StringIO(text))
             with pytest.raises(ValueError):
-                ng.read_network(lines)
+                ng.read_network(io.StringIO(text))
     for text in ("", "0 1 local\n", "#n 3\n#households 1,1\n",
                  "#households 1,1\n0 1 local\n"):
         with pytest.raises(Exception):
@@ -491,18 +490,18 @@ def test_reader_takes_ascii_decimals_only():
     head = "#n 20\n#households 10,10\n"
     for body in ["0 1_1 local", "0 \u0663 local", "0\u00a01 local",
                  "0 1 local\u2003"]:
-        lines = (head + body).split("\n")
-        reference_read_network(lines)
+        reference_read_network(io.StringIO(head + body))
         with pytest.raises(ValueError, match="line"):
-            ng.read_network(lines)
+            ng.read_network(io.StringIO(head + body))
 
 
-def test_bad_line_is_named_in_later_blocks():
+def test_bad_line_is_named_in_later_blocks(monkeypatch):
+    monkeypatch.setattr(ng, "_READ_BLOCK", 64)
     head = "#n 4\n#households 2,2\n"
-    lines = (head + "0 1 local\n" * (ng._IO_CHUNK + 10)).split("\n")
-    lines[ng._IO_CHUNK + 5] = "2 3 local # x"
+    lines = (head + "0 1 local\n" * 1000).split("\n")
+    lines[505] = "2 3 local # x"
     with pytest.raises(ValueError, match="2 3 local # x"):
-        ng.read_network(lines)
+        ng.read_network(io.StringIO("\n".join(lines)))
 
 
 def read_outcome(read, src):
@@ -513,20 +512,31 @@ def read_outcome(read, src):
         return type(err)
 
 
+def outcome_of(read, src):
+    """What `read` makes of `src`: a Network, or its error's class and
+    message."""
+    try:
+        return read(src)
+    except Exception as err:
+        return type(err), str(err)
+
+
 def path_outcome(text, tmp_path, monkeypatch, block_sizes):
-    """Read `text` from a UTF-8 file by its path at each of `block_sizes`
-    bytes per block; each read must give what an open file, a list of
-    its lines and reference_read_network give.  Returns that outcome."""
+    """Read `text` from a UTF-8 file by its path, from that file opened as
+    text and from a StringIO, at each of `block_sizes` bytes or
+    characters per block; each read must give what
+    reference_read_network gives.  Returns that outcome."""
     path = tmp_path / "seams.txt"
     path.write_bytes(text.encode("utf-8"))
-    lines = io.StringIO(text, newline="").readlines()
-    expected = read_outcome(reference_read_network, lines)
-    with open(path, encoding="utf-8") as fh:
-        assert read_outcome(ng.read_network, fh) == expected
-    assert read_outcome(ng.read_network, lines) == expected
+    expected = read_outcome(reference_read_network,
+                            io.StringIO(text, newline=""))
     for size in block_sizes:
         monkeypatch.setattr(ng, "_READ_BLOCK", size)
         assert read_outcome(ng.read_network, str(path)) == expected, size
+        with open(path, encoding="utf-8") as fh:
+            assert read_outcome(ng.read_network, fh) == expected, size
+        assert read_outcome(ng.read_network,
+                            io.StringIO(text, newline="")) == expected, size
     return expected
 
 
@@ -576,6 +586,94 @@ def test_path_reader_names_a_bad_line_several_blocks_in(tmp_path,
         monkeypatch.setattr(ng, "_READ_BLOCK", size)
         with pytest.raises(ValueError, match="2 3 local # x"):
             ng.read_network(str(tmp_path / "seams.txt"))
+
+
+def test_reader_and_writer_take_path_objects(tmp_path):
+    net = ng.build_network(small_spec(n=120, r=-0.8, n_q=3), 21)
+    ng.write_network(net, tmp_path / "net.txt")
+    assert (tmp_path / "net.txt").read_text() == ng.network_to_string(net)
+    assert ng.read_network(tmp_path / "net.txt") == net
+
+
+def test_reader_rejects_other_inputs_with_type_error():
+    lines = ["#n 2", "#households 1,1", "0 1 local"]
+    for src in (lines, iter(lines), b"#n 2\n", 7):
+        with pytest.raises(TypeError, match="a path or an open text file"):
+            ng.read_network(src)
+
+
+@pytest.mark.parametrize("bad_line", [b"# caf\xe9", b"0 1 loc\xe9l",
+                                      b"#n 4\xff", b"\xc3"])
+def test_path_reader_names_a_line_that_is_not_utf8(bad_line, tmp_path,
+                                                     monkeypatch):
+    path = tmp_path / "net.txt"
+    path.write_bytes(SHORT_HEAD.encode() + b"0 1 local\n" + bad_line
+                     + b"\n2 3 sideways\n")
+    shown = bad_line.decode("utf-8", "replace")
+    for size in (1, 3, 8, 64, ng._READ_BLOCK):
+        monkeypatch.setattr(ng, "_READ_BLOCK", size)
+        with pytest.raises(ValueError) as err:
+            ng.read_network(path)
+        assert str(err.value) == f"invalid UTF-8 in line {shown!r}", size
+
+
+# lines the reference reader takes, and lines it rejects on the spot, so
+# that it names no line after a bad one; the lines the reader narrows
+# (non-ASCII digits and spaces, digit groups, huge integers, empty
+# households) are left out
+FUZZ_GOOD = ["0 1 local", "2 3 global", "1 2 global 3 4", " 0 3 local\t",
+             "+1 002 global 0 7", "0 -1 local", "3 4 global", "",
+             "  ", "# a comment 0 1 local", "# r\u00e9seau \u2713", "#n 4",
+             "#households 2,2", "#households 1,3", "#discarded 0 1 0",
+             "#n 5", "#nope"]
+FUZZ_BAD = ["0 1 sideways", "2 3", "0 1 global 2", "0 x local",
+            "0 1 global 40000 1", "0 1 l\u00f3cal", "#n x",
+            "#households 2,x", "#discarded 1 2", "0 1 local # x",
+            "0 1 global -1 2", "0 1 LOCAL", "1 2 global 1 z",
+            "0 1 local 2 local", "0 1.0 global", "0", "0 1 global 0 0 0",
+            "- 1 local", "0 1 glob"]
+NAMED = re.compile(r" line ('.*'|\".*\")$")
+
+
+def fuzz_text(rng):
+    """A small file with one to three bad lines among good ones."""
+    lines = [rng.choice(FUZZ_GOOD) for _ in range(rng.randint(2, 8))]
+    for _ in range(rng.randint(1, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(FUZZ_BAD))
+    if rng.random() < 0.8:
+        lines[:0] = ["#n 4", "#households 2,2"]
+    return rng.choice(["\n", "\r\n", "\r"]).join(lines)
+
+
+@pytest.mark.slow
+def test_first_bad_line_is_named_at_every_block_size(tmp_path, monkeypatch):
+    # each file read by its path and as a StringIO at every block size
+    # from 1 to 64 must give one outcome, and name the line the reference
+    # reader names wherever that names one
+    rng = random.Random(14)
+    path = str(tmp_path / "fuzz.txt")
+    named = 0
+    for _ in range(300):
+        text = fuzz_text(rng)
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        expected = outcome_of(reference_read_network,
+                              io.StringIO(text, newline=""))
+        outcomes = []
+        for size in range(1, 65):
+            monkeypatch.setattr(ng, "_READ_BLOCK", size)
+            outcomes.append(outcome_of(ng.read_network, path))
+            outcomes.append(outcome_of(ng.read_network,
+                                       io.StringIO(text, newline="")))
+        assert all(outcome == outcomes[0] for outcome in outcomes), text
+        got = outcomes[0]
+        # every bad line above stops the reference reader where it stands
+        assert isinstance(expected, tuple) and got[0] is ValueError, text
+        if NAMED.search(expected[1]):
+            assert (NAMED.search(got[1]).group(1)
+                    == NAMED.search(expected[1]).group(1)), text
+            named += 1
+    assert named >= 100
 
 
 def test_block_count_bounded_by_int16_labels():
