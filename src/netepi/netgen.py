@@ -2,18 +2,25 @@
 
 Construction: household sizes are drawn iid (the last household truncated
 so sizes sum to n) and each household forms a complete graph of "local"
-edges.  Each node independently draws a number of "global" stubs; every
-stub is labelled X=1 with probability |r|, else X=0.  X=0 stubs are paired
-uniformly.  X=1 stubs are sorted by owner total degree (uniform random
-tie-break), cut into n_q near-equal blocks (larger blocks first), and
-paired within a block when r > 0 or between mirror-image blocks i and
-n_q + 1 - i when r < 0 (the middle block pairing internally when n_q is
-odd).  Unpairable leftovers are discarded and counted: at most one X=0
-stub and at most n_q X=1 stubs.
+edges.  Each node independently draws a number g of "global" stubs and
+labels each X=1 with probability |r|, else X=0; a node's stubs being
+exchangeable, that is one Binomial(g, |r|) draw of its X=1 count.  X=0
+stubs are paired uniformly.  X=1 stubs are sorted by owner total degree
+(uniform random tie-break), cut into n_q near-equal blocks (larger blocks
+first), and paired within a block when r > 0 or between mirror-image
+blocks i and n_q + 1 - i when r < 0 (the middle block pairing internally
+when n_q is odd).  Unpairable leftovers are discarded and counted: at
+most one X=0 stub and at most n_q X=1 stubs.
 
 The ranking shuffles the X=1 stubs and then groups them stably by owner
-degree, so ties keep the uniform random order of the shuffle.  Both that
-ranking and the adjacency build use `_group_by`, one counting scatter
+degree, so ties keep the uniform random order of the shuffle.  Every
+shuffle permutes a stub array the generator owns in place
+(`Generator.shuffle` draws the same order as indexing by
+`Generator.permutation`, without the gather).  A pairing shuffles its
+stubs once: a block pairs consecutive stubs of its shuffle, and a mirror
+pair shuffles only its larger block, since a uniform order of one side
+against a fixed order of the other is already a uniform matching.  Both
+the ranking and the adjacency build use `_group_by`, one counting scatter
 (count each key, prefix-sum the counts, then drop every value into the
 next free slot of its key) in compiled code.  It runs in linear time
 where a comparison sort of labelled stubs or edge ends does not, and
@@ -242,10 +249,11 @@ def _household_edges(sizes: np.ndarray, starts: np.ndarray):
 
 
 def _pair_uniform(owners: np.ndarray, rng: np.random.Generator):
-    """Uniform random perfect matching; odd leftover discarded."""
-    shuffled = owners[rng.permutation(owners.size)]
+    """Uniform random perfect matching; odd leftover discarded.  Shuffles
+    `owners` in place and returns views of it."""
+    rng.shuffle(owners)
     m = owners.size // 2
-    return shuffled[: 2 * m : 2], shuffled[1 : 2 * m : 2], int(owners.size - 2 * m)
+    return owners[: 2 * m : 2], owners[1 : 2 * m : 2], int(owners.size - 2 * m)
 
 
 def _block_sizes(total: int, n_q: int) -> np.ndarray:
@@ -266,11 +274,12 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
 
     g = spec.global_degree.sample(rng, n)
     degree = size_of_node - 1 + g
-    owners = np.repeat(np.arange(n, dtype=np.int64), g)
-
-    x1 = rng.random(owners.size) < abs(spec.r)
-    x0_owners = owners[~x1]
-    x1_owners = owners[x1]
+    # a node's stubs are exchangeable, so labelling each X=1 with
+    # probability |r| only fixes how many of them are
+    g1 = rng.binomial(g, abs(spec.r))
+    nodes = np.arange(n, dtype=np.int64)
+    x0_owners = np.repeat(nodes, g - g1)
+    x1_owners = np.repeat(nodes, g1)
 
     g0_u, g0_v, disc_x0 = _pair_uniform(x0_owners, rng)
 
@@ -278,8 +287,9 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
     # stable grouping keeps the shuffled order within each degree; cut
     # into blocks
     n_q = spec.n_q
-    shuffled = x1_owners[rng.permutation(x1_owners.size)]
-    ranked = _group_by(degree[shuffled], shuffled, int(degree.max()) + 1)[1]
+    rng.shuffle(x1_owners)
+    ranked = _group_by(degree[x1_owners], x1_owners,
+                       int(degree.max()) + 1)[1]
     bounds = np.concatenate(([0], np.cumsum(_block_sizes(ranked.size, n_q))))
 
     g1_u, g1_v, q_u, q_v = [], [], [], []
@@ -301,16 +311,17 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
     else:
         for b in range(n_q // 2):
             mirror = n_q - 1 - b
+            # larger blocks come first, so seg_a is the larger side; a
+            # uniform order of it against any fixed order of seg_b is a
+            # uniform matching, and its unmatched stub a uniform one
             seg_a = ranked[bounds[b] : bounds[b + 1]]
             seg_b = ranked[bounds[mirror] : bounds[mirror + 1]]
-            seg_a = seg_a[rng.permutation(seg_a.size)]
-            seg_b = seg_b[rng.permutation(seg_b.size)]
-            take = min(seg_a.size, seg_b.size)
-            disc_x1 += (seg_a.size - take) + (seg_b.size - take)
-            g1_u.append(seg_a[:take])
-            g1_v.append(seg_b[:take])
-            q_u.append(np.full(take, b + 1, dtype=np.int16))
-            q_v.append(np.full(take, mirror + 1, dtype=np.int16))
+            rng.shuffle(seg_a)
+            disc_x1 += seg_a.size - seg_b.size
+            g1_u.append(seg_a[: seg_b.size])
+            g1_v.append(seg_b)
+            q_u.append(np.full(seg_b.size, b + 1, dtype=np.int16))
+            q_v.append(np.full(seg_b.size, mirror + 1, dtype=np.int16))
         if n_q % 2 == 1:
             pair_within(n_q // 2)
 
@@ -520,16 +531,24 @@ def read_network(src: Union[str, os.PathLike, TextIO]) -> Network:
     `src` that is neither.
     """
     header = {"n": None, "sizes": None, "discarded": (0, 0, 0)}
+    not_a_source = TypeError("read_network takes a path or an open text "
+                             f"file, not {type(src).__name__}")
+
+    def read_text(size: int) -> bytes:
+        text = src.read(size)
+        if not isinstance(text, str):  # a binary file
+            raise not_a_source
+        return text.encode("utf-8", "surrogatepass")
+
     if isinstance(src, (str, os.PathLike)):
         with open(src, "rb") as fh:
             blocks = [_parse_block(*block, header)
                       for block in _byte_blocks(fh.read)]
     elif hasattr(src, "read"):
-        blocks = [_parse_block(*block, header) for block in _byte_blocks(
-            lambda size: src.read(size).encode("utf-8", "surrogatepass"))]
+        blocks = [_parse_block(*block, header)
+                  for block in _byte_blocks(read_text)]
     else:
-        raise TypeError("read_network takes a path or an open text file, "
-                        f"not {type(src).__name__}")
+        raise not_a_source
     n, sizes = header["n"], header["sizes"]
     if n is None or sizes is None:
         raise ValueError("missing #n or #households header")

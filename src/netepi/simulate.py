@@ -16,7 +16,9 @@ The exploration walks the network's cached CSR adjacency
 share one build.  Each level's frontier is deduplicated with a boolean
 mask instead of a sort; it comes out in increasing node order, so the
 random draws of a run on a given network do not depend on how the
-frontier is built.
+frontier is built.  A level reads the heads of its open bonds only,
+except in a reverse run with a general period, where a bond's
+probability is its head's.
 
 `estimate` repeats build / rewire / infect with independently spawned
 seed streams, splits outcomes into minor and major at a size cutoff
@@ -95,15 +97,19 @@ def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
         ends = np.cumsum(counts)
         # edge positions: the i-th listed end sits at i plus the offset
         # between its node's CSR row and that node's run in this level
-        targets = heads[np.arange(int(ends[-1]))
-                        + np.repeat(indptr[frontier] - (ends - counts), counts)]
-        if infection.is_constant:
-            prob = p_i
-        elif reverse:
-            prob = p_node[targets]
+        pos = np.repeat(indptr[frontier] - (ends - counts), counts)
+        pos += np.arange(pos.size)
+        if reverse and not infection.is_constant:
+            # a bond into v is open with v's probability: read every head
+            targets = heads[pos]
+            del pos  # free it before the draws allocate
+            hit = targets[rng.random(targets.size) < p_node[targets]]
         else:
-            prob = np.repeat(p_node[frontier], counts)
-        hit = targets[rng.random(targets.size) < prob]
+            # the bond's probability is known before its head, so read
+            # only the heads of open bonds
+            prob = (p_i if infection.is_constant
+                    else np.repeat(p_node[frontier], counts))
+            hit = heads[pos[rng.random(pos.size) < prob]]
         fresh[hit[~seen[hit]]] = True
         new = np.flatnonzero(fresh)
         if new.size == 0:

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from netepi import distributions as dd
 from netepi import netgen as ng
@@ -114,15 +115,15 @@ def test_adjacency_rejects_endpoints_outside_network():
 # a change that moves the generator's or the adjacency's output, or the
 # RNG stream of run_epidemic, shows here
 GOLDEN = {
-    -0.5: ("9f7bbcd817814a119cf03ac90bf1cac53e91fa3bd91a6d9773c8a109a1612f3c",
-           "de232b8131a8990c21a77f77dd6dcf45534b76c4748527506cba07c6ac049b3a",
-           13964),
-    0.5: ("43902f7fdfae170a5fc45f80003a59c266fc46ec6a559574953d87204c47f4d4",
-          "52bf3fb55d1c31c0e29dcfa19a497edff3fd44c407e5d2f69925b0dd2f71f5fc",
-          13531),
-    1.0: ("fd4b25ca0c346d724a71e9d55015ac05988c1650a868d0a69e76992c0139bbb2",
-          "1cd358b54d68e172b8c2e43b3e6a42afc2da60e0bbf6969676acb77dd495c087",
-          12682),
+    -0.5: ("2455563639c905f4fe823bc3fbeaeda102d12b4b838c4a9d7545b3fea7743ee6",
+           "aeb67bf645acf80b96d9eb3bd07c3a354e7ee683a6acb3d0d930d2f912e3a6b3",
+           14364),
+    0.5: ("29c751c8a60070d05af66ba2d3623f18c74ac08928471fde598eb50635231cff",
+          "0404693a223485c068e57c32aef59610a1606d0b9e3d04df2f8dd2d6ba5ac2e5",
+          13466),
+    1.0: ("27558ef6e9898a352eb9556c7eba1b44fdc8de2cac0b0d406c86ed8ea34e19a1",
+          "60fadb89d134ee4c87f2a64ba520c85448a6488d3c75ca3ffc472a9ea299bfe9",
+          12722),
 }
 
 
@@ -178,6 +179,81 @@ def test_ranking_follows_quantile_table_with_random_tie_break():
             assert abs(lo.mean() - hi.mean()) < 4.0 * se, (d, b)
             checked += 1
     assert checked >= 3
+
+
+@pytest.mark.parametrize("r", [0.3, -0.5])
+def test_labelled_stub_count_per_node_is_binomial(r):
+    # each of a node's g global stubs is labelled X=1 with probability |r|
+    # on its own, so given g the node's X=1 count is Binomial(g, |r|); one
+    # chi-square over every well-filled g class, tails pooled to expected
+    # counts of at least 5
+    spec = ng.GenSpec(n=100_000, household=dd.poisson_plus(2.0),
+                      global_degree=dd.poisson(8.0), r=r, n_q=10)
+    net = ng.build_network(spec, 3)
+    is_global = ~net.edge_local
+    ends = np.concatenate([net.edges_u[is_global], net.edges_v[is_global]])
+    labelled = np.concatenate([net.stub_q_u[is_global],
+                               net.stub_q_v[is_global]]) > 0
+    g = np.bincount(ends, minlength=net.n)
+    x1 = np.bincount(ends[labelled], minlength=net.n)
+    stat, dof, classes = 0.0, 0, 0
+    for d in np.flatnonzero(np.bincount(g) >= 2000):
+        observed = np.bincount(x1[g == d], minlength=d + 1)
+        expected = observed.sum() * stats.binom.pmf(np.arange(d + 1), d,
+                                                    abs(r))
+        full = expected >= 5
+        o = np.append(observed[full], observed[~full].sum())
+        e = np.append(expected[full], expected[~full].sum())
+        o, e = o[e > 0], e[e > 0]
+        stat += float(np.sum((o - e) ** 2 / e))
+        dof += o.size - 1
+        classes += 1
+    assert classes >= 6
+    assert stats.chi2.sf(stat, dof) > 1e-3, (stat, dof)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 10_000])
+def test_shuffle_in_place_draws_the_gathered_permutation(size):
+    # the generator and rewire shuffle the stub arrays they own in place;
+    # that draws the same order as gathering by rng.permutation and leaves
+    # the generator in the same state
+    stubs = np.arange(size, dtype=np.int64) * 3 + 1
+    gather, in_place = np.random.default_rng(9), np.random.default_rng(9)
+    want = stubs[gather.permutation(stubs.size)]
+    in_place.shuffle(stubs)
+    assert np.array_equal(stubs, want)
+    assert in_place.random() == gather.random()
+
+
+def _hand_built_network() -> ng.Network:
+    """A network that build_network did not make: household cliques of
+    sizes 1..5 in a fixed cycle and one global edge from every other node,
+    labelled on every third of them."""
+    sizes = np.tile(np.array([1, 2, 3, 4, 5, 3, 2], dtype=np.int64), 100)
+    n = int(sizes.sum())
+    u, v = [], []
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        for i in range(size):
+            for j in range(i + 1, size):
+                u.append(start + i)
+                v.append(start + j)
+    n_local = len(u)
+    u += list(range(0, n, 2))
+    v += [(7 * i + 3) % n for i in range(0, n, 2)]
+    q = np.zeros(len(u), dtype=np.int16)
+    q[n_local::3] = 2
+    return ng.Network(n, np.repeat(np.arange(sizes.size), sizes), sizes,
+                      np.array(u), np.array(v),
+                      np.arange(len(u)) < n_local, q, q[::-1].copy())
+
+
+def test_rewire_stream_is_pinned_apart_from_the_generator():
+    # the GOLDEN digests above rewire a generated network, so they move
+    # with the generator's stream; this one pins rewire alone
+    net = ng.rewire(_hand_built_network(), 0.3, 6)
+    digest = hashlib.sha256(ng.network_to_string(net).encode()).hexdigest()
+    assert digest == ("210c6e60437d3d50cdcc17a63ff5b1fd"
+                      "750f4c1cd01553a74a5ca16a4011acc4")
 
 
 def test_negative_correlation_pairs_mirror_blocks():
@@ -595,11 +671,15 @@ def test_reader_and_writer_take_path_objects(tmp_path):
     assert ng.read_network(tmp_path / "net.txt") == net
 
 
-def test_reader_rejects_other_inputs_with_type_error():
+def test_reader_rejects_other_inputs_with_type_error(tmp_path):
     lines = ["#n 2", "#households 1,1", "0 1 local"]
-    for src in (lines, iter(lines), b"#n 2\n", 7):
-        with pytest.raises(TypeError, match="a path or an open text file"):
-            ng.read_network(src)
+    (tmp_path / "net.txt").write_text("\n".join(lines))
+    with open(tmp_path / "net.txt", "rb") as binary:
+        for src in (lines, iter(lines), b"#n 2\n", 7, binary,
+                    io.BytesIO(b"#n 2\n"), io.BytesIO()):
+            with pytest.raises(TypeError,
+                               match="a path or an open text file"):
+                ng.read_network(src)
 
 
 @pytest.mark.parametrize("bad_line", [b"# caf\xe9", b"0 1 loc\xe9l",
