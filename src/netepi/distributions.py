@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special
+from scipy.special import _ufuncs
 
 from .errors import EmptyDistribution, NoEdges, ZeroMean
 
@@ -90,13 +91,6 @@ class DiscreteDist:
         m = self.mean()
         return float(np.dot((self.support - m) ** 2, self.probs))
 
-    def falling_moment(self, order: int) -> float:
-        """E[X (X-1) ... (X-order+1)] over the retained support."""
-        w = np.ones_like(self.support, dtype=np.float64)
-        for j in range(order):
-            w *= self.support - j
-        return float(np.dot(w, self.probs))
-
     def min_support(self) -> int:
         return int(self.support[0])
 
@@ -105,9 +99,6 @@ class DiscreteDist:
 
     def prob_at_least(self, k: int) -> float:
         return float(self.probs[self.support >= k].sum()) + self.tail_mass_bound
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(k): float(p) for k, p in zip(self.support, self.probs)}
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` iid values (truncated law treated as exact)."""
@@ -139,14 +130,41 @@ def point(k: int) -> DiscreteDist:
     return DiscreteDist(np.array([int(k)]), np.array([1.0]))
 
 
+# The pmf and isf below are the scipy.special kernels that
+# scipy.stats.poisson and scipy.stats.nbinom evaluate, applied the same
+# way, so the tables match scipy.stats bit for bit without importing it
+# (scipy.stats alone costs more than all other imports together).
+# tests/test_distributions.py pins them against scipy.stats.
+
+
+def _poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
+    log_pmf = special.xlogy(k, mean) - special.gammaln(k + 1) - mean
+    return np.clip(np.exp(log_pmf), 0.0, 1.0)
+
+
+def _poisson_isf(q: float, mean: float) -> int:
+    """Least k with P(X > k) <= q: the ppf at 1 - q, whose pdtrik
+    estimate is stepped down by one where the cdf allows."""
+    p = 1.0 - q
+    k = np.ceil(special.pdtrik(p, mean))
+    below = max(k - 1, 0.0)
+    return int(below if special.pdtr(below, mean) >= p else k)
+
+
+def _check_finite(law: str, name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{law} {name} must be finite, got {value}")
+
+
 def poisson(mean: float) -> DiscreteDist:
     if mean < 0:
         raise ValueError("poisson mean must be >= 0")
+    _check_finite("poisson", "mean", mean)
     if mean == 0:
         return point(0)
-    hi = int(stats.poisson.isf(DEFAULT_TAIL_EPS, mean)) + 1
+    hi = _poisson_isf(DEFAULT_TAIL_EPS, mean) + 1
     support = np.arange(hi + 1)
-    probs = stats.poisson.pmf(support, mean)
+    probs = _poisson_pmf(support, mean)
     tail = max(0.0, 1.0 - float(probs.sum()))
     return DiscreteDist(support, probs, tail)
 
@@ -156,11 +174,12 @@ def poisson_plus(mean: float) -> DiscreteDist:
     mean == 0."""
     if mean < 0:
         raise ValueError("poisson_plus mean must be >= 0")
+    _check_finite("poisson_plus", "mean", mean)
     if mean == 0:
         return point(1)
-    hi = max(1, int(stats.poisson.isf(DEFAULT_TAIL_EPS, mean)) + 1)
+    hi = max(1, _poisson_isf(DEFAULT_TAIL_EPS, mean) + 1)
     support = np.arange(1, hi + 1)
-    probs = stats.poisson.pmf(support, mean) / (1.0 - math.exp(-mean))
+    probs = _poisson_pmf(support, mean) / (1.0 - math.exp(-mean))
     tail = max(0.0, 1.0 - float(probs.sum()))
     return DiscreteDist(support, probs, tail)
 
@@ -182,11 +201,13 @@ def negative_binomial(r: float, p: float) -> DiscreteDist:
     """P(X = k) = C(k+r-1, k) p^r (1-p)^k on k = 0, 1, 2, ..."""
     if r <= 0 or not 0.0 < p <= 1.0:
         raise ValueError("negative_binomial needs r > 0 and p in (0, 1]")
+    _check_finite("negative_binomial", "r", r)
     if p == 1.0:
         return point(0)
-    hi = max(1, int(stats.nbinom.isf(DEFAULT_TAIL_EPS, r, p)) + 1)
+    with np.errstate(over="ignore"):  # as scipy.stats.nbinom.isf
+        hi = max(1, int(_ufuncs._nbinom_isf(DEFAULT_TAIL_EPS, r, p)) + 1)
     support = np.arange(hi + 1)
-    probs = stats.nbinom.pmf(support, r, p)
+    probs = np.clip(_ufuncs._nbinom_pmf(support, r, p), 0.0, 1.0)
     tail = max(0.0, 1.0 - float(probs.sum()))
     return DiscreteDist(support, probs, tail)
 
@@ -244,7 +265,7 @@ def parse_distribution(text: str) -> DiscreteDist:
     if name == "poisson_plus" and len(vals) == 1:
         return poisson_plus(vals[0])
     if name in ("point", "point_mass") and len(vals) == 1:
-        if vals[0] != int(vals[0]):
+        if not math.isfinite(vals[0]) or vals[0] != int(vals[0]):
             raise ValueError(f"point mass needs an integer, got {vals[0]}")
         return point(int(vals[0]))
     if name == "geometric" and len(vals) == 1:

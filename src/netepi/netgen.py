@@ -46,7 +46,6 @@ A bad file's error names its first bad line, at any block size.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -734,9 +733,3 @@ def _parse_ints(data: np.ndarray, start: np.ndarray, end: np.ndarray):
     values = values.astype(np.int64, copy=False)
     np.negative(values, out=values, where=negative)
     return values, valid
-
-
-def network_to_string(net: Network) -> str:
-    buf = io.StringIO()
-    write_network(net, buf)
-    return buf.getvalue()

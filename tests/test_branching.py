@@ -70,7 +70,7 @@ def test_threshold_matches_moment_assembly_single_type():
     p_i = 0.15
     pm = params(h, g, p_i=p_i)
     mu_g = g.mean()
-    spare = g.falling_moment(2) / mu_g
+    spare = np.dot(g.support * (g.support - 1), g.probs) / mu_g
     infection = InfectionSpec.constant(p_i)
     pi_tilde = h.support * h.probs / h.mean()
     local = sum(w * household_mean_by_alpha(infection, int(hh))

@@ -1,12 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from netepi import distributions as dd
 from netepi.errors import EmptyDistribution, NoEdges, ZeroMean
+
+
+def pmf_dict(d):
+    return dict(zip(d.support.tolist(), d.probs.tolist()))
 
 
 def test_poisson_plus_mean_matches_direct_summation():
@@ -24,7 +30,7 @@ def test_poisson_plus_mean_matches_direct_summation():
 
 def test_poisson_plus_zero_mean_degenerates_to_one():
     d = dd.poisson_plus(0.0)
-    assert d.as_dict() == {1: 1.0}
+    assert pmf_dict(d) == {1: 1.0}
 
 
 def test_poisson_truncation_keeps_mass_and_moments():
@@ -33,7 +39,87 @@ def test_poisson_truncation_keeps_mass_and_moments():
     assert d.tail_mass_bound <= 1e-11
     assert d.mean() == pytest.approx(8.0, abs=1e-9)
     assert d.variance() == pytest.approx(8.0, abs=1e-8)
-    assert d.falling_moment(3) == pytest.approx(8.0**3, rel=1e-9)
+    third = np.dot(d.support * (d.support - 1) * (d.support - 2), d.probs)
+    assert third == pytest.approx(8.0**3, rel=1e-9)
+
+
+def same_bits(got, want):
+    want = np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+# poisson, poisson_plus and negative_binomial evaluate private
+# scipy.special kernels instead of importing scipy.stats; scipy.stats is
+# the reference they must match bit for bit, so a scipy upgrade that
+# moves or renames a kernel fails here rather than shifting a table
+POISSON_MEANS = [*np.geomspace(1e-3, 300.0, 400).tolist(), 1e4]
+
+
+def test_poisson_tables_match_scipy_stats_bitwise():
+    for mu in [1e-9, *POISSON_MEANS]:
+        hi = int(stats.poisson.isf(dd.DEFAULT_TAIL_EPS, mu)) + 1
+        d = dd.poisson(mu)
+        assert same_bits(d.support, np.arange(hi + 1)), mu
+        assert same_bits(d.probs, stats.poisson.pmf(np.arange(hi + 1), mu)), mu
+
+
+def test_poisson_plus_tables_match_scipy_stats_bitwise():
+    # no tiny mean here: below about 1e-8, 1 - exp(-mean) cancels and the
+    # zero-truncated table fails its own sum check, scipy.stats or not
+    for mu in POISSON_MEANS:
+        hi = max(1, int(stats.poisson.isf(dd.DEFAULT_TAIL_EPS, mu)) + 1)
+        d = dd.poisson_plus(mu)
+        support = np.arange(1, hi + 1)
+        want = stats.poisson.pmf(support, mu) / (1.0 - math.exp(-mu))
+        assert same_bits(d.support, support), mu
+        assert same_bits(d.probs, want), mu
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 1.0, 1.7, 2.0, 4.5, 10.0, 37.5])
+def test_negative_binomial_tables_match_scipy_stats_bitwise(r):
+    for p in [1e-3, 0.01, 0.05, 0.2, 0.5, 0.8, 0.99, 1 - 1e-6, 1 - 1e-12]:
+        hi = max(1, int(stats.nbinom.isf(dd.DEFAULT_TAIL_EPS, r, p)) + 1)
+        d = dd.negative_binomial(r, p)
+        assert same_bits(d.support, np.arange(hi + 1)), p
+        assert same_bits(d.probs, stats.nbinom.pmf(np.arange(hi + 1), r, p)), p
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dd.poisson(math.nan), "poisson mean must be finite, got nan"),
+    (lambda: dd.poisson(math.inf), "poisson mean must be finite, got inf"),
+    (lambda: dd.poisson_plus(math.nan),
+     "poisson_plus mean must be finite, got nan"),
+    (lambda: dd.poisson_plus(math.inf),
+     "poisson_plus mean must be finite, got inf"),
+    (lambda: dd.negative_binomial(math.nan, 0.5),
+     "negative_binomial r must be finite, got nan"),
+    (lambda: dd.negative_binomial(math.inf, 0.5),
+     "negative_binomial r must be finite, got inf"),
+    # the range checks keep their messages
+    (lambda: dd.poisson(-math.inf), "poisson mean must be >= 0"),
+    (lambda: dd.negative_binomial(2.0, math.nan),
+     "negative_binomial needs r > 0 and p in (0, 1]"),
+])
+def test_non_finite_parameters_are_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("poisson(1e400)", "poisson mean must be finite, got inf"),
+    ("poisson(nan)", "poisson mean must be finite, got nan"),
+    ("poisson_plus(inf)", "poisson_plus mean must be finite, got inf"),
+    ("negative_binomial(nan, 0.5)",
+     "negative_binomial r must be finite, got nan"),
+    ("negative_binomial(1e400, 0.5)",
+     "negative_binomial r must be finite, got inf"),
+    ("point(inf)", "point mass needs an integer, got inf"),
+    ("point_mass(nan)", "point mass needs an integer, got nan"),
+])
+def test_parse_distribution_names_non_finite_parameters(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dd.parse_distribution(text)
 
 
 def test_size_bias_two_point():
@@ -46,7 +132,7 @@ def test_size_bias_two_point():
 def test_size_bias_drops_zero_and_needs_positive_mean():
     d = dd.from_pmf({0: 0.5, 3: 0.5})
     sb = dd.size_bias(d)
-    assert sb.as_dict() == {3: 1.0}
+    assert pmf_dict(sb) == {3: 1.0}
     with pytest.raises(ZeroMean):
         dd.size_bias(dd.point(0))
 
@@ -79,7 +165,7 @@ def test_poisson_biases_are_shifted_poissons():
 
 def test_stub_degree_law_point_masses():
     d = dd.stub_degree_law(dd.point(2), dd.point(1))
-    assert d.as_dict() == {2: 1.0}
+    assert pmf_dict(d) == {2: 1.0}
 
 
 def test_stub_degree_law_poisson_template():
@@ -167,14 +253,14 @@ def test_pairing_kernels_orientation():
 def test_parse_distribution_grammar():
     assert dd.parse_distribution("poisson(8)").mean() == pytest.approx(8.0, abs=1e-9)
     assert dd.parse_distribution("poisson_plus(2.0)").min_support() == 1
-    assert dd.parse_distribution("point(3)").as_dict() == {3: 1.0}
-    assert dd.parse_distribution("point_mass(3)").as_dict() == {3: 1.0}
+    assert pmf_dict(dd.parse_distribution("point(3)")) == {3: 1.0}
+    assert pmf_dict(dd.parse_distribution("point_mass(3)")) == {3: 1.0}
     assert dd.parse_distribution("geometric(0.25)").mean() == pytest.approx(3.0, abs=1e-9)
     assert dd.parse_distribution("negative_binomial(2, 0.5)").mean() == pytest.approx(
         2.0, abs=1e-9
     )
     got = dd.parse_distribution("pmf([1:0.5, 2:0.25, 4:0.25])")
-    assert got.as_dict() == {1: 0.5, 2: 0.25, 4: 0.25}
+    assert pmf_dict(got) == {1: 0.5, 2: 0.25, 4: 0.25}
 
 
 @pytest.mark.parametrize(
@@ -199,7 +285,7 @@ def test_sampling_matches_pmf():
     rng = np.random.default_rng(7)
     d = dd.from_pmf({0: 0.2, 1: 0.5, 4: 0.3})
     draws = d.sample(rng, 200_000)
-    for k, p in d.as_dict().items():
+    for k, p in pmf_dict(d).items():
         assert np.mean(draws == k) == pytest.approx(p, abs=0.005)
 
 

@@ -4,17 +4,37 @@ bench/spans.py traces a run by replacing public callables of netepi with
 wrappers and restoring them afterwards.  Renaming or deleting one of
 those callables would only show up when a traced benchmark run crashes;
 these tests make it fail the suite instead.  The same holds for the
-configs the benchmark workloads hand to the command line.
+configs the benchmark workloads hand to the command line, and for the
+start-up cost every command pays before its work begins.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from netepi import cli, netgen, simulate
 from netepi.distributions import InfectionSpec, poisson, poisson_plus
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("module", ["netepi", "netepi.cli"])
+def test_import_leaves_scipy_stats_out(module):
+    # scipy.stats alone takes longer to import than everything else the
+    # package loads; the distribution tables use scipy.special instead
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = (f"import sys, {module}; "
+            "assert 'scipy.stats' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('scipy.stats'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_span_tracer_wraps_and_restores_every_target(monkeypatch):
