@@ -38,8 +38,10 @@ which also returns the derivative of each household PGF when the
 Jacobian is wanted, and combines its per-size values for all types in
 one batched product.  `BranchingModel` memoises the mean matrix, R* and
 the extinction vector; `analyze` reads every output from those methods.
-The tables that depend only on (H, G, r, n_q) are built once per model;
-`BranchingModel.with_infection` reuses them for another infection.
+The tables that depend only on (H, G, r, n_q), those of the offspring
+PGF and those of the mean matrix alike, are built once per model, and
+`BranchingModel.with_infection` shares them with another infection, so
+the mean matrix of an infection only mixes in its household means.
 """
 
 from __future__ import annotations
@@ -110,8 +112,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class MeanMatrix:
-    """Offspring means between types; entries may be inf when rewiring
-    makes some local epidemic supercritical."""
+    """Offspring means between types.  When rewiring makes the local
+    epidemic of a reachable household size supercritical, has_infinite
+    is set and every entry is inf."""
 
     entries: np.ndarray
     has_infinite: bool
@@ -156,7 +159,6 @@ class BranchingModel:
         self.table = quantile_table(self.d_tilde, p.n_q)
         self.kernels = pairing_kernels(self.table, p.r)
         self.d_vals = self.table.degrees.astype(np.int64)
-        self._row_of = {int(d): i for i, d in enumerate(self.d_vals)}
 
         g_tilde = size_bias(p.global_degree)
         g_dense = np.zeros(p.global_degree.max_support() + 2)
@@ -179,11 +181,14 @@ class BranchingModel:
         self.mu_g = p.global_degree.mean()
 
         # rows of the stub-degree table reached as g + h - 1
-        self.partner_rows = np.empty((self.h_vals.size, self.g1_vals.size),
-                                     dtype=np.int64)
-        for hi, h in enumerate(self.h_vals):
-            for gi, g in enumerate(self.g1_vals):
-                self.partner_rows[hi, gi] = self._row_of[int(g + h - 1)]
+        partner_degrees = self.h_vals[:, None] + self.g1_vals[None, :] - 1
+        missing = np.setdiff1d(partner_degrees, self.d_vals)
+        if missing.size:
+            raise ValueError(
+                f"stub degree {missing[0]} is reached by a household size "
+                f"and a global degree but its probability underflows to 0 "
+                f"in the stub-degree law")
+        self.partner_rows = np.searchsorted(self.d_vals, partner_degrees)
 
         # the law of a stub's partner block: the pairing kernel with
         # probability |r|, else uniform; by arrival type and by degree row
@@ -192,6 +197,17 @@ class BranchingModel:
         self.block_mix_type = uniform + abs_r * self.kernels.quantile_kernel
         self.block_mix_degree = uniform + abs_r * self.kernels.degree_kernel
         self.block_mix_partner = self.block_mix_degree[self.partner_rows]
+
+        # mean-matrix tables: q_ih = P(H = h | Q = i); a_i, the mean count
+        # of spare stubs of a type-i particle; w_hj, the mean labelled-stub
+        # kernel weight on block j of the global stubs of one housemate in
+        # a household of size h; and which sizes some type reaches
+        self.q_ih = self.table.d_given_q.T @ self.size_given_degree
+        mean_h_given_d = self.size_given_degree @ self.h_vals.astype(float)
+        self.a_i = self.table.d_given_q.T @ (self.d_vals - mean_h_given_d)
+        self.w_hj = ((self.g1_probs * self.g1_vals)
+                     @ self.kernels.degree_kernel[self.partner_rows])
+        self.size_reached = (self.q_ih > 0.0).any(axis=0)
 
         self._start_infection()
 
@@ -224,49 +240,24 @@ class BranchingModel:
         if self._mean_matrix is not None:
             return self._mean_matrix
         p = self.params
-        n_q = p.n_q
         abs_r = abs(p.r)
         p_i = p.infection.p_i
-
-        mu_mix = np.array(
-            [self.households.mixture_mean(int(h), p.p_rw) for h in self.h_vals]
-        )
-        inf_h = np.isinf(mu_mix)
-        mu_fin = np.where(inf_h, 0.0, mu_mix)
-
-        # q_i(h) and the per-type mean count of spare stubs A_i
-        q_ih = self.table.d_given_q.T @ self.size_given_degree       # (n_q, n_h)
-        mean_h_given_d = self.size_given_degree @ self.h_vals.astype(float)
-        a_i = self.table.d_given_q.T @ (self.d_vals - mean_h_given_d)
-
-        # w_j^(h): mean labelled-stub kernel weight of a housemate's stubs
-        deg_kernel = self.kernels.degree_kernel
-        w_hj = np.zeros((self.h_vals.size, n_q))
-        for hi in range(self.h_vals.size):
-            rows = self.partner_rows[hi]
-            w_hj[hi] = (self.g1_probs * self.g1_vals) @ deg_kernel[rows]
-
-        u_fin = q_ih @ mu_fin
-        v_fin = (q_ih * mu_fin[None, :]) @ w_hj
-
-        kernel = self.kernels.quantile_kernel
-        entries = p_i * (
-            a_i[:, None] * ((1.0 - abs_r) / n_q + abs_r * kernel)
-            + (1.0 - abs_r) * self.mu_g / n_q * u_fin[:, None]
-            + abs_r * v_fin
-        )
-
-        has_infinite = False
-        if np.any(inf_h) and p_i > 0.0:
-            carrier = q_ih[:, inf_h] > 0.0                            # (n_q, #inf)
-            if (1.0 - abs_r) * self.mu_g > 0.0:
-                rows_inf = carrier.any(axis=1)
-                entries[rows_inf, :] = np.inf
-                has_infinite = has_infinite or bool(rows_inf.any())
-            if abs_r > 0.0:
-                cells = carrier @ (w_hj[inf_h] > 0.0)
-                entries[cells] = np.inf
-                has_infinite = has_infinite or bool(cells.any())
+        mu = self.households.mixture_means(self.h_vals, p.p_rw)
+        # a type that reaches a supercritical rewired household (which
+        # needs p_i > 0) has infinite mean offspring, so R* is inf
+        has_infinite = bool(np.any(self.size_reached & np.isinf(mu)))
+        if has_infinite:
+            entries = np.full((p.n_q, p.n_q), np.inf)
+        else:
+            # an infinite mean left here sits at a size no type reaches
+            mu = np.where(np.isinf(mu), 0.0, mu)
+            u = self.q_ih @ mu
+            v = (self.q_ih * mu[None, :]) @ self.w_hj
+            entries = p_i * (
+                self.a_i[:, None] * self.block_mix_type
+                + (1.0 - abs_r) * self.mu_g / p.n_q * u[:, None]
+                + abs_r * v
+            )
         self._mean_matrix = MeanMatrix(entries, has_infinite)
         return self._mean_matrix
 

@@ -77,13 +77,6 @@ class DiscreteDist:
 
     # -- basic queries -------------------------------------------------
 
-    def p(self, k: int) -> float:
-        """Probability of the value k (0.0 if outside the support)."""
-        idx = np.searchsorted(self.support, k)
-        if idx < self.support.size and self.support[idx] == k:
-            return float(self.probs[idx])
-        return 0.0
-
     def mean(self) -> float:
         return float(np.dot(self.support, self.probs))
 

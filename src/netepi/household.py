@@ -28,7 +28,9 @@ giving closed-form means and fixed-point PGFs.  The subtree fixed
 point is solved by elementwise Newton from 0, which also yields its
 derivative, and raises `NonConvergence` rather than return an
 unconverged value.  Mixtures over the rewiring probability are plain
-convex combinations.
+convex combinations; `HouseholdEngine.mixture_means` gives their means
+for many household sizes at once (inf where the rewired process is
+supercritical), which is all the offspring mean matrix reads.
 
 `HouseholdEngine.mixture_pgf_profile` is the one PGF path: it evaluates
 the mixture for many household sizes at once, with one Horner pass over
@@ -95,23 +97,22 @@ class HouseholdEngine:
         """Mean progeny of the tree-like local process; infinite once
         p_i reaches 1/(h-2)."""
         self._check_size(h)
-        p = self.infection.p_i
-        if h == 1:
-            return 0.0
-        if h >= 3 and p >= 1.0 / (h - 2):
-            return math.inf
-        return (h - 1) * p / (1.0 - (h - 2) * p)
+        return float(_rewired_means(np.array([h]), self.infection.p_i)[0])
 
     # -- mixtures over the rewiring probability ---------------------------
 
-    def mixture_mean(self, h: int, p_rw: float) -> float:
+    def mixture_means(self, sizes: np.ndarray, p_rw: float) -> np.ndarray:
+        """Mean local progeny of each household size when the household
+        was rewired with probability p_rw; inf where p_rw > 0 and the
+        rewired local epidemic is supercritical."""
         _check_prw(p_rw)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        self._check_sizes(sizes)
+        intact = self._means[sizes - 1]
         if p_rw == 0.0:
-            return self.susceptibility_mean(h)
-        rew = self.rewired_final_size_mean(h)
-        if math.isinf(rew):
-            return math.inf
-        return (1.0 - p_rw) * self.susceptibility_mean(h) + p_rw * rew
+            return intact
+        rewired = _rewired_means(sizes, self.infection.p_i)
+        return (1.0 - p_rw) * intact + p_rw * rewired
 
     # -- the PGF path used by the branching-process engine ----------------
 
@@ -151,14 +152,16 @@ class HouseholdEngine:
     def _pmf_matrix(self, sizes: np.ndarray) -> np.ndarray:
         """Row k holds the pmf of M for sizes[k], padded with zeros to the
         largest size."""
-        self._check_size(int(sizes.min(initial=1)))
-        largest = int(sizes.max(initial=1))
-        self._check_size(largest)
-        return self._pmf_table[sizes - 1, :largest]
+        self._check_sizes(sizes)
+        return self._pmf_table[sizes - 1, :int(sizes.max(initial=1))]
 
     def _check_size(self, h: int) -> None:
         if not 1 <= h <= self.max_size:
             raise ValueError(f"household size {h} outside 1..{self.max_size}")
+
+    def _check_sizes(self, sizes: np.ndarray) -> None:
+        self._check_size(int(sizes.min(initial=1)))
+        self._check_size(int(sizes.max(initial=1)))
 
 
 def _susceptibility_table(phi: np.ndarray) -> np.ndarray:
@@ -205,6 +208,15 @@ def _binomial_table(size: int) -> np.ndarray:
                       for s in range(size)], dtype=float)
     table.flags.writeable = False
     return table
+
+
+def _rewired_means(sizes: np.ndarray, p: float) -> np.ndarray:
+    """(h-1) p / (1 - (h-2) p) per size h, the mean progeny of the rewired
+    local process, and inf from p >= 1/(h-2) on (for h >= 3)."""
+    supercritical = (sizes >= 3) & (p >= 1.0 / np.maximum(sizes - 2, 1))
+    with np.errstate(divide="ignore"):
+        means = (sizes - 1) * p / (1.0 - (sizes - 2) * p)
+    return np.where(supercritical, np.inf, means)
 
 
 def _check_prw(p_rw: float) -> None:

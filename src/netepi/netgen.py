@@ -182,9 +182,6 @@ class Network:
         deg += np.bincount(self.edges_v, minlength=self.n)
         return deg
 
-    def household_size_of(self, v: int) -> int:
-        return int(self.household_sizes[self.household_index[v]])
-
     def __eq__(self, other):
         if not isinstance(other, Network):
             return NotImplemented

@@ -32,6 +32,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -199,19 +200,14 @@ def _run_one(params: ModelParams, n: int, seed_value: int) -> int:
     return run_epidemic(net, params.infection, seed=s_epi).final_size
 
 
-def _run_block(args):
-    params, n, seed_values = args
-    return [_run_one(params, n, int(s)) for s in seed_values]
-
-
 def estimate(params: ModelParams, n: int, n_sims: int, master_seed: int,
              cutoff: float = DEFAULT_CUTOFF, threads: int = 1) -> EstimateReport:
     """Build a fresh network per run, infect one uniform seed, classify
     runs as major at the cutoff (fraction of n or absolute count).
 
     Per-run integer seeds derive from the master seed, so results are
-    reproducible bit for bit and independent of `threads` (workers merge
-    back by run index).
+    reproducible bit for bit and independent of `threads` (the worker
+    pool returns results in seed order).
     """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
@@ -221,17 +217,15 @@ def estimate(params: ModelParams, n: int, n_sims: int, master_seed: int,
     ss = np.random.SeedSequence(master_seed)
     seeds = ss.generate_state(n_sims, dtype=np.uint64)
 
+    run = partial(_run_one, params, n)
     if threads > 1:
-        blocks = np.array_split(np.arange(n_sims), threads * 4)
-        blocks = [b for b in blocks if b.size]
-        jobs = [(params, n, seeds[b].tolist()) for b in blocks]
-        final_sizes = np.empty(n_sims, dtype=np.int64)
+        # about four chunks per worker
+        chunk = -(-n_sims // (threads * 4))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for b, result in zip(blocks, pool.map(_run_block, jobs)):
-                final_sizes[b] = result
+            sizes = list(pool.map(run, seeds.tolist(), chunksize=chunk))
     else:
-        final_sizes = np.array(
-            [_run_one(params, n, int(s)) for s in seeds], dtype=np.int64)
+        sizes = [run(s) for s in seeds.tolist()]
+    final_sizes = np.array(sizes, dtype=np.int64)
 
     major, threshold = classify(final_sizes, cutoff, n)
     p_hat = float(major.mean())

@@ -27,6 +27,7 @@ from netepi.branching import (
 from netepi.distributions import (
     InfectionSpec,
     from_pmf,
+    negative_binomial,
     point,
     poisson,
     poisson_plus,
@@ -116,6 +117,60 @@ def test_infinite_local_growth_infinite_threshold():
     assert 0.0 < rep.p_major < 1.0
     assert 0.0 < rep.z < 1.0
     assert rep.p_major == pytest.approx(rep.z, abs=1e-9)
+
+
+_JACOBIAN_LAWS = [
+    (poisson_plus(2.0), poisson(8.0)),
+    (point(3), poisson(5.0)),
+    (from_pmf({1: 0.3, 2: 0.3, 4: 0.4}), point(4)),
+    (poisson_plus(1.0), negative_binomial(2.0, 0.4)),
+    (from_pmf({2: 0.5, 4: 0.5}), poisson(3.0)),
+    (point(1), poisson(6.0)),
+    (poisson_plus(3.5), from_pmf({1: 0.5, 5: 0.5})),
+    (point(5), point(2)),
+]
+_JACOBIAN_INFECTIONS = (
+    [InfectionSpec.constant(p) for p in (0.0, 0.05, 0.2, 0.6)]
+    + [InfectionSpec.gamma(0.3, 2.0), InfectionSpec.exponential(0.25)])
+
+
+@pytest.mark.parametrize("h, g", _JACOBIAN_LAWS)
+def test_mean_matrix_is_the_offspring_pgf_jacobian_at_one(h, g):
+    # M_ij = dF_i/ds_j at s = 1: the mean matrix's own tables must agree
+    # with the PGF path wherever the means are finite
+    for r in (-1.0, -0.75, -0.5, 0.0, 0.3, 0.5, 1.0):
+        for n_q in (1, 6, 10):
+            for p_rw in (0.0, 0.3, 1.0):
+                base = BranchingModel(params(h, g, r=r, n_q=n_q, p_rw=p_rw))
+                for inf in _JACOBIAN_INFECTIONS:
+                    model = base.with_infection(inf)
+                    assert model.q_ih is base.q_ih
+                    assert model.a_i is base.a_i
+                    assert model.w_hj is base.w_hj
+                    m = model.mean_matrix()
+                    # every size of these laws is reached, so a rewired
+                    # household beyond 1/(h-2) makes the means infinite
+                    supercritical = p_rw > 0.0 and any(
+                        k >= 3 and inf.p_i >= 1.0 / (k - 2)
+                        for k in h.support.tolist())
+                    assert m.has_infinite == supercritical
+                    if supercritical:
+                        assert np.all(np.isinf(m.entries))
+                        assert model.r_star() == math.inf
+                        continue
+                    _, jac = model._offspring_pgf(np.ones(n_q), jacobian=True)
+                    np.testing.assert_allclose(m.entries, jac, rtol=1e-13,
+                                               atol=0.0)
+
+
+def test_underflowed_stub_degree_is_named():
+    # P(D = 1) = 1e-200 * 1e-200 / (mu_H mu_G) underflows to 0, so the
+    # stub-degree law drops degree 1, which a size-1 household whose member
+    # has one global stub still reaches
+    pm = params(from_pmf({1: 1e-200, 2: 1.0}), from_pmf({1: 1e-200, 3: 1.0}),
+                n_q=2)
+    with pytest.raises(ValueError, match="^stub degree 1 "):
+        BranchingModel(pm)
 
 
 def test_partly_rewired_mixture_with_infinite_branch():

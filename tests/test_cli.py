@@ -176,6 +176,13 @@ def test_rejected_model_parameters_exit_2_without_traceback(tmp_path, capsys):
         ("analyze", {"model": {"household": 3, "global_degree": "poisson(8)"},
                      "infection": constant},
          "model.household must be text, not 3"),
+        # P(D = 1) underflows to 0, yet a size-1 household with one global
+        # stub reaches degree 1
+        ("analyze", {"model": {"household": "pmf([1:1e-200, 2:1])",
+                               "global_degree": "pmf([1:1e-200, 3:1])",
+                               "n_q": 2},
+                     "infection": constant},
+         "stub degree 1 "),
     ]
     for i, (command, cfg, message) in enumerate(bad_runs):
         path = write_yaml(tmp_path / "c.yaml", cfg)

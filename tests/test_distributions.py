@@ -15,6 +15,11 @@ def pmf_dict(d):
     return dict(zip(d.support.tolist(), d.probs.tolist()))
 
 
+def prob(d, k):
+    """P(X = k), 0.0 off the support."""
+    return pmf_dict(d).get(k, 0.0)
+
+
 def test_poisson_plus_mean_matches_direct_summation():
     # oracle: sum the zero-truncated series directly, far past truncation
     mu = 2.0
@@ -125,8 +130,8 @@ def test_parse_distribution_names_non_finite_parameters(text, message):
 def test_size_bias_two_point():
     d = dd.from_pmf({1: 0.5, 2: 0.5})
     sb = dd.size_bias(d)
-    assert sb.p(1) == pytest.approx(1 / 3, abs=1e-12)
-    assert sb.p(2) == pytest.approx(2 / 3, abs=1e-12)
+    assert prob(sb, 1) == pytest.approx(1 / 3, abs=1e-12)
+    assert prob(sb, 2) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_size_bias_drops_zero_and_needs_positive_mean():
@@ -140,8 +145,8 @@ def test_size_bias_drops_zero_and_needs_positive_mean():
 def test_edge_bias_two_point():
     d = dd.from_pmf({2: 0.5, 4: 0.5})
     eb = dd.edge_bias(d)
-    assert eb.p(2) == pytest.approx(2 / 14, abs=1e-12)
-    assert eb.p(4) == pytest.approx(12 / 14, abs=1e-12)
+    assert prob(eb, 2) == pytest.approx(2 / 14, abs=1e-12)
+    assert prob(eb, 4) == pytest.approx(12 / 14, abs=1e-12)
 
 
 def test_edge_bias_requires_mass_at_two_or_more():
@@ -158,9 +163,9 @@ def test_poisson_biases_are_shifted_poissons():
     ref = dd.poisson(mu)
     # renormalization over the truncated support shifts mass by ~tail
     for k in range(1, 15):
-        assert ht.p(k) == pytest.approx(ref.p(k - 1), abs=1e-10)
+        assert prob(ht, k) == pytest.approx(prob(ref, k - 1), abs=1e-10)
     for k in range(2, 15):
-        assert hh.p(k) == pytest.approx(ref.p(k - 2), abs=1e-10)
+        assert prob(hh, k) == pytest.approx(prob(ref, k - 2), abs=1e-10)
 
 
 def test_stub_degree_law_point_masses():
@@ -175,7 +180,7 @@ def test_stub_degree_law_poisson_template():
     ref = dd.poisson(gamma)
     assert d.min_support() == 1
     for k in range(1, 30):
-        assert d.p(k) == pytest.approx(ref.p(k - 1), abs=1e-10)
+        assert prob(d, k) == pytest.approx(prob(ref, k - 1), abs=1e-10)
     with pytest.raises(ZeroMean):
         dd.stub_degree_law(dd.point(2), dd.point(0))
 

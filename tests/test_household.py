@@ -286,6 +286,24 @@ def test_rewired_pgf_monotone_and_proper_when_subcritical():
     assert vals[-1] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_mixture_means_by_size():
+    eng = engine(0.3, max_size=9)
+    sizes = np.arange(1, 10)
+    assert np.array_equal(eng.mixture_means(sizes, 0.0),
+                          [eng.susceptibility_mean(h) for h in sizes])
+    # p_i = 0.3 >= 1/(h-2) from h = 6 on: the rewired branch diverges
+    mixed = eng.mixture_means(sizes, 0.25)
+    for h, value in zip(sizes, mixed):
+        rew = eng.rewired_final_size_mean(int(h))
+        assert math.isinf(value) == (h >= 6) == math.isinf(rew)
+        if h < 6:
+            assert value == 0.75 * eng.susceptibility_mean(h) + 0.25 * rew
+    with pytest.raises(ValueError):
+        eng.mixture_means([10], 0.25)
+    with pytest.raises(ValueError):
+        eng.mixture_means(sizes, -0.1)
+
+
 def test_mixture_combines_convexly():
     eng = engine(0.4, max_size=8)
     h, s = 5, 0.6
@@ -295,10 +313,10 @@ def test_mixture_combines_convexly():
         assert local_pgf(eng, h, s, p_rw) == pytest.approx(
             (1 - p_rw) * intact + p_rw * rew, abs=1e-14
         )
-    assert eng.mixture_mean(h, 0.3) == pytest.approx(
+    assert eng.mixture_means([h], 0.3)[0] == pytest.approx(
         0.7 * eng.susceptibility_mean(h) + 0.3 * eng.rewired_final_size_mean(h)
     )
-    assert engine(0.6, 8).mixture_mean(5, 0.1) == math.inf
+    assert engine(0.6, 8).mixture_means([5], 0.1)[0] == math.inf
     with pytest.raises(ValueError):
         local_pgf(eng, h, s, 1.4)
 

@@ -45,7 +45,7 @@ def test_household_layout_and_truncation():
     assert net.n_edges == 13
     assert np.all(net.edge_local)
     # node 9 sits in the truncated household of size 2
-    assert net.household_size_of(9) == 2
+    assert net.household_sizes[net.household_index[9]] == 2
 
 
 def test_local_edges_form_household_cliques():

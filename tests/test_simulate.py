@@ -6,6 +6,7 @@ are checked through the exact forward/backward mean identity.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from netepi.netgen import GenSpec, Network, build_network, rewire
 from netepi.simulate import (
     EpidemicOutcome,
     EstimateReport,
+    _run_one,
     classify,
     estimate,
     run_epidemic,
@@ -263,6 +265,18 @@ def test_estimate_threads_merge_identically():
     two = estimate(small_params(), n=800, n_sims=64, master_seed=7, threads=2)
     assert np.array_equal(one.final_sizes, two.final_sizes)
     assert one.p_hat == two.p_hat
+
+
+def test_estimate_pool_keeps_seed_order_over_uneven_chunks():
+    # 13 rewired runs over 2 workers come back in chunks of 2, the last
+    # one short; run k must still be the run of seed k
+    pm = replace(small_params(), p_rw=0.4)
+    one = estimate(pm, n=500, n_sims=13, master_seed=19, threads=1)
+    two = estimate(pm, n=500, n_sims=13, master_seed=19, threads=2)
+    assert np.array_equal(one.final_sizes, two.final_sizes)
+    assert np.array_equal(one.seeds, two.seeds)
+    by_seed = [_run_one(pm, 500, s) for s in two.seeds.tolist()]
+    assert two.final_sizes.tolist() == by_seed
 
 
 def test_estimate_subcritical_raises_on_z():
