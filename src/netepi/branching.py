@@ -478,7 +478,8 @@ def tune_poisson(gamma: float, c_target: float, rho_target: float,
 
     Clustering pins mu = gamma sqrt(c); rho is then monotone in r, so a
     bisection on [-1, 1] closes the loop.  Targets outside the attainable
-    envelope raise Infeasible carrying the swept bounds.
+    envelope raise Infeasible carrying the swept bounds, and a bisection
+    that misses the target after 200 steps raises NonConvergence.
     """
     if gamma <= 0.0:
         raise InvalidTarget("gamma must be positive")
@@ -494,7 +495,6 @@ def tune_poisson(gamma: float, c_target: float, rho_target: float,
             lo=rho_lo, hi=rho_hi,
         )
     lo, hi = -1.0, 1.0
-    r = 0.0
     for _ in range(200):
         r = 0.5 * (lo + hi)
         c_val, rho_val = poisson_c_rho(gamma, mu, r, n_q)
@@ -504,9 +504,6 @@ def tune_poisson(gamma: float, c_target: float, rho_target: float,
             lo = r
         else:
             hi = r
-    c_val, rho_val = poisson_c_rho(gamma, mu, r, n_q)
-    if abs(rho_val - rho_target) > _TUNE_RHO_TOL:
-        raise NonConvergence(
-            f"tuning bisection stalled at rho={rho_val} for target {rho_target}"
-        )
-    return TuneResult(mu, r, c_val, rho_val)
+    raise NonConvergence(
+        f"tuning bisection stalled at rho={rho_val} for target {rho_target}"
+    )

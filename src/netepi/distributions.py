@@ -367,11 +367,8 @@ def quantile_table(dist: DiscreteDist, n_q: int) -> QuantileTable:
     # degrees whose (tiny) mass vanished in rounding: pin them to the
     # block holding their cdf position so conditionals stay proper
     dead = np.flatnonzero(row_mass <= 0.0)
-    if dead.size:
-        q_given_d = joint / np.where(row_mass > 0.0, row_mass, 1.0)[:, None]
-        q_given_d[dead, np.clip((cdf_lo[dead] * n_q).astype(int), 0, n_q - 1)] = 1.0
-    else:
-        q_given_d = joint / row_mass[:, None]
+    q_given_d = joint / np.where(row_mass > 0.0, row_mass, 1.0)[:, None]
+    q_given_d[dead, np.clip((cdf_lo[dead] * n_q).astype(int), 0, n_q - 1)] = 1.0
     d_given_q = joint / col_mass[None, :]
     means = dist.support @ d_given_q
     return QuantileTable(dist, n_q, _freeze(joint), _freeze(q_given_d),

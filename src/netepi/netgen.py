@@ -16,11 +16,15 @@ The ranking shuffles the X=1 stubs and then groups them stably by owner
 degree, so ties keep the uniform random order of the shuffle.  Every
 shuffle permutes a stub array the generator owns in place
 (`Generator.shuffle` draws the same order as indexing by
-`Generator.permutation`, without the gather).  A pairing shuffles its
-stubs once: a block pairs consecutive stubs of its shuffle, and a mirror
-pair shuffles only its larger block, since a uniform order of one side
-against a fixed order of the other is already a uniform matching.  Both
-the ranking and the adjacency build use `_group_by`, one counting scatter
+`Generator.permutation`, without the gather).  One pairing step,
+`_pair_blocks`, forms every edge that is not a household clique edge: it
+pairs the X=0 stubs as one block, the X=1 blocks each with itself or with
+its mirror block, and the stubs `rewire` frees by household-size class.
+It shuffles each block once: a block pairs consecutive stubs of its
+shuffle, and a mirror pair shuffles only its larger block, since a
+uniform order of one side against a fixed order of the other is already
+a uniform matching.  The ranking, the rewiring's size classes and the
+adjacency build all use `_group_by`, one counting scatter
 (count each key, prefix-sum the counts, then drop every value into the
 next free slot of its key) in compiled code.  It runs in linear time
 where a comparison sort of labelled stubs or edge ends does not, and
@@ -244,17 +248,45 @@ def _household_edges(sizes: np.ndarray, starts: np.ndarray):
     return np.concatenate(chunks_u), np.concatenate(chunks_v)
 
 
-def _pair_uniform(owners: np.ndarray, rng: np.random.Generator):
-    """Uniform random perfect matching; odd leftover discarded.  Shuffles
-    `owners` in place and returns views of it."""
-    rng.shuffle(owners)
-    m = owners.size // 2
-    return owners[: 2 * m : 2], owners[1 : 2 * m : 2], int(owners.size - 2 * m)
+def _pair_blocks(stubs: np.ndarray, bounds: np.ndarray,
+                 rng: np.random.Generator, mirror: bool = False):
+    """Uniform matchings of the blocks stubs[bounds[b]:bounds[b + 1]].
 
-
-def _block_sizes(total: int, n_q: int) -> np.ndarray:
-    base, rem = divmod(total, n_q)
-    return np.array([base + 1] * rem + [base] * (n_q - rem), dtype=np.int64)
+    Block b pairs with itself, or with its mirror block k - 1 - b of the
+    k blocks when `mirror` is set; a mirror pair is matched when the loop
+    reaches its first block.  That block is shuffled in place once, as is
+    a block paired with itself: a block paired
+    with itself pairs consecutive stubs, and one paired with a mirror
+    block at most as large (larger blocks first) matches its first stubs
+    against that block as it stands, since a uniform order of one side
+    against any fixed order of the other is already a uniform matching.
+    Returns (u, v, q_u, q_v, unpaired): the ends of each pair, each end's
+    1-based block, and the count of stubs left unpaired.
+    """
+    k = bounds.size - 1
+    # household sizes key rewire's blocks, so k can outgrow int16 there
+    label = np.int16 if k <= MAX_BLOCKS else np.int64
+    us, vs, qs_u, qs_v = [], [], [], []
+    for b in range(k):
+        m = k - 1 - b if mirror else b
+        if m < b:
+            break
+        block = stubs[bounds[b] : bounds[b + 1]]
+        rng.shuffle(block)
+        if m == b:
+            half = block.size // 2
+            u, v = block[: 2 * half : 2], block[1 : 2 * half : 2]
+        else:
+            v = stubs[bounds[m] : bounds[m + 1]]
+            u = block[: v.size]
+        us.append(u)
+        vs.append(v)
+        qs_u.append(np.full(u.size, b + 1, dtype=label))
+        qs_v.append(np.full(u.size, m + 1, dtype=label))
+    u = np.concatenate(us)
+    unpaired = int(bounds[-1] - bounds[0]) - 2 * u.size
+    return (u, np.concatenate(vs), np.concatenate(qs_u),
+            np.concatenate(qs_v), unpaired)
 
 
 def build_network(spec: GenSpec, seed: Seed) -> Network:
@@ -277,65 +309,27 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
     x0_owners = np.repeat(nodes, g - g1)
     x1_owners = np.repeat(nodes, g1)
 
-    g0_u, g0_v, disc_x0 = _pair_uniform(x0_owners, rng)
+    g0_u, g0_v, _, _, disc_x0 = _pair_blocks(
+        x0_owners, np.array([0, x0_owners.size]), rng)
 
     # rank X=1 stubs by owner degree, uniform tie-break: shuffle, then a
     # stable grouping keeps the shuffled order within each degree; cut
-    # into blocks
-    n_q = spec.n_q
+    # into n_q blocks, the rem larger ones first
     rng.shuffle(x1_owners)
     ranked = _group_by(degree[x1_owners], x1_owners,
                        int(degree.max()) + 1)[1]
-    bounds = np.concatenate(([0], np.cumsum(_block_sizes(ranked.size, n_q))))
-
-    g1_u, g1_v, q_u, q_v = [], [], [], []
-    disc_x1 = 0
-
-    def pair_within(block: int):
-        nonlocal disc_x1
-        seg = ranked[bounds[block] : bounds[block + 1]]
-        u, v, disc = _pair_uniform(seg, rng)
-        disc_x1 += disc
-        g1_u.append(u)
-        g1_v.append(v)
-        q_u.append(np.full(u.size, block + 1, dtype=np.int16))
-        q_v.append(np.full(v.size, block + 1, dtype=np.int16))
-
-    if spec.r >= 0:
-        for b in range(n_q):
-            pair_within(b)
-    else:
-        for b in range(n_q // 2):
-            mirror = n_q - 1 - b
-            # larger blocks come first, so seg_a is the larger side; a
-            # uniform order of it against any fixed order of seg_b is a
-            # uniform matching, and its unmatched stub a uniform one
-            seg_a = ranked[bounds[b] : bounds[b + 1]]
-            seg_b = ranked[bounds[mirror] : bounds[mirror + 1]]
-            rng.shuffle(seg_a)
-            disc_x1 += seg_a.size - seg_b.size
-            g1_u.append(seg_a[: seg_b.size])
-            g1_v.append(seg_b)
-            q_u.append(np.full(seg_b.size, b + 1, dtype=np.int16))
-            q_v.append(np.full(seg_b.size, mirror + 1, dtype=np.int16))
-        if n_q % 2 == 1:
-            pair_within(n_q // 2)
-
-    empty_i64 = np.empty(0, dtype=np.int64)
-    empty_i16 = np.empty(0, dtype=np.int16)
-    g1_u = np.concatenate(g1_u) if g1_u else empty_i64
-    g1_v = np.concatenate(g1_v) if g1_v else empty_i64
-    q_u = np.concatenate(q_u) if q_u else empty_i16
-    q_v = np.concatenate(q_v) if q_v else empty_i16
+    base, rem = divmod(ranked.size, spec.n_q)
+    j = np.arange(spec.n_q + 1)
+    g1_u, g1_v, q_u, q_v, disc_x1 = _pair_blocks(
+        ranked, j * base + np.minimum(j, rem), rng, mirror=spec.r < 0)
 
     edges_u = np.concatenate([local_u, g0_u, g1_u])
     edges_v = np.concatenate([local_v, g0_v, g1_v])
     edge_local = np.zeros(edges_u.size, dtype=bool)
     edge_local[: local_u.size] = True
-    stub_q_u = np.zeros(edges_u.size, dtype=np.int16)
-    stub_q_v = np.zeros(edges_u.size, dtype=np.int16)
-    stub_q_u[local_u.size + g0_u.size :] = q_u
-    stub_q_v[local_u.size + g0_u.size :] = q_v
+    unlabelled = np.zeros(local_u.size + g0_u.size, dtype=np.int16)
+    stub_q_u = np.concatenate([unlabelled, q_u])
+    stub_q_v = np.concatenate([unlabelled, q_v])
 
     return Network(n, household_index, sizes, edges_u, edges_v, edge_local,
                    stub_q_u, stub_q_v, disc_x0, disc_x1)
@@ -365,18 +359,12 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
     keep = np.ones(net.n_edges, dtype=bool)
     keep[broken] = False
     label = net.household_sizes[net.household_index[net.edges_u[broken]]]
-    stub_owner = np.concatenate([net.edges_u[broken], net.edges_v[broken]])
-    stub_label = np.concatenate([label, label])
-
-    new_u, new_v = [], []
-    disc_local = 0
-    for h in np.flatnonzero(np.bincount(stub_label)):
-        u, v, disc = _pair_uniform(stub_owner[stub_label == h], rng)
-        disc_local += disc
-        new_u.append(u)
-        new_v.append(v)
-    new_u = np.concatenate(new_u)
-    new_v = np.concatenate(new_v)
+    # the freed stubs grouped by household size, ascending
+    indptr, stubs = _group_by(
+        np.concatenate([label, label]),
+        np.concatenate([net.edges_u[broken], net.edges_v[broken]]),
+        int(label.max()) + 1)
+    new_u, new_v, _, _, disc_local = _pair_blocks(stubs, indptr, rng)
 
     edges_u = np.concatenate([net.edges_u[keep], new_u])
     edges_v = np.concatenate([net.edges_v[keep], new_v])

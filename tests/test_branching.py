@@ -614,6 +614,19 @@ def test_tune_poisson_infeasible_reports_envelope():
     assert exc.value.hi == pytest.approx(rho_max, abs=1e-12)
 
 
+def test_tune_poisson_stall_raises(monkeypatch):
+    import netepi.branching as br
+
+    # rho reaches the target only at the ends of [-1, 1], so the bisection
+    # runs out of steps with rho = 0.5 wherever it lands
+    def stalled(gamma, mu, r, n_q):
+        return 0.04, r if abs(r) == 1.0 else 0.5
+
+    monkeypatch.setattr(br, "poisson_c_rho", stalled)
+    with pytest.raises(NonConvergence, match="stalled"):
+        tune_poisson(10.0, 0.04, 0.0, 10)
+
+
 def test_tune_poisson_invalid_targets():
     with pytest.raises(InvalidTarget):
         tune_poisson(10.0, 1.2, 0.0, n_q=10)

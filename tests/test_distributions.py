@@ -211,6 +211,16 @@ def test_quantile_table_invariants(n_q):
     assert np.all(np.diff(t.quantile_means) >= -1e-12)
 
 
+def test_quantile_table_pins_a_vanished_row():
+    # degree 3's mass rounds away in the cumulative sums, so its joint row
+    # is empty; its conditional is pinned to the block of its cdf position
+    d = dd.DiscreteDist([1, 2, 3], [0.5, 0.5, 1e-20])
+    t = dd.quantile_table(d, 4)
+    assert np.all(t.joint[2] == 0.0)
+    assert np.array_equal(t.q_given_d[2], [0.0, 0.0, 0.0, 1.0])
+    assert np.allclose(t.q_given_d.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
 def test_quantile_table_matches_sorted_stub_simulation():
     # oracle: draw many stub degrees, sort with a uniform tie-break, cut
     # into near-equal blocks (larger blocks first), tally (degree, block)

@@ -146,6 +146,21 @@ def test_generator_adjacency_and_epidemic_match_golden_digests(r):
     assert out.final_size == final_size
 
 
+def test_odd_block_count_mirror_stream_is_pinned():
+    # r = -1 at odd n_q, where the middle block pairs with itself: the
+    # same digests as GOLDEN, of rewire(build_network(spec, 5), 0.3, 6)
+    spec = ng.GenSpec(n=20_000, household=dd.poisson_plus(2.0),
+                      global_degree=dd.poisson(8.0), r=-1.0, n_q=7)
+    net = ng.rewire(ng.build_network(spec, 5), 0.3, 6)
+    digest = hashlib.sha256(network_text(net).encode()).hexdigest()
+    assert digest == ("4fc9ff766451d96eec5929fe4f72d5c2"
+                      "b6f70e65aaded9e8a2357f998736c7a5")
+    assert hashlib.sha256(net.adjacency[1].tobytes()).hexdigest() == (
+        "62c55c064dda4de3dd6124b174b798c1e5280c558553156ee82f9e590eb8a30f")
+    out = run_epidemic(net, InfectionSpec.gamma(0.1, 2.0), seed=1)
+    assert out.final_size == 14201
+
+
 def test_ranking_follows_quantile_table_with_random_tie_break():
     h, g, n_q = dd.poisson_plus(2.0), dd.poisson(8.0), 10
     spec = ng.GenSpec(n=100_000, household=h, global_degree=g, r=1.0, n_q=n_q)
@@ -262,18 +277,40 @@ def test_rewire_stream_is_pinned_apart_from_the_generator():
                       "750f4c1cd01553a74a5ca16a4011acc4")
 
 
-def test_negative_correlation_pairs_mirror_blocks():
-    spec = small_spec(n=5000, r=-1.0, n_q=10)
+def test_rewire_takes_households_beyond_the_block_label_range():
+    # rewire pairs each household-size class as one block; a household
+    # larger than MAX_BLOCKS still rewires, its stubs kept in class
+    size = ng.MAX_BLOCKS + 10
+    sizes = np.array([size, size, 2], dtype=np.int64)
+    n = int(sizes.sum())
+    u = np.array([0, 2, 4, size, size + 2, 2 * size], dtype=np.int64)
+    v = u + 1
+    net = ng.Network(n, np.repeat(np.arange(3), sizes), sizes, u, v,
+                     np.ones(6, dtype=bool), np.zeros(6, dtype=np.int16),
+                     np.zeros(6, dtype=np.int16))
+    out = ng.rewire(net, 1.0, 3)
+    assert np.array_equal(out.degrees(), net.degrees())
+    assert out.discarded_local == 0
+    size_u = out.household_sizes[out.household_index[out.edges_u]]
+    size_v = out.household_sizes[out.household_index[out.edges_v]]
+    assert np.array_equal(size_u, size_v)
+
+
+@pytest.mark.parametrize("n_q", [10, 7])
+def test_negative_correlation_pairs_mirror_blocks(n_q):
+    # at odd n_q the middle block is its own mirror
+    spec = small_spec(n=5000, r=-1.0, n_q=n_q)
     net = ng.build_network(spec, 5)
     is_global = ~net.edge_local
     qu = net.stub_q_u[is_global]
     qv = net.stub_q_v[is_global]
-    assert np.all(qu + qv == 11)
+    assert np.all(qu + qv == n_q + 1)
 
 
-def test_discard_bounds():
+@pytest.mark.parametrize("r", [0.6, -0.6])
+def test_discard_bounds(r):
     for seed in range(20):
-        spec = small_spec(n=101, r=0.6, n_q=7)
+        spec = small_spec(n=101, r=r, n_q=7)
         net = ng.build_network(spec, seed)
         imp = net.imperfections
         assert imp.discarded_x0 <= 1

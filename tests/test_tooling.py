@@ -18,8 +18,9 @@ import pytest
 from netepi import cli, netgen, simulate
 from netepi.distributions import InfectionSpec, poisson, poisson_plus
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+SRC = ROOT / "src"
 
 
 @pytest.mark.parametrize("module, absent", [
@@ -41,6 +42,20 @@ def test_import_leaves_scipy_stats_out(module, absent):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_mistyped_mark_fails_collection(tmp_path):
+    # a mark outside the registered ones would otherwise run a slow test
+    # in the quick -m "not slow and not acceptance" loop
+    probe = tmp_path / "test_probe.py"
+    probe.write_text("import pytest\n\n\n@pytest.mark.slwo\n"
+                     "def test_probe():\n    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", str(probe)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0, proc.stdout
+    assert "'slwo' not found" in proc.stdout
 
 
 def test_span_tracer_wraps_and_restores_every_target(monkeypatch):
