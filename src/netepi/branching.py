@@ -70,7 +70,7 @@ from .errors import (
     ReducibleMatrixWarning,
 )
 from .household import HouseholdEngine
-from .netgen import MAX_BLOCKS, GenSpec
+from .netgen import GenSpec, check_structure
 from .netprops import poisson_c_rho
 
 _POWER_TOL = 1e-12
@@ -96,28 +96,13 @@ class ModelParams:
     p_rw: float = 0.0
 
     def __post_init__(self):
-        if self.household.min_support() < 1:
-            raise ValueError("household sizes must be >= 1")
-        if not -1.0 <= self.r <= 1.0:
-            raise ValueError("r must lie in [-1, 1]")
-        if not 1 <= self.n_q <= MAX_BLOCKS:
-            raise ValueError(f"n_q must lie in 1..{MAX_BLOCKS}")
+        check_structure(self.household, self.r, self.n_q)
         if not 0.0 <= self.p_rw <= 1.0:
             raise ValueError("p_rw must lie in [0, 1]")
 
     def gen_spec(self, n: int) -> GenSpec:
         return GenSpec(n=n, household=self.household,
                        global_degree=self.global_degree, r=self.r, n_q=self.n_q)
-
-
-@dataclass(frozen=True)
-class MeanMatrix:
-    """Offspring means between types.  When rewiring makes the local
-    epidemic of a reachable household size supercritical, has_infinite
-    is set and every entry is inf."""
-
-    entries: np.ndarray
-    has_infinite: bool
 
 
 @dataclass(frozen=True)
@@ -150,7 +135,6 @@ class BranchingModel:
         self.params = params
         p = params
         self.h_vals = p.household.support.astype(np.int64)
-        self.h_probs = p.household.probs
         self.h_tilde = size_bias(p.household)
         # household law is supported on >= 1, so biasing keeps the support
         self.pi_tilde = self.h_tilde.probs
@@ -214,7 +198,7 @@ class BranchingModel:
     def _start_infection(self) -> None:
         self.households = HouseholdEngine(self.params.infection,
                                           int(self.h_vals.max()))
-        self._mean_matrix: Optional[MeanMatrix] = None
+        self._mean_matrix: Optional[np.ndarray] = None
         self._r_star: Optional[float] = None
         self._extinction: Optional[np.ndarray] = None
         self._extinction_stats: Optional[SolverStats] = None
@@ -236,7 +220,10 @@ class BranchingModel:
 
     # -- offspring mean matrix and threshold ------------------------------
 
-    def mean_matrix(self) -> MeanMatrix:
+    def mean_matrix(self) -> np.ndarray:
+        """Offspring means between types, read-only.  When rewiring makes
+        the local epidemic of a reachable household size supercritical,
+        every entry is inf."""
         if self._mean_matrix is not None:
             return self._mean_matrix
         p = self.params
@@ -245,8 +232,7 @@ class BranchingModel:
         mu = self.households.mixture_means(self.h_vals, p.p_rw)
         # a type that reaches a supercritical rewired household (which
         # needs p_i > 0) has infinite mean offspring, so R* is inf
-        has_infinite = bool(np.any(self.size_reached & np.isinf(mu)))
-        if has_infinite:
+        if np.any(self.size_reached & np.isinf(mu)):
             entries = np.full((p.n_q, p.n_q), np.inf)
         else:
             # an infinite mean left here sits at a size no type reaches
@@ -258,8 +244,9 @@ class BranchingModel:
                 + (1.0 - abs_r) * self.mu_g / p.n_q * u[:, None]
                 + abs_r * v
             )
-        self._mean_matrix = MeanMatrix(entries, has_infinite)
-        return self._mean_matrix
+        entries.flags.writeable = False
+        self._mean_matrix = entries
+        return entries
 
     def r_star(self) -> float:
         if self._r_star is None:
@@ -397,11 +384,12 @@ class BranchingModel:
         return max(0.0, 1.0 - self._ancestor_pgf(self._extinction_vector()))
 
 
-def r_star(m: MeanMatrix) -> float:
-    """Perron root of the offspring mean matrix by power iteration."""
-    if m.has_infinite:
+def r_star(m: np.ndarray) -> float:
+    """Perron root of the offspring mean matrix by power iteration; inf
+    when the matrix is (all) inf."""
+    if np.isinf(m).any():
         return math.inf
-    return _perron_root(m.entries)
+    return _perron_root(m)
 
 
 def _is_irreducible(mat: np.ndarray) -> bool:
@@ -458,7 +446,7 @@ def analyze(params: ModelParams) -> AnalyticReport:
     # a constant period gives the forward process the backward law
     return AnalyticReport(model.r_star(), z if constant else None, z,
                           xi if constant else None, xi,
-                          model.mean_matrix().has_infinite)
+                          bool(np.isinf(model.mean_matrix()).any()))
 
 
 # -- tuning the Poisson template ----------------------------------------

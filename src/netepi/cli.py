@@ -85,6 +85,8 @@ def _integer(lo: int):
 def _reals(name: str, value) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list, not {value!r}")
+    if not value:
+        raise ConfigError(f"{name} must not be empty")
     return [_real(f"{name}[{i}]", x) for i, x in enumerate(value)]
 
 
@@ -508,13 +510,13 @@ def _figure_fig2(cfg):
     r_grid = model.get("r_grid", cfg["figure"]["r_grid"])
     h, g = model_distributions(model)
     spec = infection_spec(infection)
+    c = rewired_clustering(h, g, model["p_rw"])
     rows = []
     for r in r_grid:
         params = ModelParams(household=h, global_degree=g, r=r,
                              n_q=model["n_q"], infection=spec,
                              p_rw=model["p_rw"])
         rep = analyze(params)
-        c = rewired_clustering(h, g, model["p_rw"])
         rho = analytic_degree_corr(h, g, r, model["n_q"])
         est = estimate(params, n=sim["n"], n_sims=sim["n_sims"],
                        master_seed=sim["master_seed"], cutoff=sim["cutoff"],
@@ -538,13 +540,13 @@ def _figure_fig3(cfg):
         # the flattest supercritical line: just above the critical p_i of
         # the hardest r on the grid
         p_base = max(_critical_p_i(h, g, r, n_q) for r in fig["r_grid"])
+        c_rho = [poisson_c_rho(gamma, mu, r, n_q) for r in fig["r_grid"]]
         for factor in fig["p_i_factors"]:
             p_i = min(1.0, factor * p_base)
             spec = InfectionSpec.constant(p_i)
-            for r in fig["r_grid"]:
+            for r, (c, rho) in zip(fig["r_grid"], c_rho):
                 rep = analyze(ModelParams(household=h, global_degree=g, r=r,
                                           n_q=n_q, infection=spec))
-                c, rho = poisson_c_rho(gamma, mu, r, n_q)
                 rows.append([mu, factor, p_i, r, c, rho,
                              rep.r_star, rep.p_major, rep.z])
     return ({"figure": {"name": "fig3", **fig}},

@@ -230,7 +230,8 @@ def parse_distribution(text: str) -> DiscreteDist:
     """Parse a distribution expression.
 
     Accepted forms: poisson(m), poisson_plus(m), point(k) / point_mass(k),
-    geometric(p), negative_binomial(r, p), pmf([k1:p1, k2:p2, ...]).
+    geometric(p), negative_binomial(r, p), pmf([k1:p1, k2:p2, ...]), in
+    which each value k is given once.
     """
     m = _CALL_RE.match(text)
     if not m:
@@ -246,7 +247,10 @@ def parse_distribution(text: str) -> DiscreteDist:
             im = _PMF_ITEM_RE.match(item)
             if not im:
                 raise ValueError(f"bad pmf entry {item!r} in {text!r}")
-            entries[int(im.group(1))] = float(im.group(2))
+            k = int(im.group(1))
+            if k in entries:
+                raise ValueError(f"pmf value {k} is repeated in {text!r}")
+            entries[k] = float(im.group(2))
         return from_pmf(entries)
     parts = [a.strip() for a in args.split(",")] if args else []
     try:

@@ -68,7 +68,7 @@ class HouseholdEngine:
             [infection.phi_multiple(k) for k in range(self.max_size + 1)]
         )
         self._pmf_table = _susceptibility_table(phi)
-        # shared by susceptibility_pmf, the means and every PGF profile
+        # shared by susceptibility_pmf, mixture_means and every PGF profile
         self._pmf_table.flags.writeable = False
         worst = np.abs(self._pmf_table.sum(axis=1) - 1.0).max()
         if worst > _PMF_SUM_TOL:
@@ -85,26 +85,14 @@ class HouseholdEngine:
         self._check_size(h)
         return self._pmf_table[h - 1, :h]
 
-    def susceptibility_mean(self, h: int) -> float:
-        """E[M], which is also E[T], the expected number of housemates one
-        introduction infects, for any infectious period."""
-        self._check_size(h)
-        return float(self._means[h - 1])
-
-    # -- rewired (tree-like) locals ---------------------------------------
-
-    def rewired_final_size_mean(self, h: int) -> float:
-        """Mean progeny of the tree-like local process; infinite once
-        p_i reaches 1/(h-2)."""
-        self._check_size(h)
-        return float(_rewired_means(np.array([h]), self.infection.p_i)[0])
-
     # -- mixtures over the rewiring probability ---------------------------
 
     def mixture_means(self, sizes: np.ndarray, p_rw: float) -> np.ndarray:
         """Mean local progeny of each household size when the household
-        was rewired with probability p_rw; inf where p_rw > 0 and the
-        rewired local epidemic is supercritical."""
+        was rewired with probability p_rw: at p_rw = 0, E[M], which is also
+        E[T] for any infectious period; at p_rw = 1, the tree-like local
+        process's mean; inf where p_rw > 0 and the rewired local epidemic
+        is supercritical, from p_i >= 1/(h-2) on."""
         _check_prw(p_rw)
         sizes = np.asarray(sizes, dtype=np.int64)
         self._check_sizes(sizes)
@@ -240,7 +228,7 @@ def _subtree_fixed_point(s: np.ndarray, sizes: np.ndarray,
     Raises NonConvergence at the iteration cap.
     """
     expo = np.maximum(sizes - 2, 0)
-    # p <= 1/(h-2), as in rewired_final_size_mean, so p = 1/(h-2) counts
+    # p <= 1/(h-2), as in _rewired_means, so p = 1/(h-2) counts
     # as critical whatever the rounding of p (h-2)
     at_most_critical = (expo == 0) | (p <= 1.0 / np.maximum(expo, 1))
     x = np.where((s == 1.0) & at_most_critical, 1.0, 0.0)

@@ -31,11 +31,12 @@ where a comparison sort of labelled stubs or edge ends does not, and
 gives the same order as a stable argsort of the keys.
 
 Self-loops and parallel edges are kept (they vanish in proportion as n
-grows).  A `Network` stores only the discard counts; `imperfections`
-counts self-loops and parallel edges the first time it is read, so runs
-that never look (the Monte Carlo estimator) never pay for the count.  The
-CSR adjacency that epidemics walk is built once per `Network` and cached
-as `Network.adjacency`.
+grows).  A `Network` stores the household sizes and the discard counts;
+`household_index` and `imperfections` (self-loops and parallel edges)
+are derived the first time they are read, so runs that never look (the
+Monte Carlo estimator) never pay for them.  The CSR adjacency that
+epidemics walk is built once per `Network` and cached as
+`Network.adjacency`.
 
 `write_network` and `read_network` round-trip a plain-text edge list
 (format and grammar in the comment above them) without a Python step per
@@ -81,12 +82,17 @@ class GenSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.household.min_support() < 1:
-            raise ValueError("household sizes must be >= 1")
-        if not -1.0 <= self.r <= 1.0:
-            raise ValueError("r must lie in [-1, 1]")
-        if not 1 <= self.n_q <= MAX_BLOCKS:
-            raise ValueError(f"n_q must lie in 1..{MAX_BLOCKS}")
+        check_structure(self.household, self.r, self.n_q)
+
+
+def check_structure(household: DiscreteDist, r: float, n_q: int) -> None:
+    """The checks GenSpec and ModelParams share, with the same messages."""
+    if household.min_support() < 1:
+        raise ValueError("household sizes must be >= 1")
+    if not -1.0 <= r <= 1.0:
+        raise ValueError("r must lie in [-1, 1]")
+    if not 1 <= n_q <= MAX_BLOCKS:
+        raise ValueError(f"n_q must lie in 1..{MAX_BLOCKS}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +147,6 @@ class Network:
     """
 
     n: int
-    household_index: np.ndarray
     household_sizes: np.ndarray
     edges_u: np.ndarray
     edges_v: np.ndarray
@@ -155,6 +160,12 @@ class Network:
     @property
     def n_edges(self) -> int:
         return int(self.edges_u.size)
+
+    @cached_property
+    def household_index(self) -> np.ndarray:
+        """The household of each node, derived on first read."""
+        return np.repeat(np.arange(self.household_sizes.size),
+                         self.household_sizes)
 
     @cached_property
     def imperfections(self) -> Imperfections:
@@ -260,13 +271,11 @@ def _pair_blocks(stubs: np.ndarray, bounds: np.ndarray,
     block at most as large (larger blocks first) matches its first stubs
     against that block as it stands, since a uniform order of one side
     against any fixed order of the other is already a uniform matching.
-    Returns (u, v, q_u, q_v, unpaired): the ends of each pair, each end's
-    1-based block, and the count of stubs left unpaired.
+    Returns (u, v, pairs, unpaired): the ends of each pair, the number of
+    pairs each visited block made, and the count of stubs left unpaired.
     """
     k = bounds.size - 1
-    # household sizes key rewire's blocks, so k can outgrow int16 there
-    label = np.int16 if k <= MAX_BLOCKS else np.int64
-    us, vs, qs_u, qs_v = [], [], [], []
+    us, vs = [], []
     for b in range(k):
         m = k - 1 - b if mirror else b
         if m < b:
@@ -281,12 +290,10 @@ def _pair_blocks(stubs: np.ndarray, bounds: np.ndarray,
             u = block[: v.size]
         us.append(u)
         vs.append(v)
-        qs_u.append(np.full(u.size, b + 1, dtype=label))
-        qs_v.append(np.full(u.size, m + 1, dtype=label))
+    pairs = np.array([u.size for u in us])
     u = np.concatenate(us)
     unpaired = int(bounds[-1] - bounds[0]) - 2 * u.size
-    return (u, np.concatenate(vs), np.concatenate(qs_u),
-            np.concatenate(qs_v), unpaired)
+    return u, np.concatenate(vs), pairs, unpaired
 
 
 def build_network(spec: GenSpec, seed: Seed) -> Network:
@@ -295,7 +302,6 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
 
     sizes = _draw_household_sizes(spec.household, n, rng)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    household_index = np.repeat(np.arange(sizes.size), sizes)
     size_of_node = np.repeat(sizes, sizes)
 
     local_u, local_v = _household_edges(sizes, starts)
@@ -309,7 +315,7 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
     x0_owners = np.repeat(nodes, g - g1)
     x1_owners = np.repeat(nodes, g1)
 
-    g0_u, g0_v, _, _, disc_x0 = _pair_blocks(
+    g0_u, g0_v, _, disc_x0 = _pair_blocks(
         x0_owners, np.array([0, x0_owners.size]), rng)
 
     # rank X=1 stubs by owner degree, uniform tie-break: shuffle, then a
@@ -320,8 +326,12 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
                        int(degree.max()) + 1)[1]
     base, rem = divmod(ranked.size, spec.n_q)
     j = np.arange(spec.n_q + 1)
-    g1_u, g1_v, q_u, q_v, disc_x1 = _pair_blocks(
+    g1_u, g1_v, pairs, disc_x1 = _pair_blocks(
         ranked, j * base + np.minimum(j, rem), rng, mirror=spec.r < 0)
+    # the 1-based labels of the two ends: visited block b pairs with
+    # itself, or with its mirror block n_q - 1 - b
+    block = np.repeat(np.arange(pairs.size, dtype=np.int16), pairs)
+    q_u, q_v = block + 1, (spec.n_q - block if spec.r < 0 else block + 1)
 
     edges_u = np.concatenate([local_u, g0_u, g1_u])
     edges_v = np.concatenate([local_v, g0_v, g1_v])
@@ -331,8 +341,8 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
     stub_q_u = np.concatenate([unlabelled, q_u])
     stub_q_v = np.concatenate([unlabelled, q_v])
 
-    return Network(n, household_index, sizes, edges_u, edges_v, edge_local,
-                   stub_q_u, stub_q_v, disc_x0, disc_x1)
+    return Network(n, sizes, edges_u, edges_v, edge_local, stub_q_u,
+                   stub_q_v, disc_x0, disc_x1)
 
 
 def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
@@ -364,7 +374,7 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
         np.concatenate([label, label]),
         np.concatenate([net.edges_u[broken], net.edges_v[broken]]),
         int(label.max()) + 1)
-    new_u, new_v, _, _, disc_local = _pair_blocks(stubs, indptr, rng)
+    new_u, new_v, _, disc_local = _pair_blocks(stubs, indptr, rng)
 
     edges_u = np.concatenate([net.edges_u[keep], new_u])
     edges_v = np.concatenate([net.edges_v[keep], new_v])
@@ -378,7 +388,7 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
         [net.stub_q_v[keep], np.zeros(new_v.size, dtype=np.int16)]
     )
 
-    return Network(net.n, net.household_index, net.household_sizes,
+    return Network(net.n, net.household_sizes,
                    edges_u, edges_v, edge_local, stub_q_u, stub_q_v,
                    net.discarded_x0, net.discarded_x1,
                    net.discarded_local + disc_local)
@@ -543,9 +553,8 @@ def read_network(src: Union[str, os.PathLike, TextIO]) -> Network:
     for ends in (edges_u, edges_v):
         if ends.size and (ends.min() < 0 or ends.max() >= n):
             raise ValueError("edge endpoint out of range")
-    household_index = np.repeat(np.arange(sizes.size), sizes)
-    return Network(n, household_index, sizes, edges_u, edges_v, edge_local,
-                   stub_q_u, stub_q_v, *header["discarded"])
+    return Network(n, sizes, edges_u, edges_v, edge_local, stub_q_u,
+                   stub_q_v, *header["discarded"])
 
 
 def _byte_blocks(read: Callable[[int], bytes]):

@@ -181,13 +181,12 @@ def reference_read_network(src):
         raise ValueError("missing #n or #households header")
     if int(sizes.sum()) != n:
         raise ValueError("household sizes do not sum to n")
-    household_index = np.repeat(np.arange(sizes.size), sizes)
     edges_u = np.array(eu, dtype=np.int64)
     edges_v = np.array(ev, dtype=np.int64)
     ends = np.concatenate([edges_u, edges_v])
     if ends.size and (ends.min() < 0 or ends.max() >= n):
         raise ValueError("edge endpoint out of range")
-    return Network(n, household_index, sizes, edges_u, edges_v,
+    return Network(n, sizes, edges_u, edges_v,
                    np.array(loc, dtype=bool),
                    np.array(qu, dtype=np.int16), np.array(qv, dtype=np.int16),
                    *discarded)

@@ -115,7 +115,7 @@ def test_criterion_04_household_oracle():
             # E[T] by the forward recursion, an independent route
             worst_mean = max(worst_mean,
                              abs(household_mean_by_alpha(spec, h)
-                                 - engine.susceptibility_mean(h)))
+                                 - float(engine.mixture_means([h], 0.0)[0])))
     ok = worst_pmf <= 1e-9 and worst_mean <= 1e-12
     report(4, "household law vs enumeration",
            ok, f"max pmf err = {worst_pmf:.2e} (tol 1e-9), "
@@ -126,12 +126,12 @@ def test_criterion_05_rewired_mean():
     oks, details = [], []
     for h, p, seed in [(3, 0.3, 51), (4, 0.3, 52), (5, 0.25, 53)]:
         engine = HouseholdEngine(InfectionSpec.constant(p), max_size=8)
-        exact = engine.rewired_final_size_mean(h)
+        exact = float(engine.mixture_means([h], 1.0)[0])
         mc, se = branching_total_progeny_mc(h, p, n_runs=1_000_000, seed=seed)
         oks.append(abs(mc - exact) <= 2.0 * se)
         details.append(f"h={h}: |{mc:.4f}-{exact:.4f}| vs 2se={2 * se:.4f}")
     engine_half = HouseholdEngine(InfectionSpec.constant(0.5), max_size=8)
-    diverges = math.isinf(engine_half.rewired_final_size_mean(4))
+    diverges = math.isinf(engine_half.mixture_means([4], 1.0)[0])
     oks.append(diverges)
     details.append(f"mean(h=4, p_i=0.5) = inf: {diverges}")
     report(5, "rewired local mean vs branching simulation",

@@ -89,7 +89,7 @@ def test_uncorrelated_blocks_collapse_to_single_type():
     assert many.r_star == pytest.approx(one.r_star, abs=1e-10)
     assert many.p_major == pytest.approx(one.p_major, abs=1e-10)
     assert many.z == pytest.approx(one.z, abs=1e-10)
-    m = BranchingModel(params(h, g, r=0.0, n_q=7, p_i=0.22)).mean_matrix().entries
+    m = BranchingModel(params(h, g, r=0.0, n_q=7, p_i=0.22)).mean_matrix()
     # without labelling the target block is uniform: columns all equal
     assert np.allclose(m, m[:, :1], atol=1e-15)
 
@@ -97,10 +97,25 @@ def test_uncorrelated_blocks_collapse_to_single_type():
 def test_mean_matrix_structure():
     pm = params(poisson_plus(2.0), poisson(6.0), r=-0.8, n_q=6, p_i=0.3)
     m = BranchingModel(pm).mean_matrix()
-    assert m.entries.shape == (6, 6)
-    assert not m.has_infinite
-    assert np.all(m.entries >= 0.0)
-    assert not np.any(np.isnan(m.entries))
+    assert m.shape == (6, 6)
+    assert not np.isinf(m).any()
+    assert np.all(m >= 0.0)
+    assert not np.any(np.isnan(m))
+
+
+def test_mean_matrix_is_read_only():
+    # the memoised matrix is shared by every caller, and R* is memoised
+    # from it, so a write must fail rather than change both
+    pm = params(poisson_plus(2.0), poisson(6.0), r=-0.8, n_q=6, p_i=0.3)
+    model = BranchingModel(pm)
+    for m in (model.mean_matrix(),
+              model.with_infection(InfectionSpec.constant(0.6)).mean_matrix()):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.0
+    infinite = BranchingModel(params(point(4), poisson(4.0), r=0.3, n_q=4,
+                                     p_i=0.6, p_rw=1.0)).mean_matrix()
+    with pytest.raises(ValueError, match="read-only"):
+        infinite[:] = 1.0
 
 
 def test_infinite_local_growth_infinite_threshold():
@@ -109,8 +124,8 @@ def test_infinite_local_growth_infinite_threshold():
     # many global cases in a single step
     pm = params(point(4), poisson(4.0), r=0.3, n_q=4, p_i=0.6, p_rw=1.0)
     m = BranchingModel(pm).mean_matrix()
-    assert m.has_infinite
-    assert not np.any(np.isnan(m.entries))
+    assert np.isinf(m).any()
+    assert not np.any(np.isnan(m))
     assert r_star(m) == math.inf
     rep = analyze(pm)
     assert rep.r_star == math.inf
@@ -153,13 +168,13 @@ def test_mean_matrix_is_the_offspring_pgf_jacobian_at_one(h, g):
                     supercritical = p_rw > 0.0 and any(
                         k >= 3 and inf.p_i >= 1.0 / (k - 2)
                         for k in h.support.tolist())
-                    assert m.has_infinite == supercritical
+                    assert np.isinf(m).any() == supercritical
                     if supercritical:
-                        assert np.all(np.isinf(m.entries))
+                        assert np.all(np.isinf(m))
                         assert model.r_star() == math.inf
                         continue
                     _, jac = model._offspring_pgf(np.ones(n_q), jacobian=True)
-                    np.testing.assert_allclose(m.entries, jac, rtol=1e-13,
+                    np.testing.assert_allclose(m, jac, rtol=1e-13,
                                                atol=0.0)
 
 
@@ -177,8 +192,8 @@ def test_partly_rewired_mixture_with_infinite_branch():
     pm = params(from_pmf({2: 0.5, 4: 0.5}), poisson(3.0), r=0.0, n_q=3,
                 p_i=0.6, p_rw=0.5)
     m = BranchingModel(pm).mean_matrix()
-    assert m.has_infinite
-    assert not np.any(np.isnan(m.entries))
+    assert np.isinf(m).any()
+    assert not np.any(np.isnan(m))
     rep = analyze(pm)
     assert rep.r_star == math.inf
     assert 0.0 < rep.z < 1.0
@@ -543,7 +558,7 @@ def _r_star_warning_iff_reducible(model):
         value = model.r_star()
     warned = any(issubclass(w.category, ReducibleMatrixWarning)
                  for w in caught)
-    components, _ = connected_components(model.mean_matrix().entries > 0,
+    components, _ = connected_components(model.mean_matrix() > 0,
                                          connection="strong")
     assert warned == (components > 1)
     return value

@@ -252,6 +252,30 @@ def test_settings_a_command_does_not_read_exit_2(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, cfg, key", [
+    (["analyze"], {**_ANALYZE, "model": {**_TEMPLATE, "r_grid": []}},
+     "model.r_grid"),
+    (["figure", "fig3"], {"figure": {**_FIG3_SMALL, "r_grid": []}},
+     "figure.r_grid"),
+    (["figure", "fig3"], {"figure": {**_FIG3_SMALL, "mu_grid": []}},
+     "figure.mu_grid"),
+    (["figure", "fig3"], {"figure": {**_FIG3_SMALL, "p_i_factors": []}},
+     "figure.p_i_factors"),
+    (["figure", "fig4"], {"figure": {**_FIG4, "p_i_grid": []}},
+     "figure.p_i_grid"),
+    (["figure", "fig5"], {"figure": {"p_rw_grid": []}}, "figure.p_rw_grid"),
+])
+def test_empty_grid_exits_2_naming_its_key(tmp_path, capsys, argv, cfg, key):
+    # an empty grid used to write a CSV with a header and no rows, or, for
+    # fig3's r_grid, fail in max() with a message that named no key
+    path = write_yaml(tmp_path / "c.yaml", cfg)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must not be empty\n"
+    assert not out.exists()
+
+
 def test_analyze_rejects_too_many_blocks_without_traceback(tmp_path, capsys):
     # ModelParams bounds n_q as GenSpec does, so analyze rejects the
     # models simulate rejects, with the same message

@@ -280,11 +280,25 @@ def test_parse_distribution_grammar():
 
 @pytest.mark.parametrize(
     "bad",
-    ["uniform(3)", "poisson", "poisson()", "pmf([1:0.5])", "pmf(1:1.0)", "point(2.5)"],
+    ["uniform(3)", "poisson", "poisson()", "pmf([1:0.5])", "pmf(1:1.0)", "point(2.5)",
+     "pmf([1:0.5, 2:0.5, 1:0.5])"],
 )
 def test_parse_distribution_rejects(bad):
     with pytest.raises(ValueError):
         dd.parse_distribution(bad)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("pmf([1:0.5, 2:0.5, 1:0.5])", 1),
+    ("pmf([01:0.5, 1:0.5])", 1),
+    ("pmf([3:0.25, 2:0.5, 3:0.25])", 3),
+])
+def test_parse_distribution_rejects_a_repeated_pmf_value(text, value):
+    # a later entry used to overwrite an earlier one, so the first text
+    # parsed as {1: 0.5, 2: 0.5} and the second as {1: 0.5}, which failed
+    # only on its sum
+    with pytest.raises(ValueError, match=f"^pmf value {value} is repeated"):
+        dd.parse_distribution(text)
 
 
 def test_from_pmf_validation():

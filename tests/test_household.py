@@ -21,6 +21,12 @@ def engine(p_i=0.5, max_size=12):
     return HouseholdEngine(InfectionSpec.constant(p_i), max_size)
 
 
+def local_mean(eng, h, p_rw=0.0):
+    """The mean local progeny of one household size: E[M] at p_rw = 0, the
+    rewired tree's mean at p_rw = 1."""
+    return float(eng.mixture_means(np.array([h]), p_rw)[0])
+
+
 def local_pgf(eng, h, s, p_rw=0.0):
     """The local-progeny PGF of one household size at one argument."""
     return float(eng.mixture_pgf_profile(np.array([h]), np.array([s]), p_rw)[0])
@@ -34,7 +40,7 @@ def test_final_size_pmf_matches_enumeration(h, p):
     out_pmf, _ = household_pmfs_by_enumeration(h, p)
     eng = engine(p)
     assert eng.susceptibility_pmf(h) == pytest.approx(out_pmf, abs=1e-12)
-    assert eng.susceptibility_mean(h) == pytest.approx(
+    assert local_mean(eng, h) == pytest.approx(
         float(np.dot(np.arange(h), out_pmf)), abs=1e-12
     )
 
@@ -85,7 +91,7 @@ def test_general_period_pmf_matches_enumeration(spec):
         out_pmf, in_pmf = household_pmfs_general_by_enumeration(
             h, spec.phi_multiple)
         assert eng.susceptibility_pmf(h) == pytest.approx(in_pmf, abs=1e-13)
-        assert eng.susceptibility_mean(h) == pytest.approx(
+        assert local_mean(eng, h) == pytest.approx(
             float(np.dot(np.arange(h), out_pmf)), abs=1e-13)
 
 
@@ -93,14 +99,14 @@ def test_k3_frozen_values():
     # fixed by both oracles: sizes 1,2,3 have probs 1/4, 1/4, 1/2
     eng = engine(0.5)
     assert eng.susceptibility_pmf(3) == pytest.approx([0.25, 0.25, 0.5], abs=1e-14)
-    assert eng.susceptibility_mean(3) == pytest.approx(1.25, abs=1e-14)
+    assert local_mean(eng, 3) == pytest.approx(1.25, abs=1e-14)
 
 
 def test_pair_household_closed_forms():
     eng = engine(0.3)
-    assert eng.susceptibility_mean(2) == pytest.approx(0.3, abs=1e-15)
+    assert local_mean(eng, 2) == pytest.approx(0.3, abs=1e-15)
     assert local_pgf(eng, 2, 0.7) == pytest.approx(0.7 + 0.3 * 0.7, abs=1e-15)
-    assert eng.susceptibility_mean(1) == 0.0
+    assert local_mean(eng, 1) == 0.0
     assert eng.susceptibility_pmf(1) == pytest.approx([1.0])
 
 
@@ -134,7 +140,7 @@ def test_extreme_transmission_probabilities():
     assert all_or_none.susceptibility_pmf(5) == pytest.approx([0, 0, 0, 0, 1.0])
     nothing = engine(0.0)
     assert nothing.susceptibility_pmf(5) == pytest.approx([1.0, 0, 0, 0, 0])
-    assert nothing.rewired_final_size_mean(5) == 0.0
+    assert local_mean(nothing, 5, 1.0) == 0.0
 
 
 def test_mean_and_susceptibility_agree_for_general_periods():
@@ -147,7 +153,7 @@ def test_mean_and_susceptibility_agree_for_general_periods():
     ):
         eng = HouseholdEngine(spec, 8)
         for h in range(1, 9):
-            assert eng.susceptibility_mean(h) == pytest.approx(
+            assert local_mean(eng, h) == pytest.approx(
                 household_mean_by_alpha(spec, h), abs=1e-12
             )
 
@@ -160,7 +166,7 @@ def test_general_period_mean_against_monte_carlo():
     )
     # binomial-ish SE of the MC mean is ~0.003
     # E[T] = E[M] for any period
-    assert eng.susceptibility_mean(4) == pytest.approx(mc, abs=0.01)
+    assert local_mean(eng, 4) == pytest.approx(mc, abs=0.01)
 
 
 def test_susceptibility_pmf_general_period_sums_to_one():
@@ -182,11 +188,11 @@ def test_local_pgf_available_for_general_periods():
 
 def test_rewired_mean_formula_and_divergence():
     eng = engine(0.5)
-    assert eng.rewired_final_size_mean(2) == pytest.approx(0.5)
-    assert eng.rewired_final_size_mean(3) == pytest.approx(0.5 * 2 / 0.5)
-    assert eng.rewired_final_size_mean(4) == math.inf  # p_i = 1/(h-2) exactly
-    assert engine(0.51).rewired_final_size_mean(4) == math.inf
-    assert engine(0.49).rewired_final_size_mean(4) == pytest.approx(
+    assert local_mean(eng, 2, 1.0) == pytest.approx(0.5)
+    assert local_mean(eng, 3, 1.0) == pytest.approx(0.5 * 2 / 0.5)
+    assert local_mean(eng, 4, 1.0) == math.inf  # p_i = 1/(h-2) exactly
+    assert local_mean(engine(0.51), 4, 1.0) == math.inf
+    assert local_mean(engine(0.49), 4, 1.0) == pytest.approx(
         3 * 0.49 / (1 - 2 * 0.49)
     )
 
@@ -195,7 +201,7 @@ def test_rewired_mean_formula_and_divergence():
 def test_rewired_mean_matches_branching_simulation(h, p):
     mean, se = branching_total_progeny_mc(h, p, n_runs=1_000_000, seed=29)
     eng = engine(p, max_size=6)
-    assert abs(eng.rewired_final_size_mean(h) - mean) < 2 * se
+    assert abs(local_mean(eng, h, 1.0) - mean) < 2 * se
 
 
 def test_rewired_pgf_frozen_points():
@@ -208,7 +214,7 @@ def test_rewired_pgf_frozen_points():
     crit = engine(0.5, max_size=5)
     val = local_pgf(crit, 4, 1.0, p_rw=1.0)
     assert 0.999 <= val <= 1.0
-    assert crit.rewired_final_size_mean(4) == math.inf
+    assert local_mean(crit, 4, 1.0) == math.inf
 
 
 @pytest.mark.parametrize("h", [3, 4, 5, 7, 12, 30])
@@ -290,14 +296,14 @@ def test_mixture_means_by_size():
     eng = engine(0.3, max_size=9)
     sizes = np.arange(1, 10)
     assert np.array_equal(eng.mixture_means(sizes, 0.0),
-                          [eng.susceptibility_mean(h) for h in sizes])
+                          [local_mean(eng, h) for h in sizes])
     # p_i = 0.3 >= 1/(h-2) from h = 6 on: the rewired branch diverges
     mixed = eng.mixture_means(sizes, 0.25)
     for h, value in zip(sizes, mixed):
-        rew = eng.rewired_final_size_mean(int(h))
+        rew = local_mean(eng, int(h), 1.0)
         assert math.isinf(value) == (h >= 6) == math.isinf(rew)
         if h < 6:
-            assert value == 0.75 * eng.susceptibility_mean(h) + 0.25 * rew
+            assert value == 0.75 * local_mean(eng, h) + 0.25 * rew
     with pytest.raises(ValueError):
         eng.mixture_means([10], 0.25)
     with pytest.raises(ValueError):
@@ -314,7 +320,7 @@ def test_mixture_combines_convexly():
             (1 - p_rw) * intact + p_rw * rew, abs=1e-14
         )
     assert eng.mixture_means([h], 0.3)[0] == pytest.approx(
-        0.7 * eng.susceptibility_mean(h) + 0.3 * eng.rewired_final_size_mean(h)
+        0.7 * local_mean(eng, h) + 0.3 * local_mean(eng, h, 1.0)
     )
     assert engine(0.6, 8).mixture_means([5], 0.1)[0] == math.inf
     with pytest.raises(ValueError):
@@ -369,7 +375,7 @@ def test_mixture_pgf_profile_matches_scalar_calls():
 def test_size_bounds_are_enforced():
     eng = engine(0.5, max_size=4)
     with pytest.raises(ValueError):
-        eng.susceptibility_mean(5)
+        local_mean(eng, 5)
     with pytest.raises(ValueError):
         eng.susceptibility_pmf(0)
     # the PGF path gathers pmf rows from one table, where size 0 would
@@ -400,6 +406,6 @@ def test_large_household_moderate_p_stays_stable():
     # both the pmf and the mean against routes that do not use the table
     assert pmf == pytest.approx(household_pmf_chain_binomial(30, 0.3),
                                 abs=1e-14)
-    assert eng.susceptibility_mean(30) == pytest.approx(
+    assert local_mean(eng, 30) == pytest.approx(
         household_mean_by_alpha(InfectionSpec.constant(0.3), 30), abs=1e-12
     )

@@ -106,8 +106,7 @@ def test_group_by_matches_stable_argsort_and_bincount():
 def test_adjacency_rejects_endpoints_outside_network():
     for bad in (3, -1):
         net = ng.Network(
-            n=3, household_index=np.zeros(3, dtype=np.int64),
-            household_sizes=np.array([3]),
+            n=3, household_sizes=np.array([3]),
             edges_u=np.array([0, 1]), edges_v=np.array([2, bad]),
             edge_local=np.zeros(2, dtype=bool),
             stub_q_u=np.zeros(2, dtype=np.int16),
@@ -263,8 +262,7 @@ def _hand_built_network() -> ng.Network:
     v += [(7 * i + 3) % n for i in range(0, n, 2)]
     q = np.zeros(len(u), dtype=np.int16)
     q[n_local::3] = 2
-    return ng.Network(n, np.repeat(np.arange(sizes.size), sizes), sizes,
-                      np.array(u), np.array(v),
+    return ng.Network(n, sizes, np.array(u), np.array(v),
                       np.arange(len(u)) < n_local, q, q[::-1].copy())
 
 
@@ -285,7 +283,7 @@ def test_rewire_takes_households_beyond_the_block_label_range():
     n = int(sizes.sum())
     u = np.array([0, 2, 4, size, size + 2, 2 * size], dtype=np.int64)
     v = u + 1
-    net = ng.Network(n, np.repeat(np.arange(3), sizes), sizes, u, v,
+    net = ng.Network(n, sizes, u, v,
                      np.ones(6, dtype=bool), np.zeros(6, dtype=np.int16),
                      np.zeros(6, dtype=np.int16))
     out = ng.rewire(net, 1.0, 3)
@@ -419,7 +417,7 @@ def io_corpus():
     big = small_spec(n=20_000, global_degree=dd.poisson(8.0), r=-0.5, n_q=7)
     many = ng.rewire(ng.build_network(big, 42), 0.3, 43)
     hand_made = ng.Network(
-        4, np.array([0, 0, 1, 1]), np.array([2, 2]), np.array([0, 1, 2, 3]),
+        4, np.array([2, 2]), np.array([0, 1, 2, 3]),
         np.array([1, 2, 3, 0]), np.array([False, False, True, False]),
         np.array([0, 2, 7, 0], dtype=np.int16),
         np.array([3, 0, 1, 0], dtype=np.int16), 1, 0, 2)
@@ -442,7 +440,7 @@ def test_writer_matches_reference_writer():
 
 def edge_network(n, u, v, local, q_u, q_v):
     """A one-household network on n nodes with the given edge columns."""
-    return ng.Network(n, np.zeros(n, dtype=np.int64), np.array([n]),
+    return ng.Network(n, np.array([n]),
                       np.asarray(u, dtype=np.int64),
                       np.asarray(v, dtype=np.int64),
                       np.asarray(local, dtype=bool),

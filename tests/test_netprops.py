@@ -176,7 +176,7 @@ def test_empirical_clustering_matches_brute_force_triples():
         loops = rng.integers(0, n, int(rng.integers(0, 4)))
         u = np.concatenate([u, v[again], loops])
         v = np.concatenate([v, u[again], loops])
-        net = ng.Network(n, np.arange(n), np.ones(n, dtype=np.int64), u, v,
+        net = ng.Network(n, np.ones(n, dtype=np.int64), u, v,
                          np.zeros(u.size, dtype=bool),
                          np.zeros(u.size, dtype=np.int16),
                          np.zeros(u.size, dtype=np.int16))

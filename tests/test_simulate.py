@@ -45,7 +45,6 @@ def tiny_network(edges, n):
     zeros = np.zeros(eu.size, dtype=np.int16)
     return Network(
         n=n,
-        household_index=np.zeros(n, dtype=np.int64),
         household_sizes=np.array([n], dtype=np.int64),
         edges_u=eu,
         edges_v=ev,

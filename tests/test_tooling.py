@@ -5,10 +5,13 @@ wrappers and restoring them afterwards.  Renaming or deleting one of
 those callables would only show up when a traced benchmark run crashes;
 these tests make it fail the suite instead.  The same holds for the
 configs the benchmark workloads hand to the command line, and for the
-start-up cost every command pays before its work begins.
+start-up cost every command pays before its work begins.  One guard
+reads the source itself: a name set in src/ that nothing reads fails it.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +45,80 @@ def test_import_leaves_scipy_stats_out(module, absent):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _source_trees():
+    for tree in (SRC, ROOT / "tests", BENCH):
+        for path in sorted(tree.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), str(path))
+
+
+def _set_in_src():
+    """(where, name) of each module-level assignment, def or class and
+    each `self.` attribute assigned in src/."""
+    for path, tree in _source_trees():
+        if not path.is_relative_to(SRC):
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                yield path.name, stmt.name
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                for node in ast.walk(ast.Tuple(targets)):
+                    if isinstance(node, ast.Name):
+                        yield path.name, node.id
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                yield path.name, f"self.{node.attr}"
+
+
+def _read_anywhere():
+    """The names read (loaded, imported or augmented), the attributes
+    read, and the text of every string that is not a docstring or other
+    bare string statement, over src/, tests/ and bench/."""
+    names, attrs, strings = set(), set(), []
+    for _, tree in _source_trees():
+        bare = {id(stmt.value) for stmt in ast.walk(tree)
+                if isinstance(stmt, ast.Expr)
+                and isinstance(stmt.value, ast.Constant)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign):
+                node = node.target
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    attrs.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in bare):
+                strings.append(node.value)
+    return names, attrs, "\n".join(strings)
+
+
+def test_every_name_set_in_src_is_read():
+    # a module-level name or a self. attribute that nothing reads is code
+    # with no caller; bench/spans.py names the callables it patches in
+    # strings, so a string naming the name counts as a read
+    names, attrs, text = _read_anywhere()
+    dead = []
+    for where, name in sorted(set(_set_in_src())):
+        bare = name.removeprefix("self.")
+        if bare.startswith("__") and bare.endswith("__"):
+            continue
+        read = attrs if name.startswith("self.") else names | attrs
+        if bare not in read and not re.search(rf"\b{bare}\b", text):
+            dead.append(f"{where}: {name}")
+    assert not dead, dead
 
 
 def test_mistyped_mark_fails_collection(tmp_path):
