@@ -30,6 +30,16 @@ next free slot of its key) in compiled code.  It runs in linear time
 where a comparison sort of labelled stubs or edge ends does not, and
 gives the same order as a stable argsort of the keys.
 
+Node ids, edge ends and CSR offsets have one dtype rule,
+`index_dtype`: int32 while every count involved (n, and 2 * n_edges for
+the adjacency) is below 2**31 - 1, else int64.  `build_network`,
+`rewire` and `read_network` store the edge ends in it, and the adjacency
+uses it whatever the edge arrays' own dtype.  The stub arrays the
+generator shuffles stay int64, because `Generator.shuffle` has a fast
+path only for items the size of intp (the permutation drawn is the same
+at any item size); each pair is narrowed once, as `np.concatenate`
+writes it into the edge arrays.
+
 Self-loops and parallel edges are kept (they vanish in proportion as n
 grows).  A `Network` stores the household sizes and the discard counts;
 `household_index` and `imperfections` (self-loops and parallel edges)
@@ -65,6 +75,14 @@ Seed = Union[int, np.random.SeedSequence, None]
 
 # stub block labels are stored as int16: 0 for unlabelled, 1..n_q otherwise
 MAX_BLOCKS = int(np.iinfo(np.int16).max)
+
+
+def index_dtype(*counts: int) -> np.dtype:
+    """The dtype of node ids and CSR offsets for arrays of these counts:
+    int32 when every count is below 2**31 - 1, else int64 (the rule
+    scipy.sparse applies to its own index arrays)."""
+    return np.dtype(np.int32 if max(counts) < np.iinfo(np.int32).max
+                    else np.int64)
 
 
 @dataclass(frozen=True)
@@ -113,20 +131,24 @@ def _group_by(keys: np.ndarray, values: np.ndarray,
     and np.diff(indptr) equals np.bincount(keys, minlength=n_keys).  One
     counting scatter, linear in keys.size + n_keys: scipy's COO->CSR
     kernel with the values as column indices and an ignored int8 payload;
-    it keeps repeated (key, value) pairs.  Both outputs are int64.
+    it keeps repeated (key, value) pairs.  Both outputs take the values'
+    dtype, widened to the index dtype of n_keys and keys.size.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    values = np.asarray(values, dtype=np.int64)
+    keys, values = np.asarray(keys), np.asarray(values)
     # the kernel checks neither lengths nor indices: a short values array
     # would be read past its end, and a key outside 0..n_keys-1 would
-    # write past the end of indptr
+    # write past the end of indptr.  The keys are checked as given, since
+    # a narrowing cast could wrap one from outside the range into it.
     if keys.shape != values.shape:
         raise ValueError("keys and values must have one shape")
     if keys.size and (keys.min() < 0 or keys.max() >= n_keys):
         raise ValueError(f"keys must lie in 0..{n_keys - 1}, got "
                          f"{int(keys.min())}..{int(keys.max())}")
-    indptr = np.empty(n_keys + 1, dtype=np.int64)
-    grouped = np.empty(keys.size, dtype=np.int64)
+    dtype = np.promote_types(values.dtype, index_dtype(n_keys, keys.size))
+    keys = keys.astype(dtype, copy=False)
+    values = values.astype(dtype, copy=False)
+    indptr = np.empty(n_keys + 1, dtype=dtype)
+    grouped = np.empty(keys.size, dtype=dtype)
     # the payload is all zeros, so one buffer can be both its input and
     # its output
     payload = np.zeros(keys.size, dtype=np.int8)
@@ -164,8 +186,9 @@ class Network:
     @cached_property
     def household_index(self) -> np.ndarray:
         """The household of each node, derived on first read."""
-        return np.repeat(np.arange(self.household_sizes.size),
-                         self.household_sizes)
+        households = np.arange(self.household_sizes.size,
+                               dtype=index_dtype(self.n))
+        return np.repeat(households, self.household_sizes)
 
     @cached_property
     def imperfections(self) -> Imperfections:
@@ -182,11 +205,16 @@ class Network:
 
         The neighbours of v are heads[indptr[v]:indptr[v + 1]]: first the
         v ends of edges (v, w) in edge order, then those of edges (w, v).
-        A self-loop lists its node twice.  Both arrays are read-only.
+        A self-loop lists its node twice.  Both arrays are read-only and
+        of the index dtype of n and 2 * n_edges, whatever the edges' own.
         """
+        # the keys go as given, for _group_by to check before any cast;
+        # they hold the same ends as the values, so that covers both
         indptr, heads = _group_by(
             np.concatenate([self.edges_u, self.edges_v]),
-            np.concatenate([self.edges_v, self.edges_u]), self.n)
+            np.concatenate([self.edges_v, self.edges_u],
+                           dtype=index_dtype(self.n, 2 * self.n_edges)),
+            self.n)
         indptr.flags.writeable = False
         heads.flags.writeable = False
         return indptr, heads
@@ -250,11 +278,12 @@ def _household_edges(sizes: np.ndarray, starts: np.ndarray):
         if s < 2:
             continue
         hs = starts[sizes == s]
-        ti, tj = np.triu_indices(int(s), k=1)
+        ti, tj = (t.astype(starts.dtype)
+                  for t in np.triu_indices(int(s), k=1))
         chunks_u.append((hs[:, None] + ti[None, :]).ravel())
         chunks_v.append((hs[:, None] + tj[None, :]).ravel())
     if not chunks_u:
-        empty = np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=starts.dtype)
         return empty, empty.copy()
     return np.concatenate(chunks_u), np.concatenate(chunks_v)
 
@@ -271,8 +300,8 @@ def _pair_blocks(stubs: np.ndarray, bounds: np.ndarray,
     block at most as large (larger blocks first) matches its first stubs
     against that block as it stands, since a uniform order of one side
     against any fixed order of the other is already a uniform matching.
-    Returns (u, v, pairs, unpaired): the ends of each pair, the number of
-    pairs each visited block made, and the count of stubs left unpaired.
+    Returns (us, vs, unpaired): for each visited block the two ends of its
+    pairs, as views of `stubs`, and the count of stubs left unpaired.
     """
     k = bounds.size - 1
     us, vs = [], []
@@ -290,21 +319,20 @@ def _pair_blocks(stubs: np.ndarray, bounds: np.ndarray,
             u = block[: v.size]
         us.append(u)
         vs.append(v)
-    pairs = np.array([u.size for u in us])
-    u = np.concatenate(us)
-    unpaired = int(bounds[-1] - bounds[0]) - 2 * u.size
-    return u, np.concatenate(vs), pairs, unpaired
+    unpaired = int(bounds[-1] - bounds[0]) - 2 * sum(u.size for u in us)
+    return us, vs, unpaired
 
 
 def build_network(spec: GenSpec, seed: Seed) -> Network:
     rng = np.random.default_rng(seed)
     n = spec.n
+    ids = index_dtype(n)
 
     sizes = _draw_household_sizes(spec.household, n, rng)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     size_of_node = np.repeat(sizes, sizes)
 
-    local_u, local_v = _household_edges(sizes, starts)
+    local_u, local_v = _household_edges(sizes,
+                                        (np.cumsum(sizes) - sizes).astype(ids))
 
     g = spec.global_degree.sample(rng, n)
     degree = size_of_node - 1 + g
@@ -315,7 +343,7 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
     x0_owners = np.repeat(nodes, g - g1)
     x1_owners = np.repeat(nodes, g1)
 
-    g0_u, g0_v, _, disc_x0 = _pair_blocks(
+    g0_u, g0_v, disc_x0 = _pair_blocks(
         x0_owners, np.array([0, x0_owners.size]), rng)
 
     # rank X=1 stubs by owner degree, uniform tie-break: shuffle, then a
@@ -326,20 +354,24 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
                        int(degree.max()) + 1)[1]
     base, rem = divmod(ranked.size, spec.n_q)
     j = np.arange(spec.n_q + 1)
-    g1_u, g1_v, pairs, disc_x1 = _pair_blocks(
+    g1_u, g1_v, disc_x1 = _pair_blocks(
         ranked, j * base + np.minimum(j, rem), rng, mirror=spec.r < 0)
-    # the 1-based labels of the two ends: visited block b pairs with
-    # itself, or with its mirror block n_q - 1 - b
-    block = np.repeat(np.arange(pairs.size, dtype=np.int16), pairs)
-    q_u, q_v = block + 1, (spec.n_q - block if spec.r < 0 else block + 1)
 
-    edges_u = np.concatenate([local_u, g0_u, g1_u])
-    edges_v = np.concatenate([local_v, g0_v, g1_v])
+    # each pair is narrowed once, from the stubs into the edge arrays
+    edges_u = np.concatenate([local_u, *g0_u, *g1_u], dtype=ids)
+    edges_v = np.concatenate([local_v, *g0_v, *g1_v], dtype=ids)
     edge_local = np.zeros(edges_u.size, dtype=bool)
     edge_local[: local_u.size] = True
-    unlabelled = np.zeros(local_u.size + g0_u.size, dtype=np.int16)
-    stub_q_u = np.concatenate([unlabelled, q_u])
-    stub_q_v = np.concatenate([unlabelled, q_v])
+    # the X=1 pairs come last; the 1-based labels of their two ends:
+    # visited block b pairs with itself, or with its mirror block
+    # n_q - 1 - b
+    block = np.repeat(np.arange(len(g1_u), dtype=np.int16),
+                      [u.size for u in g1_u])
+    labelled = slice(edges_u.size - block.size, None)
+    stub_q_u = np.zeros(edges_u.size, dtype=np.int16)
+    stub_q_v = np.zeros(edges_u.size, dtype=np.int16)
+    stub_q_u[labelled] = block + 1
+    stub_q_v[labelled] = spec.n_q - block if spec.r < 0 else block + 1
 
     return Network(n, sizes, edges_u, edges_v, edge_local, stub_q_u,
                    stub_q_v, disc_x0, disc_x1)
@@ -369,24 +401,26 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
     keep = np.ones(net.n_edges, dtype=bool)
     keep[broken] = False
     label = net.household_sizes[net.household_index[net.edges_u[broken]]]
-    # the freed stubs grouped by household size, ascending
+    # the freed stubs grouped by household size, ascending, as int64 for
+    # the shuffles
     indptr, stubs = _group_by(
         np.concatenate([label, label]),
-        np.concatenate([net.edges_u[broken], net.edges_v[broken]]),
+        np.concatenate([net.edges_u[broken], net.edges_v[broken]],
+                       dtype=np.int64),
         int(label.max()) + 1)
-    new_u, new_v, _, disc_local = _pair_blocks(stubs, indptr, rng)
+    new_u, new_v, disc_local = _pair_blocks(stubs, indptr, rng)
 
-    edges_u = np.concatenate([net.edges_u[keep], new_u])
-    edges_v = np.concatenate([net.edges_v[keep], new_v])
-    edge_local = np.concatenate(
-        [net.edge_local[keep], np.ones(new_u.size, dtype=bool)]
-    )
-    stub_q_u = np.concatenate(
-        [net.stub_q_u[keep], np.zeros(new_u.size, dtype=np.int16)]
-    )
-    stub_q_v = np.concatenate(
-        [net.stub_q_v[keep], np.zeros(new_v.size, dtype=np.int16)]
-    )
+    # the new pairs come last, in the network's own id dtype
+    ids = np.promote_types(net.edges_u.dtype, net.edges_v.dtype)
+    edges_u = np.concatenate([net.edges_u[keep], *new_u], dtype=ids)
+    edges_v = np.concatenate([net.edges_v[keep], *new_v], dtype=ids)
+    kept = slice(net.n_edges - broken.size)
+    edge_local = np.ones(edges_u.size, dtype=bool)
+    edge_local[kept] = net.edge_local[keep]
+    stub_q_u = np.zeros(edges_u.size, dtype=np.int16)
+    stub_q_u[kept] = net.stub_q_u[keep]
+    stub_q_v = np.zeros(edges_u.size, dtype=np.int16)
+    stub_q_v[kept] = net.stub_q_v[keep]
 
     return Network(net.n, net.household_sizes,
                    edges_u, edges_v, edge_local, stub_q_u, stub_q_v,
@@ -550,9 +584,12 @@ def read_network(src: Union[str, os.PathLike, TextIO]) -> Network:
         raise ValueError("household sizes do not sum to n")
     edges_u, edges_v, edge_local, stub_q_u, stub_q_v = (
         np.concatenate(column) for column in zip(*blocks))
+    # the ends are checked as parsed, in int64, and then narrowed
     for ends in (edges_u, edges_v):
         if ends.size and (ends.min() < 0 or ends.max() >= n):
             raise ValueError("edge endpoint out of range")
+    edges_u, edges_v = (ends.astype(index_dtype(n))
+                        for ends in (edges_u, edges_v))
     return Network(n, sizes, edges_u, edges_v, edge_local, stub_q_u,
                    stub_q_v, *header["discarded"])
 

@@ -35,7 +35,7 @@ from .distributions import (
     stub_degree_law,
 )
 from .errors import DegenerateNetwork, NoTriplets, ZeroVariance
-from .netgen import Network
+from .netgen import Network, index_dtype
 
 _VAR_FLOOR = 1e-300
 
@@ -182,7 +182,7 @@ def _simple_adjacency(net: Network) -> sparse.csr_matrix:
     key.sort()
     key = key[np.diff(key, prepend=-1) != 0]
     rows, cols = np.divmod(key, n)
-    index = np.int32 if max(n, key.size) < np.iinfo(np.int32).max else np.int64
+    index = index_dtype(n, key.size)
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return sparse.csr_matrix(

@@ -91,7 +91,10 @@ def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
     seen = np.zeros(n, dtype=bool)
     seen[start] = True
     fresh = np.zeros(n, dtype=bool)
-    frontier = np.array([start], dtype=np.int64)
+    # the frontier and the edge positions stay intp, whatever the CSR's
+    # index dtype: numpy converts any other index to intp, one pass over
+    # it, before it gathers (pos is intp because cumsum widens counts)
+    frontier = np.array([start], dtype=np.intp)
     generations = [1]
     while frontier.size:
         counts = out_deg[frontier]

@@ -2,6 +2,7 @@ import hashlib
 import io
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,7 +105,9 @@ def test_group_by_matches_stable_argsort_and_bincount():
 
 
 def test_adjacency_rejects_endpoints_outside_network():
-    for bad in (3, -1):
+    # 2**32 + 1 and -2**32 wrap to 1 and 0 in int32: the check must see
+    # the ends as given
+    for bad in (3, -1, 2**32 + 1, -2**32):
         net = ng.Network(
             n=3, household_sizes=np.array([3]),
             edges_u=np.array([0, 1]), edges_v=np.array([2, bad]),
@@ -113,6 +116,82 @@ def test_adjacency_rejects_endpoints_outside_network():
             stub_q_v=np.zeros(2, dtype=np.int16))
         with pytest.raises(ValueError, match="keys must lie in 0..2"):
             net.adjacency
+
+
+def test_reader_checks_endpoints_before_narrowing():
+    # 4294967297 is 2**32 + 1, which wraps to 1 in int32
+    text = "#n 3\n#households 3\n0 4294967297 local\n"
+    with pytest.raises(Exception):
+        reference_read_network(io.StringIO(text))
+    with pytest.raises(ValueError, match="endpoint out of range"):
+        ng.read_network(io.StringIO(text))
+
+
+def test_index_dtype_narrows_below_the_int32_maximum():
+    assert ng.index_dtype(0) == np.int32
+    assert ng.index_dtype(2**31 - 2) == np.int32
+    assert ng.index_dtype(2**31 - 1) == np.int64
+    assert ng.index_dtype(5, 2**31 - 2) == np.int32
+    assert ng.index_dtype(5, 2**31 - 1, 7) == np.int64
+
+
+def test_structure_layer_stores_int32_ids(tmp_path):
+    spec = small_spec(n=5000, global_degree=dd.poisson(8.0), r=-0.5, n_q=7)
+    built = ng.build_network(spec, 3)
+    net = ng.rewire(built, 0.3, 4)
+    path = tmp_path / "net.txt"
+    ng.write_network(net, path)
+    back = ng.read_network(path)
+    assert back == net
+    for each in (built, net, back):
+        assert each.edges_u.dtype == each.edges_v.dtype == np.int32
+        assert each.household_index.dtype == np.int32
+        indptr, heads = each.adjacency
+        assert indptr.dtype == heads.dtype == np.int32
+        assert each.stub_q_u.dtype == each.stub_q_v.dtype == np.int16
+    # rewire keeps its input's id dtype, so it narrows no unchecked end
+    hand_built = ng.rewire(_hand_built_network(), 0.5, 1)
+    assert hand_built.edges_u.dtype == hand_built.edges_v.dtype == np.int64
+
+
+# tracemalloc peak bytes per built edge of each structure stage, counting
+# what is alive during the stage (the input network included): int64 ids
+# took 69 / 54 / 73 B/edge, int32 ids written straight from the stubs
+# into the edge arrays take 44 / 35 / 41
+MEMORY_BUDGET = {"build": 56, "rewire": 45, "adjacency": 56}
+
+
+def test_structure_stages_stay_within_their_memory_budget():
+    spec = ng.GenSpec(n=100_000, household=dd.poisson_plus(2.0),
+                      global_degree=dd.poisson(8.0), r=-0.5, n_q=10)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    peak = {}
+
+    def traced(stage, f, *args):
+        tracemalloc.reset_peak()
+        out = f(*args)
+        peak[stage] = tracemalloc.get_traced_memory()[1]
+        return out
+
+    try:
+        net = traced("build", ng.build_network, spec, 5)
+        rewired = traced("rewire", ng.rewire, net, 0.3, 6)
+        del net
+        traced("adjacency", lambda: rewired.adjacency)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    per_edge = {stage: round(b / rewired.n_edges, 1)
+                for stage, b in peak.items()}
+    assert all(per_edge[s] <= MEMORY_BUDGET[s] for s in per_edge), per_edge
+
+
+def heads_digest(net) -> str:
+    """sha256 of the adjacency heads' values, whatever their index dtype."""
+    return hashlib.sha256(
+        net.adjacency[1].astype(np.int64).tobytes()).hexdigest()
 
 
 # sha256 of the edge-list text and of the adjacency heads, and one forward
@@ -140,7 +219,7 @@ def test_generator_adjacency_and_epidemic_match_golden_digests(r):
     text, heads, final_size = GOLDEN[r]
     digest = hashlib.sha256(network_text(net).encode()).hexdigest()
     assert digest == text
-    assert hashlib.sha256(net.adjacency[1].tobytes()).hexdigest() == heads
+    assert heads_digest(net) == heads
     out = run_epidemic(net, InfectionSpec.gamma(0.1, 2.0), seed=1)
     assert out.final_size == final_size
 
@@ -154,7 +233,7 @@ def test_odd_block_count_mirror_stream_is_pinned():
     digest = hashlib.sha256(network_text(net).encode()).hexdigest()
     assert digest == ("4fc9ff766451d96eec5929fe4f72d5c2"
                       "b6f70e65aaded9e8a2357f998736c7a5")
-    assert hashlib.sha256(net.adjacency[1].tobytes()).hexdigest() == (
+    assert heads_digest(net) == (
         "62c55c064dda4de3dd6124b174b798c1e5280c558553156ee82f9e590eb8a30f")
     out = run_epidemic(net, InfectionSpec.gamma(0.1, 2.0), seed=1)
     assert out.final_size == 14201
@@ -558,7 +637,9 @@ def test_reader_matches_reference_reader(tmp_path):
             for src in as_inputs(variant, tmp_path):
                 back = ng.read_network(src)
                 assert back == expected
-                assert back.edges_u.dtype == np.int64
+                # the generator's id dtype for the same n
+                assert back.edges_u.dtype == ng.index_dtype(back.n)
+                assert back.edges_v.dtype == ng.index_dtype(back.n)
                 assert back.stub_q_u.dtype == np.int16
 
 

@@ -14,7 +14,7 @@ import pytest
 from netepi.branching import ModelParams
 from netepi.distributions import InfectionSpec, from_pmf, point, poisson, poisson_plus
 from netepi.errors import AmbiguousBimodality, NoMajorOutbreaks
-from netepi.netgen import GenSpec, Network, build_network, rewire
+from netepi.netgen import GenSpec, Network, build_network, index_dtype, rewire
 from netepi.simulate import (
     EpidemicOutcome,
     EstimateReport,
@@ -66,7 +66,8 @@ def test_adjacency_matches_argsort_construction_and_is_cached(edges):
     src = np.concatenate([net.edges_u, net.edges_v])
     dst = np.concatenate([net.edges_v, net.edges_u])
     assert np.array_equal(heads, dst[np.argsort(src, kind="stable")])
-    assert heads.dtype == dst.dtype
+    # the index dtype of n and 2 * n_edges, whatever the edges' own
+    assert indptr.dtype == heads.dtype == index_dtype(TINY_N, src.size)
     assert np.array_equal(
         indptr, np.concatenate(([0], np.cumsum(np.bincount(src, minlength=TINY_N)))))
     # built once, shared by later reads, protected against writes
