@@ -42,6 +42,12 @@ The tables that depend only on (H, G, r, n_q), those of the offspring
 PGF and those of the mean matrix alike, are built once per model, and
 `BranchingModel.with_infection` shares them with another infection, so
 the mean matrix of an infection only mixes in its household means.
+
+The inversions (p_i at R* = 1, mu for rho at r = -1, r for rho) share
+one bisection of an increasing f: a midpoint where f exceeds the target
+becomes the upper end, any other the lower end.  It stops once the
+bracket is 1e-10 wide, or at a midpoint meeting an optional tolerance on
+|f - target|; a bracket that closes first raises `NonConvergence`.
 """
 
 from __future__ import annotations
@@ -80,6 +86,8 @@ _NEWTON_MAX_ITER = 100
 # a residual this small is rounding in F; a Newton step from it is noise
 _NEWTON_RESIDUAL_FLOOR = 8.0 * np.finfo(float).eps
 _RESIDUAL_TOL = 1e-10
+# every bisection ends once its bracket is this narrow
+_BISECT_WIDTH = 1e-10
 # tune_poisson stops once its rho misses the target by no more than this
 _TUNE_RHO_TOL = 1e-8
 
@@ -449,7 +457,49 @@ def analyze(params: ModelParams) -> AnalyticReport:
                           bool(np.isinf(model.mean_matrix()).any()))
 
 
-# -- tuning the Poisson template ----------------------------------------
+# -- inversions -----------------------------------------------------------
+
+
+def _bisect(f, target, lo, hi, tol=None):
+    """(lo, hi, f(mid)): the final bracket, or (mid, mid) if mid met tol."""
+    value = math.nan
+    while hi - lo > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        value = f(mid)
+        if tol is not None and abs(value - target) <= tol:
+            return mid, mid, value
+        if value > target:
+            hi = mid
+        else:
+            lo = mid
+    if tol is not None:
+        raise NonConvergence(f"bisection stalled at {value} for {target}")
+    return lo, hi, value
+
+
+def critical_p_i(h, g, r: float, n_q: int) -> float:
+    """Smallest transmission probability with R* above one, sharing one
+    model's structure tables; Infeasible if R* <= 1 at p_i = 1."""
+    model = BranchingModel(ModelParams(h, g, r, n_q,
+                                       InfectionSpec.constant(1.0)))
+    if model.r_star() <= 1.0:
+        raise Infeasible(f"no supercritical transmission probability "
+                         f"exists at r={r}")
+    return _bisect(lambda p_i: model.with_infection(
+        InfectionSpec.constant(p_i)).r_star(), 1.0, 0.0, 1.0)[1]
+
+
+def mu_for_rho(gamma: float, rho_target: float, n_q: int) -> float:
+    """Template mu with correlation rho_target at r = -1, where rho rises
+    with mu (at r > 0 it need not); Infeasible outside rho's range."""
+    def rho(mu):
+        return poisson_c_rho(gamma, mu, -1.0, n_q)[1]
+    lo, hi = rho(0.0), rho(gamma)
+    if not lo <= rho_target <= hi:
+        raise Infeasible(f"rho={rho_target} not attainable at r=-1: "
+                         f"range [{lo:.6f}, {hi:.6f}]", lo=lo, hi=hi)
+    lo, hi, _ = _bisect(rho, rho_target, 0.0, gamma)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -464,34 +514,22 @@ def tune_poisson(gamma: float, c_target: float, rho_target: float,
                  n_q: int) -> TuneResult:
     """Pick (mu, r) so the Poisson template hits (c, rho) at fixed gamma.
 
-    Clustering pins mu = gamma sqrt(c); rho is then monotone in r, so a
-    bisection on [-1, 1] closes the loop.  Targets outside the attainable
-    envelope raise Infeasible carrying the swept bounds, and a bisection
-    that misses the target after 200 steps raises NonConvergence.
-    """
+    Clustering pins mu = gamma sqrt(c) at any r; rho then increases with
+    r, so a bisection on [-1, 1] to within 1e-8 closes the loop.  A target
+    over half that outside the envelope raises Infeasible with its ends."""
     if gamma <= 0.0:
         raise InvalidTarget("gamma must be positive")
     if not 0.0 <= c_target < 1.0:
         raise InvalidTarget("feasible clustering targets lie in [0, 1)")
     mu = gamma * math.sqrt(c_target)
-    _, rho_lo = poisson_c_rho(gamma, mu, -1.0, n_q)
+    c, rho_lo = poisson_c_rho(gamma, mu, -1.0, n_q)
     _, rho_hi = poisson_c_rho(gamma, mu, 1.0, n_q)
-    if not rho_lo - 1e-12 <= rho_target <= rho_hi + 1e-12:
-        raise Infeasible(
-            f"rho={rho_target} outside the attainable range "
-            f"[{rho_lo:.6f}, {rho_hi:.6f}] at c={c_target}",
-            lo=rho_lo, hi=rho_hi,
-        )
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        r = 0.5 * (lo + hi)
-        c_val, rho_val = poisson_c_rho(gamma, mu, r, n_q)
-        if abs(rho_val - rho_target) <= _TUNE_RHO_TOL:
-            return TuneResult(mu, r, c_val, rho_val)
-        if rho_val < rho_target:
-            lo = r
-        else:
-            hi = r
-    raise NonConvergence(
-        f"tuning bisection stalled at rho={rho_val} for target {rho_target}"
-    )
+    # a target this close to an end is met within the tolerance near it
+    slack = 0.5 * _TUNE_RHO_TOL
+    if not rho_lo - slack <= rho_target <= rho_hi + slack:
+        raise Infeasible(f"rho={rho_target} outside the attainable range "
+                         f"[{rho_lo:.6f}, {rho_hi:.6f}] at c={c_target}",
+                         lo=rho_lo, hi=rho_hi)
+    r, _, rho = _bisect(lambda r: poisson_c_rho(gamma, mu, r, n_q)[1],
+                        rho_target, -1.0, 1.0, tol=_TUNE_RHO_TOL)
+    return TuneResult(mu, r, c, rho)

@@ -31,9 +31,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .branching import BranchingModel, ModelParams, analyze, tune_poisson
+from .branching import (ModelParams, analyze, critical_p_i, mu_for_rho,
+                        tune_poisson)
 from .distributions import InfectionSpec, parse_distribution, poisson, poisson_plus
-from .errors import ConfigError, NetepiError
+from .errors import ConfigError, Infeasible, NetepiError
 from .netgen import build_network, rewire, write_network
 from .netprops import (
     analytic_degree_corr,
@@ -455,52 +456,6 @@ def cmd_simulate(cfg: dict, out_override=None):
 
 # -- canned figures ------------------------------------------------------
 
-_BISECT_WIDTH = 1e-10
-
-
-def _bisect(above, lo, hi):
-    """Halve [lo, hi] until it is at most _BISECT_WIDTH wide, keeping
-    `above` false at lo and true at hi (`above` is monotone)."""
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def _critical_p_i(h, g, r, n_q):
-    """Smallest transmission probability with threshold above one,
-    by bisection (the threshold increases with p_i); the structure
-    tables are built once and shared by every step."""
-    structure = BranchingModel(ModelParams(
-        household=h, global_degree=g, r=r, n_q=n_q,
-        infection=InfectionSpec.constant(1.0)))
-
-    def supercritical(p_i):
-        model = structure.with_infection(InfectionSpec.constant(p_i))
-        return model.r_star() > 1.0
-
-    if not supercritical(1.0):
-        raise ConfigError("no supercritical transmission probability exists")
-    return _bisect(supercritical, 0.0, 1.0)[1]
-
-
-def _mu_for_rho(gamma, rho_target, r, n_q):
-    """mu with template correlation rho_target at fixed r (monotone)."""
-    rho_lo = poisson_c_rho(gamma, 0.0, r, n_q)[1]
-    rho_hi = poisson_c_rho(gamma, gamma, r, n_q)[1]
-    if not rho_lo <= rho_target <= rho_hi:
-        raise ConfigError(
-            f"rho={rho_target} not attainable at r={r}: "
-            f"range [{rho_lo:.6f}, {rho_hi:.6f}]")
-    lo, hi = _bisect(
-        lambda mu: poisson_c_rho(gamma, mu, r, n_q)[1] >= rho_target,
-        0.0, gamma)
-    return 0.5 * (lo + hi)
-
-
 # each figure takes the typed config and returns (resolved config, columns,
 # rows)
 
@@ -539,7 +494,10 @@ def _figure_fig3(cfg):
         h, g = poisson_plus(mu), poisson(gamma - mu)
         # the flattest supercritical line: just above the critical p_i of
         # the hardest r on the grid
-        p_base = max(_critical_p_i(h, g, r, n_q) for r in fig["r_grid"])
+        try:
+            p_base = max(critical_p_i(h, g, r, n_q) for r in fig["r_grid"])
+        except Infeasible as exc:
+            raise ConfigError(f"fig3 at mu={mu}: {exc}") from None
         c_rho = [poisson_c_rho(gamma, mu, r, n_q) for r in fig["r_grid"]]
         for factor in fig["p_i_factors"]:
             p_i = min(1.0, factor * p_base)
@@ -577,7 +535,7 @@ def _figure_fig5(cfg):
 
     # base template: most negative correlation structure that still hits
     # rho_target; rewiring then dilutes clustering at constant rho
-    mu_base = _mu_for_rho(gamma, rho_target, -1.0, n_q)
+    mu_base = mu_for_rho(gamma, rho_target, n_q)
     c_base = poisson_c_rho(gamma, mu_base, -1.0, n_q)[0]
 
     rows = []

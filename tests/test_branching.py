@@ -16,11 +16,14 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from netepi.branching import (
+    _BISECT_WIDTH,
     AnalyticReport,
     BranchingModel,
     ModelParams,
     TuneResult,
+    _bisect,
     analyze,
+    mu_for_rho,
     r_star,
     tune_poisson,
 )
@@ -640,6 +643,30 @@ def test_tune_poisson_stall_raises(monkeypatch):
     monkeypatch.setattr(br, "poisson_c_rho", stalled)
     with pytest.raises(NonConvergence, match="stalled"):
         tune_poisson(10.0, 0.04, 0.0, 10)
+
+
+def test_bisect_stop_rules():
+    # without a tolerance: the bracket closes around the crossing
+    lo, hi, _ = _bisect(lambda x: x ** 3, 0.125, 0.0, 1.0)
+    assert 0.0 < hi - lo <= _BISECT_WIDTH
+    assert lo ** 3 <= 0.125 < hi ** 3
+    # a met tolerance stops at the midpoint
+    x, x_again, value = _bisect(lambda x: x, 0.3, 0.0, 1.0, tol=0.1)
+    assert x == x_again == 0.25 and value == 0.25
+    # a bracket that closes before the tolerance is met stalls
+    with pytest.raises(NonConvergence, match="stalled"):
+        _bisect(lambda x: 1.0 if x > 0.5 else 0.0, 0.5, 0.0, 1.0, tol=0.1)
+
+
+def test_mu_for_rho_infeasible_reports_range():
+    rho_lo = poisson_c_rho(10.0, 0.0, -1.0, 10)[1]
+    rho_hi = poisson_c_rho(10.0, 10.0, -1.0, 10)[1]
+    mu = mu_for_rho(10.0, 0.2, 10)
+    assert poisson_c_rho(10.0, mu, -1.0, 10)[1] == pytest.approx(0.2,
+                                                                abs=1e-9)
+    with pytest.raises(Infeasible) as exc:
+        mu_for_rho(10.0, rho_lo - 0.01, 10)
+    assert (exc.value.lo, exc.value.hi) == (rho_lo, rho_hi)
 
 
 def test_tune_poisson_invalid_targets():

@@ -13,15 +13,16 @@ import yaml
 
 from netepi.cli import (
     _KNOWN,
-    _critical_p_i,
     load_config,
     main,
     resolve_infection,
     resolve_model,
 )
+from netepi.branching import critical_p_i, mu_for_rho, tune_poisson
 from netepi.distributions import poisson, poisson_plus
 from netepi.errors import ConfigError
 from netepi.netgen import read_network
+from netepi.netprops import poisson_c_rho
 
 
 def write_yaml(path, payload):
@@ -680,8 +681,56 @@ def test_fig3_default_critical_p_i_pinned_bitwise():
     r_grid = [round(x, 4) for x in np.linspace(-1.0, 1.0, 9)]
     for mu, expected in _FIG3_CRITICAL_P_I.items():
         h, g = poisson_plus(mu), poisson(10.0 - mu)
-        got = [_critical_p_i(h, g, r, 10) for r in r_grid]
+        got = [critical_p_i(h, g, r, 10) for r in r_grid]
         assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+# fig5's inversions at its defaults (gamma = 10, n_q = 10, rho = 0.2): the
+# base template's mu, then the tuned (mu, r) at each p_rw of the grid
+_FIG5_MU_BASE = "0x1.bdecee6136000p+2"
+_FIG5_TUNED = [
+    ("0x1.bdecee6136000p+2", "-0x1.ffffff0000000p-1"),
+    ("0x1.8ed910332310ep+2", "-0x1.0fe70e0000000p-1"),
+    ("0x1.59699422c8769p+2", "-0x1.af6e840000000p-3"),
+    ("0x1.1a072ec16d81ep+2", "0x1.6654c00000000p-7"),
+    ("0x1.8ed910332310dp+1", "0x1.423e040000000p-3"),
+]
+
+
+def test_fig5_default_inversions_pinned_bitwise():
+    mu_base = mu_for_rho(10.0, 0.2, 10)
+    assert mu_base.hex() == _FIG5_MU_BASE
+    c_base = poisson_c_rho(10.0, mu_base, -1.0, 10)[0]
+    got = []
+    for p_rw in [0.0, 0.2, 0.4, 0.6, 0.8]:
+        tuned = tune_poisson(10.0, (1.0 - p_rw) * c_base, 0.2, 10)
+        got.append((tuned.mu.hex(), tuned.r.hex()))
+    assert got == _FIG5_TUNED
+
+
+@pytest.mark.parametrize("rho", [-0.8, 0.3])
+def test_fig5_accepts_a_target_at_the_envelope_edge(tmp_path, rho):
+    # at p_rw = 0 the unrewired branch tunes to the r = -1 base template,
+    # whose rho misses the target by rounding
+    path = write_yaml(tmp_path / "c.yaml", {"figure": {"rho": rho}})
+    assert main(["figure", "fig5", "--config", path,
+                 "--out", str(tmp_path)]) == 0
+    _, header, rows = read_csv(tmp_path / "fig5.csv")
+    first = dict(zip(header, rows[1]))
+    assert first["branch"] == "unrewired"
+    assert float(first["rho"]) == pytest.approx(rho, abs=1e-8)
+
+
+def test_fig3_subcritical_grid_point_is_named(tmp_path, capsys):
+    cfg = {"figure": {"gamma": 1.0, "mu_grid": [0.5], "r_grid": [-1.0, 0.0],
+                      "n_q": 2}}
+    path = write_yaml(tmp_path / "c.yaml", cfg)
+    assert main(["figure", "fig3", "--config", path,
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "no supercritical transmission probability" in err
+    assert "mu=0.5" in err and "r=-1.0" in err
+    assert not (tmp_path / "fig3.csv").exists()
 
 
 def test_fig4_rows(tmp_path):
