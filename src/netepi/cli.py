@@ -546,7 +546,14 @@ def _figure_fig5(cfg):
                                   r=-1.0, n_q=n_q, infection=spec, p_rw=p_rw))
         rows.append(["rewired", c_target, rho_target, mu_base, -1.0, p_rw,
                      rep.r_star, rep.p_major, rep.z])
-        tuned = tune_poisson(gamma, c_target, rho_target, n_q)
+        try:
+            tuned = tune_poisson(gamma, c_target, rho_target, n_q)
+        except Infeasible as exc:
+            # the other rows still stand; this one has nothing to show
+            print(f"warning: fig5 unrewired row at p_rw={p_rw} left nan: "
+                  f"{exc}", file=sys.stderr)
+            rows.append(["unrewired", *[math.nan] * 4, 0.0, *[math.nan] * 3])
+            continue
         rep_u = analyze(ModelParams(household=poisson_plus(tuned.mu),
                                     global_degree=poisson(gamma - tuned.mu),
                                     r=tuned.r, n_q=n_q, infection=spec))

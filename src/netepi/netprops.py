@@ -28,6 +28,7 @@ from scipy import sparse
 
 from .distributions import (
     DiscreteDist,
+    QuantileTable,
     edge_bias,
     poisson,
     quantile_table,
@@ -149,15 +150,30 @@ def poisson_c_rho(gamma: float, mu: float, r: float, n_q: int) -> tuple[float, f
     [mu^2 + (gamma - mu) g(r)] / gamma^2 with g the block dispersion of
     the stub degree law 1 + Poi(gamma).
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    table = poisson_stub_table(gamma, n_q)
     if not 0.0 <= mu <= gamma:
         raise ValueError("mu must lie in [0, gamma]")
     if not -1.0 <= r <= 1.0:
         raise ValueError("r must lie in [-1, 1]")
+    return template_c_rho(table, gamma, mu, r)
+
+
+def poisson_stub_table(gamma: float, n_q: int) -> QuantileTable:
+    """Quantile table of the Poisson template's stub degree law
+    1 + Poi(gamma).  It depends on neither mu nor r, so an inversion over
+    either builds it once and evaluates `template_c_rho` on it."""
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
     base = poisson(gamma)
     d_tilde = DiscreteDist(base.support + 1, base.probs, base.tail_mass_bound)
-    dispersion = quantile_table(d_tilde, n_q).block_dispersion(r)
+    return quantile_table(d_tilde, n_q)
+
+
+def template_c_rho(table: QuantileTable, gamma: float, mu: float,
+                   r: float) -> tuple[float, float]:
+    """`poisson_c_rho` on the `poisson_stub_table` of gamma, with mu and r
+    taken as checked."""
+    dispersion = table.block_dispersion(r)
     c = (mu / gamma) ** 2
     rho = (mu * mu + (gamma - mu) * dispersion) / (gamma * gamma)
     return c, rho

@@ -11,7 +11,9 @@ and the networks the block parser returns; and
 `reference_monotone_extinction`, the original extinction solver, which
 pins the least fixed point that Newton's method must reach; and
 `household_mean_by_alpha`, the original forward triangular recursion for
-the mean household final size, an independent route to E[T] = E[M].
+the mean household final size, an independent route to E[T] = E[M]; and
+`reference_critical_p_i`, the original threshold bisection, which pins
+the critical p_i that deciding its steps on the exact root must keep.
 """
 
 import itertools
@@ -34,6 +36,30 @@ def reference_monotone_extinction(model, tol=1e-13, max_iter=500_000):
         if delta < tol:
             break
     return s
+
+
+def reference_critical_p_i(h, g, r, n_q):
+    """The critical p_i the original way: bisect [0, 1] down to a 1e-10
+    bracket, each step decided by the power-iteration R* of the step's
+    constant infection on one structure model.  Returns the upper end and
+    the (p_i, R*, mean matrix) of every step."""
+    from netepi.branching import BranchingModel, ModelParams
+    from netepi.distributions import InfectionSpec
+
+    model = BranchingModel(ModelParams(h, g, r, n_q,
+                                       InfectionSpec.constant(1.0)))
+    steps = []
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        step = model.with_infection(InfectionSpec.constant(mid))
+        value = step.r_star()
+        steps.append((mid, value, step.mean_matrix()))
+        if value > 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi, steps
 
 
 def enumerate_bond_percolation(n, p, directed_edges, source=0):

@@ -6,6 +6,7 @@ the typed process (tests/oracles.py), which shares only the quantile
 table with the implementation.
 """
 
+import itertools
 import math
 import warnings
 
@@ -17,12 +18,14 @@ from scipy.sparse.csgraph import connected_components
 
 from netepi.branching import (
     _BISECT_WIDTH,
+    _DECISION_MARGIN,
     AnalyticReport,
     BranchingModel,
     ModelParams,
     TuneResult,
     _bisect,
     analyze,
+    critical_p_i,
     mu_for_rho,
     r_star,
     tune_poisson,
@@ -34,6 +37,7 @@ from netepi.distributions import (
     point,
     poisson,
     poisson_plus,
+    quantile_table,
 )
 from netepi.errors import (
     ConstantPeriodRequired,
@@ -48,6 +52,7 @@ from netepi.netprops import poisson_c_rho
 from oracles import (
     MultitypeForwardMC,
     household_mean_by_alpha,
+    reference_critical_p_i,
     reference_monotone_extinction,
 )
 
@@ -137,6 +142,18 @@ def test_infinite_local_growth_infinite_threshold():
     assert rep.p_major == pytest.approx(rep.z, abs=1e-9)
 
 
+def test_unsettled_power_iteration_gives_the_exact_root():
+    # entries far below the shift leave the power iteration a rate near
+    # one, so it does not settle in its step budget; R* is then the
+    # largest real part of the eigenvalues, and the model is subcritical
+    pm = params(poisson_plus(2.0), poisson(8.0), r=-1.0, n_q=10, p_i=1e-3)
+    rep = analyze(pm)
+    m = BranchingModel(pm).mean_matrix()
+    assert rep.r_star == float(np.max(np.linalg.eigvals(m).real))
+    assert rep.r_star == pytest.approx(0.0078354, abs=1e-7)
+    assert rep.z == 0.0 and rep.p_major == 0.0
+
+
 _JACOBIAN_LAWS = [
     (poisson_plus(2.0), poisson(8.0)),
     (point(3), poisson(5.0)),
@@ -179,6 +196,27 @@ def test_mean_matrix_is_the_offspring_pgf_jacobian_at_one(h, g):
                     _, jac = model._offspring_pgf(np.ones(n_q), jacobian=True)
                     np.testing.assert_allclose(m, jac, rtol=1e-13,
                                                atol=0.0)
+
+
+@pytest.mark.parametrize("h, g", _JACOBIAN_LAWS)
+def test_spare_powers_equal_the_broadcast_powers_bitwise(h, g):
+    # the offspring PGF gathers g_type ** exponents and its derivative
+    # factor from one row of powers per type; each entry must be the
+    # value the broadcast ** computes
+    rng = np.random.default_rng(3)
+    for r in (-1.0, -0.75, -0.5, 0.0, 0.3, 0.5, 1.0):
+        for n_q in (1, 6, 10):
+            model = BranchingModel(params(h, g, r=r, n_q=n_q))
+            exponents = model.exponents
+            rows = [np.zeros(n_q), np.ones(n_q), *rng.random((3, n_q)),
+                    1.0 - 1e-3 * rng.random(n_q)]
+            for g_type in rows:
+                spare, d_spare = model._spare_powers(g_type)
+                assert np.array_equal(
+                    spare, g_type[:, None, None] ** exponents)
+                assert np.array_equal(
+                    d_spare, exponents * g_type[:, None, None]
+                    ** np.maximum(exponents - 1, 0))
 
 
 def test_underflowed_stub_degree_is_named():
@@ -637,12 +675,30 @@ def test_tune_poisson_stall_raises(monkeypatch):
 
     # rho reaches the target only at the ends of [-1, 1], so the bisection
     # runs out of steps with rho = 0.5 wherever it lands
-    def stalled(gamma, mu, r, n_q):
+    def stalled(table, gamma, mu, r):
         return 0.04, r if abs(r) == 1.0 else 0.5
 
-    monkeypatch.setattr(br, "poisson_c_rho", stalled)
+    monkeypatch.setattr(br, "template_c_rho", stalled)
     with pytest.raises(NonConvergence, match="stalled"):
         tune_poisson(10.0, 0.04, 0.0, 10)
+
+
+def test_inversions_build_one_stub_table_per_call(monkeypatch):
+    # the template's stub table depends on gamma and n_q only, so neither
+    # inversion rebuilds it per bisection step
+    import netepi.netprops as nprops
+
+    built = []
+
+    def counted(dist, n_q):
+        built.append(n_q)
+        return quantile_table(dist, n_q)
+
+    monkeypatch.setattr(nprops, "quantile_table", counted)
+    tune_poisson(10.0, 0.25, 0.05, n_q=10)
+    assert built == [10]
+    mu_for_rho(10.0, 0.2, 7)
+    assert built == [10, 7]
 
 
 def test_bisect_stop_rules():
@@ -656,6 +712,34 @@ def test_bisect_stop_rules():
     # a bracket that closes before the tolerance is met stalls
     with pytest.raises(NonConvergence, match="stalled"):
         _bisect(lambda x: 1.0 if x > 0.5 else 0.0, 0.5, 0.0, 1.0, tol=0.1)
+
+
+@pytest.mark.slow
+def test_critical_p_i_matches_the_power_iteration_bisection(capsys):
+    # critical_p_i decides a step on the exact Perron root unless that
+    # lies within _DECISION_MARGIN of one; the power iteration must then
+    # sit far inside the margin, so every decision, and the returned p_i,
+    # is the original bisection's
+    r_grid = [round(x, 4) for x in np.linspace(-1.0, 1.0, 9)]
+    largest = fallback_largest = 0.0
+    fallbacks = 0
+    for gamma, mu, n_q, r in itertools.product(
+            (6.0, 10.0), (0.1, 2.0, 5.0), (1, 7, 10), r_grid):
+        h, g = poisson_plus(mu), poisson(gamma - mu)
+        want, steps = reference_critical_p_i(h, g, r, n_q)
+        assert critical_p_i(h, g, r, n_q).hex() == want.hex(), (gamma, mu,
+                                                                n_q, r)
+        for _, power, m in steps:
+            exact = float(np.max(np.linalg.eigvals(m).real))
+            gap = abs(power - exact)
+            largest = max(largest, gap)
+            if abs(exact - 1.0) <= _DECISION_MARGIN:
+                fallbacks += 1
+                fallback_largest = max(fallback_largest, gap)
+                assert gap <= _DECISION_MARGIN / 10, (gamma, mu, n_q, r)
+    with capsys.disabled():
+        print(f"\n{fallbacks} fallback steps; largest |power - exact| "
+              f"{fallback_largest:.3g} there, {largest:.3g} over all steps")
 
 
 def test_mu_for_rho_infeasible_reports_range():

@@ -721,6 +721,33 @@ def test_fig5_accepts_a_target_at_the_envelope_edge(tmp_path, rho):
     assert float(first["rho"]) == pytest.approx(rho, abs=1e-8)
 
 
+def test_fig5_writes_the_rows_it_can_tune(tmp_path, capsys):
+    # at rho = 0.7413 the unrewired branch cannot reach the target once
+    # rewiring has diluted c at p_rw = 0.6 and 0.8; those two rows get
+    # nan cells and a warning naming p_rw and the range, the rest stand
+    path = write_yaml(tmp_path / "c.yaml", {"figure": {"rho": 0.7413}})
+    assert main(["figure", "fig5", "--config", path,
+                 "--out", str(tmp_path / "all")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: fig5 unrewired row") == 2
+    assert "p_rw=0.6" in err and "p_rw=0.8" in err
+    assert "attainable range [-0.069347, 0.734407]" in err
+    _, header, rows = read_csv(tmp_path / "all" / "fig5.csv")
+    assert len(rows) == 10
+    for row in rows[6::2]:
+        assert row[0] == "rewired" and "nan" not in row
+    for row in rows[7::2]:
+        assert row == ["unrewired", *["nan"] * 4, "0", *["nan"] * 3]
+    # the other rows are those of a grid that stops before p_rw = 0.6
+    path = write_yaml(tmp_path / "d.yaml",
+                      {"figure": {"rho": 0.7413, "p_rw_grid": [0.0, 0.2, 0.4]}})
+    assert main(["figure", "fig5", "--config", path,
+                 "--out", str(tmp_path / "part")]) == 0
+    assert capsys.readouterr().err == ""
+    _, _, part = read_csv(tmp_path / "part" / "fig5.csv")
+    assert rows[:6] == part
+
+
 def test_fig3_subcritical_grid_point_is_named(tmp_path, capsys):
     cfg = {"figure": {"gamma": 1.0, "mu_grid": [0.5], "r_grid": [-1.0, 0.0],
                       "n_q": 2}}

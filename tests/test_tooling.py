@@ -26,20 +26,35 @@ BENCH = ROOT / "bench"
 SRC = ROOT / "src"
 
 
+# one threshold bisection and one tuning, run after `import netepi.cli`
+_INVERSIONS = (
+    "from netepi.branching import critical_p_i, tune_poisson; "
+    "from netepi.distributions import poisson, poisson_plus; "
+    "critical_p_i(poisson_plus(2.0), poisson(8.0), -1.0, 10); "
+    "tune_poisson(10.0, 0.16, 0.3, 10); ")
+
+
 @pytest.mark.parametrize("module, absent", [
     pytest.param("netepi", "scipy.stats", id="netepi"),
     pytest.param("netepi.cli", "scipy.stats", id="netepi.cli"),
     pytest.param("netepi.cli", "scipy.sparse.csgraph",
                  id="netepi.cli-scipy.sparse.csgraph"),
+    pytest.param("netepi.cli", "scipy.linalg", id="netepi.cli-scipy.linalg"),
+    pytest.param("netepi.cli", "scipy.optimize",
+                 id="netepi.cli-scipy.optimize"),
 ])
 def test_import_leaves_scipy_stats_out(module, absent):
     # scipy.stats alone takes longer to import than everything else the
     # package loads; the distribution tables use scipy.special instead.
-    # scipy.sparse.csgraph adds 65-135 ms on top of netepi.cli.
+    # scipy.sparse.csgraph adds 65-135 ms on top of netepi.cli, and
+    # scipy.optimize 170-220 ms.  After netepi.cli the inversions run
+    # too, so that neither the exact Perron root (numpy's LAPACK) nor a
+    # root finder loads a module on first use.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    code = (f"import sys, {module}; "
+    work = _INVERSIONS if module == "netepi.cli" else ""
+    code = (f"import sys, {module}; {work}"
             f"assert {absent!r} not in sys.modules, "
             f"sorted(m for m in sys.modules if m.startswith({absent!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
