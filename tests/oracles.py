@@ -99,21 +99,31 @@ def _reach(adj, source):
     return seen
 
 
+def reference_adjacency(net):
+    """The original stable-argsort CSR adjacency of `net`: (indptr,
+    heads, out-degrees)."""
+    src = np.concatenate([net.edges_u, net.edges_v])
+    dst = np.concatenate([net.edges_v, net.edges_u])
+    heads = dst[np.argsort(src, kind="stable")]
+    out_deg = np.bincount(src, minlength=net.n)
+    indptr = np.concatenate(([0], np.cumsum(out_deg)))
+    return indptr, heads, out_deg
+
+
 def reference_percolation_bfs(net, infection, seed, start=None,
-                              reverse=False):
+                              reverse=False, adjacency=None):
     """Percolation epidemic on `net` the original way: a stable-argsort
-    CSR adjacency built per call and an np.unique frontier per level.
+    CSR adjacency (`reference_adjacency`, built per call unless given)
+    and an np.unique frontier per level.
 
     Makes the same random draws in the same order as the package's
     `run_epidemic` should; returns (final size, generation counts).
     """
     rng = np.random.default_rng(seed)
     n = net.n
-    src = np.concatenate([net.edges_u, net.edges_v])
-    dst = np.concatenate([net.edges_v, net.edges_u])
-    heads = dst[np.argsort(src, kind="stable")]
-    out_deg = np.bincount(src, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(out_deg)))
+    if adjacency is None:
+        adjacency = reference_adjacency(net)
+    indptr, heads, out_deg = adjacency
     if start is None:
         start = int(rng.integers(n))
     if not infection.is_constant:

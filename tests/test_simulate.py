@@ -6,6 +6,7 @@ are checked through the exact forward/backward mean identity.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from netepi.simulate import (
 from oracles import (
     enumerate_bond_percolation,
     household_pmf_chain_binomial,
+    reference_adjacency,
     reference_percolation_bfs,
 )
 
@@ -77,33 +79,80 @@ def test_adjacency_matches_argsort_construction_and_is_cached(edges):
     assert net == tiny_network(edges, TINY_N)
 
 
+def assert_matches_reference_bfs(net, infections, seeds, start=None):
+    """Bitwise: the same final size and generation counts as the original
+    sort-based loop, for every period kind, direction and seed.  Returns
+    the final sizes."""
+    adjacency = reference_adjacency(net)
+    sizes = []
+    for infection in infections:
+        for reverse in (False, True):
+            for seed in seeds:
+                out = run_epidemic(net, infection, seed=seed, start=start,
+                                   reverse=reverse)
+                size, generations = reference_percolation_bfs(
+                    net, infection, seed=seed, start=start, reverse=reverse,
+                    adjacency=adjacency)
+                assert out.final_size == size
+                assert np.array_equal(out.generations, generations)
+                sizes.append(size)
+    return sizes
+
+
+BOTH_PERIODS = [InfectionSpec.constant(0.3), InfectionSpec.gamma(0.3, 2.0)]
+
+
 @pytest.mark.parametrize("n", [200, 10_000])
 def test_run_epidemic_matches_reference_bfs(n):
-    # bitwise: same final size and generation counts as the original
-    # sort-based loop, for every period kind, direction and seed
     spec = GenSpec(n=n, household=poisson_plus(2.0), global_degree=poisson(4.0),
                    r=-0.5, n_q=5)
-    infections = [InfectionSpec.constant(0.3), InfectionSpec.gamma(0.3, 2.0)]
     for build_seed in range(3):
         net = rewire(build_network(spec, seed=build_seed), 0.3, seed=build_seed)
-        for infection in infections:
-            for reverse in (False, True):
-                for seed in range(4):
-                    out = run_epidemic(net, infection, seed=seed, reverse=reverse)
-                    size, generations = reference_percolation_bfs(
-                        net, infection, seed=seed, reverse=reverse)
-                    assert out.final_size == size
-                    assert np.array_equal(out.generations, generations)
+        assert_matches_reference_bfs(net, BOTH_PERIODS, range(4))
+        # a given start, as a numpy integer
+        assert_matches_reference_bfs(net, BOTH_PERIODS, range(2),
+                                     start=np.int64(n // 2))
+
+
+def test_run_epidemic_matches_reference_bfs_on_edge_cases():
+    # the TINY network's self-loop and parallel edge, from every start
+    net = tiny_network(TINY_EDGES, TINY_N)
+    dense = [InfectionSpec.constant(0.6), InfectionSpec.gamma(1.5, 2.0)]
+    for start in range(TINY_N):
+        assert_matches_reference_bfs(net, dense, range(6), start=start)
+    # a start with no neighbours: its level lists no bond
+    isolated = tiny_network([(1, 2), (2, 3)], 4)
+    assert_matches_reference_bfs(isolated, dense, range(3), start=0)
+    # one node and no edge, its start drawn or given
+    single = tiny_network([], 1)
+    assert_matches_reference_bfs(single, dense, range(3))
+    assert_matches_reference_bfs(single, dense, range(3), start=0)
+
+
+@pytest.mark.slow
+def test_run_epidemic_matches_reference_bfs_on_large_levels():
+    # network_large's model and gamma period at n = 2e5: levels of about
+    # a million bonds, so every mask density of a major outbreak occurs
+    pm = ModelParams(poisson_plus(2.0), poisson(8.0), -0.5, 10,
+                     InfectionSpec.gamma(0.6, 4.0, 0.25), p_rw=0.3)
+    n = 200_000
+    net = rewire(build_network(pm.gen_spec(n), seed=11), pm.p_rw, seed=12)
+    sizes = assert_matches_reference_bfs(net, [pm.infection], range(20))
+    assert max(sizes) > n // 2  # major outbreaks among the seeds
 
 
 def test_run_epidemic_rejects_start_outside_network():
     net = build_network(GenSpec(n=50, household=poisson_plus(2.0),
                                 global_degree=poisson(3.0)), seed=1)
     spec = InfectionSpec.constant(0.5)
-    for start in (-1, 50, 1000):
+    # True is an int but no node id: seen[True] would mark every node
+    for start in (-1, 50, 1000, True, 1.5, np.float64(2.0)):
         with pytest.raises(ValueError, match="start"):
             run_epidemic(net, spec, seed=0, start=start)
     assert run_epidemic(net, spec, seed=0, start=49).final_size >= 1
+    numpy_start = run_epidemic(net, spec, seed=0, start=np.int64(49))
+    assert numpy_start.final_size == run_epidemic(net, spec, seed=0,
+                                                  start=49).final_size
 
 
 def tiny_pmfs(p):
@@ -173,6 +222,33 @@ def test_generations_partition_final_size():
         out = run_epidemic(net, InfectionSpec.constant(0.4), seed=s)
         assert int(out.generations.sum()) == out.final_size
         assert np.all(out.generations >= 1)
+
+
+def test_minor_outbreak_stays_within_its_memory_budget():
+    # tracemalloc peak of one run on a cached adjacency: the two n-byte
+    # masks and what the outbreak touches; an O(n) array of counts or
+    # ids (np.diff(indptr) alone is 4n bytes at int32) breaks the budget
+    n = 200_000
+    net = build_network(GenSpec(n=n, household=poisson_plus(2.0),
+                                global_degree=poisson(8.0), r=0.5, n_q=10),
+                        seed=3)
+    net.adjacency
+    spec = InfectionSpec.constant(0.01)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    peaks, sizes = [], []
+    try:
+        for seed in range(20):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sizes.append(run_epidemic(net, spec, seed=seed).final_size)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert max(sizes) < 100  # minor outbreaks only
+    assert max(peaks) < 3 * n, max(peaks)
 
 
 def test_run_epidemic_deterministic_per_seed():
