@@ -40,8 +40,10 @@ one batched product.  `BranchingModel` memoises the mean matrix, R* and
 the extinction vector; `analyze` reads every output from those methods.
 The tables that depend only on (H, G, r, n_q), those of the offspring
 PGF and those of the mean matrix alike, are built once per model, and
-`BranchingModel.with_infection` shares them with another infection, so
-the mean matrix of an infection only mixes in its household means.
+`BranchingModel.with_infection` shares them with another infection or
+p_rw, so the mean matrix of an infection only mixes in its household
+means.  A household engine depends only on the infection and the
+largest household size, so models on one household law can share one.
 
 R* is the Perron root by a shifted power iteration from a seeded start,
 which stops once a step moves the estimate by at most 1e-12 relative.
@@ -60,14 +62,21 @@ becomes the upper end, any other the lower end.  It stops once the
 bracket is 1e-10 wide, or at a midpoint meeting an optional tolerance on
 |f - target|; a bracket that closes first raises `NonConvergence`.
 
-Each step of the p_i bisection asks only which side of one R* is on.
+The p_i inversion finds the smallest p_i with R* above one at every r
+of a grid (one r is a grid of one) with one bisection: each step builds
+one household engine, which the grid's models share, and asks each
+model in turn which side of one its R* is on, starting from the model
+that last answered "not above" and stopping at the first that does.
 The exact root decides it unless it lies within 1e-5 of one; there the
 power iteration decides, as it decides every written R*.  The margin is
 30 times the largest gap between the two roots seen over that test's
 162 bisections (3.4e-7, the case above), so outside it both roots lie
 on the same side of one and the bisection returns the p_i, bit for bit,
-of one decided by the power iteration alone.  The rho inversions build
-the template's stub table once and bisect on its closed form.
+of one decided by the power iteration alone.  The grid's bisection
+follows that of its binding r, so it returns the largest of the per-r
+critical values bit for bit, unless two of them lie within the power
+iteration's error of each other.  The rho inversions build the
+template's stub table once and bisect on its closed form.
 """
 
 from __future__ import annotations
@@ -161,9 +170,13 @@ class BranchingModel:
     """Assembles every table the branching analytics need for one
     parameter set and caches intermediate results.  The structure tables
     depend only on (H, G, r, n_q); the household engine and the memos
-    depend on the infection too."""
+    depend on the infection too, and the memos on p_rw.  `households`, a
+    `HouseholdEngine` for params.infection up to the largest household
+    size, lets models on one household law share an engine; without it
+    the model builds its own."""
 
-    def __init__(self, params: ModelParams):
+    def __init__(self, params: ModelParams,
+                 households: Optional[HouseholdEngine] = None):
         self.params = params
         p = params
         self.h_vals = p.household.support.astype(np.int64)
@@ -228,23 +241,34 @@ class BranchingModel:
                      @ self.kernels.degree_kernel[self.partner_rows])
         self.size_reached = (self.q_ih > 0.0).any(axis=0)
 
-        self._start_infection()
+        self._start_infection(households)
 
-    def _start_infection(self) -> None:
-        self.households = HouseholdEngine(self.params.infection,
-                                          int(self.h_vals.max()))
+    def _start_infection(self, households: Optional[HouseholdEngine]) -> None:
+        infection, max_size = self.params.infection, int(self.h_vals.max())
+        if households is None:
+            households = HouseholdEngine(infection, max_size)
+        # an engine for another size gives other bits, or fails on a size
+        elif (households.infection != infection
+              or households.max_size != max_size):
+            raise ValueError("the household engine is for another "
+                             "infection or largest household size")
+        self.households = households
         self._mean_matrix: Optional[np.ndarray] = None
         self._r_star: Optional[float] = None
         self._extinction: Optional[np.ndarray] = None
         self._extinction_stats: Optional[SolverStats] = None
 
-    def with_infection(self, infection: InfectionSpec) -> "BranchingModel":
-        """The model with another infection on the same (H, G, r, n_q): it
-        shares this model's structure tables, which nothing mutates, and
-        gets its own household engine and memos."""
+    def with_infection(self, infection: InfectionSpec,
+                       households: Optional[HouseholdEngine] = None,
+                       p_rw: Optional[float] = None) -> "BranchingModel":
+        """The model with another infection, and p_rw if given, on the
+        same (H, G, r, n_q): it shares this model's structure tables, which
+        nothing mutates, and gets its own memos and the household engine
+        given (see BranchingModel) or a new one."""
         model = copy.copy(self)
-        model.params = replace(self.params, infection=infection)
-        model._start_infection()
+        model.params = replace(self.params, infection=infection,
+                               p_rw=self.params.p_rw if p_rw is None else p_rw)
+        model._start_infection(households)
         return model
 
     @property
@@ -479,10 +503,13 @@ def _perron_root(mat: np.ndarray) -> float:
     return exact_perron_root(mat)
 
 
-def analyze(params: ModelParams) -> AnalyticReport:
-    """Every analytic output of one parameter set; the forward quantities
-    (p_major, sigma) are None for a general infectious period."""
-    model = BranchingModel(params)
+def analyze(source) -> AnalyticReport:
+    """Every analytic output of a `BranchingModel`, or of one built from
+    a `ModelParams`; the forward quantities (p_major, sigma) are None for
+    a general infectious period."""
+    model = (source if isinstance(source, BranchingModel)
+             else BranchingModel(source))
+    params = model.params
     constant = params.infection.is_constant
     # the public extinction method is called only above threshold, so
     # each call is one fixed-point solve (bench/spans.py counts PGF
@@ -516,20 +543,51 @@ def _bisect(f, target, lo, hi, tol=None):
     return lo, hi, value
 
 
-def critical_p_i(h, g, r: float, n_q: int) -> float:
-    """Smallest transmission probability with R* above one, sharing one
-    model's structure tables; Infeasible if R* <= 1 at p_i = 1."""
-    model = BranchingModel(ModelParams(h, g, r, n_q,
-                                       InfectionSpec.constant(1.0)))
-    if model.r_star() <= 1.0:
-        raise Infeasible(f"no supercritical transmission probability "
-                         f"exists at r={r}")
+def supercritical_models(h, g, r_grid, n_q: int) -> list:
+    """One model per r of the grid at p_i = 1, all sharing one household
+    engine; Infeasible, naming the first such r in grid order, where R*
+    <= 1 even there."""
+    one = InfectionSpec.constant(1.0)
+    models = []
+    for r in r_grid:
+        # the first model builds the engine the others share
+        model = BranchingModel(ModelParams(h, g, r, n_q, one),
+                               models[0].households if models else None)
+        if model.r_star() <= 1.0:
+            raise Infeasible(f"no supercritical transmission probability "
+                             f"exists at r={r}")
+        models.append(model)
+    return models
+
+
+def threshold_p_i(models) -> float:
+    """Smallest transmission probability with R* above one for every
+    model, by one bisection over their structure tables (see the module
+    docstring)."""
+    order = list(models)
+    max_size = order[0].households.max_size
 
     def threshold(p_i):
-        step = model.with_infection(InfectionSpec.constant(p_i))
-        exact = exact_perron_root(step.mean_matrix())
-        return exact if abs(exact - 1.0) > _DECISION_MARGIN else step.r_star()
+        infection = InfectionSpec.constant(p_i)
+        households = HouseholdEngine(infection, max_size)
+        for k, model in enumerate(order):
+            step = model.with_infection(infection, households)
+            exact = exact_perron_root(step.mean_matrix())
+            value = (exact if abs(exact - 1.0) > _DECISION_MARGIN
+                     else step.r_star())
+            if value <= 1.0:
+                # the model that held p_i back is likeliest to again
+                order.insert(0, order.pop(k))
+                break
+        return value
     return _bisect(threshold, 1.0, 0.0, 1.0)[1]
+
+
+def critical_p_i(h, g, r, n_q: int) -> float:
+    """Smallest transmission probability with R* above one at r, or at
+    every r of a sequence; Infeasible where R* <= 1 at p_i = 1."""
+    grid = [r] if np.ndim(r) == 0 else r
+    return threshold_p_i(supercritical_models(h, g, grid, n_q))
 
 
 def mu_for_rho(gamma: float, rho_target: float, n_q: int) -> float:

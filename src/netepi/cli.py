@@ -31,10 +31,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .branching import (ModelParams, analyze, critical_p_i, mu_for_rho,
-                        tune_poisson)
+from .branching import (BranchingModel, ModelParams, analyze, mu_for_rho,
+                        supercritical_models, threshold_p_i, tune_poisson)
 from .distributions import InfectionSpec, parse_distribution, poisson, poisson_plus
 from .errors import ConfigError, Infeasible, NetepiError
+from .household import HouseholdEngine
 from .netgen import build_network, rewire, write_network
 from .netprops import (
     analytic_degree_corr,
@@ -349,9 +350,10 @@ def _write_csv(path: Path, header: str, columns, rows):
 # -- subcommands ---------------------------------------------------------
 
 
-def _analytic_row(h, g, r, n_q, p_rw, spec):
-    rep = analyze(ModelParams(household=h, global_degree=g, r=r, n_q=n_q,
-                              infection=spec, p_rw=p_rw))
+def _analytic_row(model):
+    p = model.params
+    h, g, r, n_q, p_rw = p.household, p.global_degree, p.r, p.n_q, p.p_rw
+    rep = analyze(model)
     d = analytic_degree_dist(h, g)
     comp = degree_corr_components(h, g, r, n_q)
     c = rewired_clustering(h, g, p_rw)
@@ -364,8 +366,11 @@ def cmd_analyze(cfg: dict, out_override=None) -> Path:
     path = _output(cfg, out_override)
     h, g = model_distributions(model)
     spec = infection_spec(infection)
-    rows = [_analytic_row(h, g, r, model["n_q"], model["p_rw"], spec)
-            for r in model.get("r_grid", [model["r"]])]
+    params = [ModelParams(household=h, global_degree=g, r=r,
+                          n_q=model["n_q"], infection=spec, p_rw=model["p_rw"])
+              for r in model.get("r_grid", [model["r"]])]
+    households = HouseholdEngine(spec, h.max_support())
+    rows = [_analytic_row(BranchingModel(p, households)) for p in params]
     resolved = {"model": model, "infection": infection}
     return _write_csv(
         path("analyze.csv"), _config_header("analyze", resolved),
@@ -492,20 +497,21 @@ def _figure_fig3(cfg):
     rows = []
     for mu in fig["mu_grid"]:
         h, g = poisson_plus(mu), poisson(gamma - mu)
-        # the flattest supercritical line: just above the critical p_i of
-        # the hardest r on the grid
         try:
-            p_base = max(critical_p_i(h, g, r, n_q) for r in fig["r_grid"])
+            models = supercritical_models(h, g, fig["r_grid"], n_q)
         except Infeasible as exc:
             raise ConfigError(f"fig3 at mu={mu}: {exc}") from None
+        # the flattest supercritical line: just above the critical p_i of
+        # the hardest r on the grid
+        p_base = threshold_p_i(models)
         c_rho = [poisson_c_rho(gamma, mu, r, n_q) for r in fig["r_grid"]]
         for factor in fig["p_i_factors"]:
             p_i = min(1.0, factor * p_base)
             spec = InfectionSpec.constant(p_i)
-            for r, (c, rho) in zip(fig["r_grid"], c_rho):
-                rep = analyze(ModelParams(household=h, global_degree=g, r=r,
-                                          n_q=n_q, infection=spec))
-                rows.append([mu, factor, p_i, r, c, rho,
+            households = HouseholdEngine(spec, h.max_support())
+            for model, (c, rho) in zip(models, c_rho):
+                rep = analyze(model.with_infection(spec, households))
+                rows.append([mu, factor, p_i, model.params.r, c, rho,
                              rep.r_star, rep.p_major, rep.z])
     return ({"figure": {"name": "fig3", **fig}},
             ["mu", "p_i_factor", "p_i", "r", "c", "rho", "r_star", "p_maj",
@@ -515,14 +521,19 @@ def _figure_fig3(cfg):
 def _figure_fig4(cfg):
     fig, model = cfg["figure"], cfg["model"]
     h, g = model_distributions(model)
+    # one model per r and one household engine per p_i
+    specs = [InfectionSpec.constant(p_i) for p_i in fig["p_i_grid"]]
+    params = [ModelParams(household=h, global_degree=g, r=r,
+                          n_q=model["n_q"], infection=specs[0],
+                          p_rw=model["p_rw"])
+              for r in fig["r_grid"]]
+    engines = [HouseholdEngine(spec, h.max_support()) for spec in specs]
+    models = [BranchingModel(p, engines[0]) for p in params]
     rows = []
-    for p_i in fig["p_i_grid"]:
-        spec = InfectionSpec.constant(p_i)
-        for r in fig["r_grid"]:
-            rep = analyze(ModelParams(household=h, global_degree=g, r=r,
-                                      n_q=model["n_q"], infection=spec,
-                                      p_rw=model["p_rw"]))
-            rows.append([p_i, r, rep.r_star, rep.p_major, rep.z])
+    for p_i, spec, households in zip(fig["p_i_grid"], specs, engines):
+        for base in models:
+            rep = analyze(base.with_infection(spec, households))
+            rows.append([p_i, base.params.r, rep.r_star, rep.p_major, rep.z])
     resolved = {"figure": {"name": "fig4", "p_i_grid": fig["p_i_grid"],
                            "r_grid": fig["r_grid"]}, "model": model}
     return resolved, ["p_i", "r", "r_star", "p_maj", "z"], rows
@@ -538,12 +549,16 @@ def _figure_fig5(cfg):
     mu_base = mu_for_rho(gamma, rho_target, n_q)
     c_base = poisson_c_rho(gamma, mu_base, -1.0, n_q)[0]
 
+    # rewiring reaches only the household laws, so the rewired rows share
+    # one model's structure tables and household engine
+    rewired = BranchingModel(ModelParams(household=poisson_plus(mu_base),
+                                         global_degree=poisson(gamma - mu_base),
+                                         r=-1.0, n_q=n_q, infection=spec))
     rows = []
     for p_rw in fig["p_rw_grid"]:
         c_target = (1.0 - p_rw) * c_base
-        rep = analyze(ModelParams(household=poisson_plus(mu_base),
-                                  global_degree=poisson(gamma - mu_base),
-                                  r=-1.0, n_q=n_q, infection=spec, p_rw=p_rw))
+        rep = analyze(rewired.with_infection(spec, rewired.households,
+                                             p_rw=p_rw))
         rows.append(["rewired", c_target, rho_target, mu_base, -1.0, p_rw,
                      rep.r_star, rep.p_major, rep.z])
         try:

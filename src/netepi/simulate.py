@@ -13,16 +13,14 @@ asymptotic relative final size.
 
 The exploration walks the network's cached CSR adjacency
 (`Network.adjacency`), so a forward and a reverse run on one network
-share one build.  A level lists the CSR positions of its frontier's
-bonds, draws one uniform per bond, and keeps the open ones with
-`np.compress`, which at their density (0.2-0.45 of a level's bonds)
-runs in under half the time of a boolean index.  It reads the heads of
-its open bonds only, except in a reverse run with a general period,
-where a bond's probability is its head's.  The heads hit are
-deduplicated by a scatter into a boolean mask, not a sort, and the seen
-ones dropped from the distinct heads; the next frontier comes out in
-increasing node order, so the random draws of a run on a given network
-do not depend on how it is built.
+share one build.  A level lists the heads of its frontier's bonds with
+scipy's CSR row-gather kernel, draws one uniform per bond, and keeps
+the open ones with `np.compress`, which at their density (0.2-0.45 of a
+level's bonds) runs in under half the time of a boolean index.  The
+heads hit are deduplicated by a scatter into a boolean mask, not a
+sort, and the seen ones dropped from the distinct heads; the next
+frontier comes out in increasing node order, so the random draws of a
+run on a given network do not depend on how it is built.
 
 Per node, a run costs two n-byte masks, one pass over a mask per level
 to list the heads hit, and for a general period the n periods its
@@ -46,6 +44,7 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .branching import ModelParams
 from .errors import AmbiguousBimodality, NoMajorOutbreaks
@@ -105,33 +104,30 @@ def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
     seen = np.zeros(n, dtype=bool)
     seen[start] = True
     marked = np.zeros(n, dtype=bool)
-    # the frontier and the edge positions stay intp, whatever the CSR's
-    # index dtype: numpy converts any other index to intp, one pass over
-    # it, before it gathers (pos is intp because cumsum widens counts)
-    frontier = np.array([start], dtype=np.intp)
+    # the frontier stays in the CSR's index dtype, which the row gather
+    # below takes without a cast
+    frontier = np.array([start], dtype=indptr.dtype)
     generations = [1]
     while frontier.size:
-        first = indptr[frontier]
-        counts = indptr[frontier + 1] - first
-        ends = np.cumsum(counts)
-        # edge positions: the i-th listed end sits at i plus the offset
-        # between its node's CSR row and that node's run in this level
-        pos = np.repeat(first - (ends - counts), counts)
-        pos += np.arange(pos.size)
+        counts = indptr[frontier + 1] - indptr[frontier]
+        # the heads of the level's bonds, row by row, from scipy's CSR
+        # row-gather kernel; heads goes in as both its index and its data
+        # array, so the kernel writes each head twice into `listed` and no
+        # 2E-byte payload array is needed (one would break the 3n-byte
+        # budget of a minor outbreak)
+        listed = np.empty(int(counts.sum()), dtype=heads.dtype)
+        _sparsetools.csr_row_index(frontier.size, frontier, indptr, heads,
+                                   heads, listed, listed)
         # open bonds are 0.2-0.45 of a level's: at 43% of 1e7 intp,
         # np.compress takes 34 ms where a boolean index takes 81 ms
         if reverse and not infection.is_constant:
-            # a bond into v is open with v's probability: read every head
-            targets = heads[pos]
-            del pos  # free it before the draws allocate
-            hit = np.compress(
-                rng.random(targets.size) < p_node[targets], targets)
+            # a bond into v is open with v's probability
+            prob = p_node[listed]
         else:
-            # the bond's probability is known before its head, so read
-            # only the heads of open bonds
             prob = (p_i if infection.is_constant
                     else np.repeat(p_node[frontier], counts))
-            hit = heads[np.compress(rng.random(pos.size) < prob, pos)]
+        hit = np.compress(rng.random(listed.size) < prob, listed)
+        del listed, prob  # free them before the scatter below allocates
         # the distinct heads in node order from one scatter, then the
         # unseen among them (from all to none of them over an outbreak):
         # at 2e6 hits on n = 1e6, 60% seen, 15 ms where compacting the
@@ -143,7 +139,7 @@ def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
         if new.size == 0:
             break
         seen[new] = True
-        frontier = new
+        frontier = new.astype(indptr.dtype, copy=False)
         generations.append(int(new.size))
     size = sum(generations)
     return EpidemicOutcome(size, size / n,

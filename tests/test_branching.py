@@ -47,6 +47,7 @@ from netepi.errors import (
     ReducibleMatrixWarning,
     ZeroMean,
 )
+from netepi.household import HouseholdEngine
 from netepi.netprops import poisson_c_rho
 
 from oracles import (
@@ -556,6 +557,27 @@ def test_with_infection_shares_structure_and_matches_a_fresh_build():
     assert base.r_star() == BranchingModel(base.params).r_star()
 
 
+def test_models_share_a_household_engine_of_their_infection_and_size():
+    h, g = poisson_plus(2.0), poisson(6.0)
+    base = BranchingModel(params(h, g, r=-0.5, n_q=6, p_i=0.3))
+    inf = InfectionSpec.constant(0.15)
+    engine = HouseholdEngine(inf, h.max_support())
+    fresh = BranchingModel(params(h, g, r=-0.5, n_q=6, p_rw=0.3,
+                                  infection=inf))
+    for model in (base.with_infection(inf, engine, p_rw=0.3),
+                  BranchingModel(fresh.params, engine)):
+        assert model.households is engine and model.params.p_rw == 0.3
+        got, want = analyze(model), analyze(fresh.params)
+        assert (got.r_star, got.z) == (want.r_star, want.z)
+        assert np.array_equal(got.xi, want.xi)
+    # an engine for another infection or size would answer for the wrong
+    # model
+    with pytest.raises(ValueError, match="household engine"):
+        base.with_infection(InfectionSpec.constant(0.2), engine)
+    with pytest.raises(ValueError, match="household engine"):
+        BranchingModel(fresh.params, HouseholdEngine(inf, h.max_support() + 1))
+
+
 def test_constant_period_analyze_solves_extinction_once(monkeypatch):
     solves = []
     original = BranchingModel._solve_extinction
@@ -740,6 +762,18 @@ def test_critical_p_i_matches_the_power_iteration_bisection(capsys):
     with capsys.disabled():
         print(f"\n{fallbacks} fallback steps; largest |power - exact| "
               f"{fallback_largest:.3g} there, {largest:.3g} over all steps")
+
+
+def test_grid_critical_p_i_names_the_first_infeasible_r():
+    # at gamma = 1, mu = 0.5, n_q = 2, R* at p_i = 1 is 1.25 at r = 1 but
+    # 0.75 at r = 0 and 0.48 at r = -1: the grid fails at r = 0, the
+    # first infeasible r in grid order, as the per-r searches did
+    h, g = poisson_plus(0.5), poisson(0.5)
+    with pytest.raises(Infeasible, match=r"at r=0\.0$"):
+        critical_p_i(h, g, [1.0, 0.0, -1.0], 2)
+    with pytest.raises(Infeasible, match=r"at r=-1\.0$"):
+        critical_p_i(h, g, [1.0, -1.0, 0.0], 2)
+    assert critical_p_i(h, g, [1.0], 2) == critical_p_i(h, g, 1.0, 2)
 
 
 def test_mu_for_rho_infeasible_reports_range():

@@ -18,9 +18,11 @@ from netepi.cli import (
     resolve_infection,
     resolve_model,
 )
-from netepi.branching import critical_p_i, mu_for_rho, tune_poisson
+from netepi.branching import (_BISECT_WIDTH, BranchingModel, critical_p_i,
+                              mu_for_rho, tune_poisson)
 from netepi.distributions import poisson, poisson_plus
 from netepi.errors import ConfigError
+from netepi.household import HouseholdEngine
 from netepi.netgen import read_network
 from netepi.netprops import poisson_c_rho
 
@@ -683,6 +685,58 @@ def test_fig3_default_critical_p_i_pinned_bitwise():
         h, g = poisson_plus(mu), poisson(10.0 - mu)
         got = [critical_p_i(h, g, r, 10) for r in r_grid]
         assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+def test_grid_critical_p_i_is_the_largest_per_r_value_bitwise():
+    # one bisection over the grid returns, bit for bit, the largest of the
+    # per-r critical values pinned above, on fig3's default grid and on
+    # the benchmark's (mu = 2, five r)
+    r_grid = [round(x, 4) for x in np.linspace(-1.0, 1.0, 9)]
+    for mu, expected in _FIG3_CRITICAL_P_I.items():
+        h, g = poisson_plus(mu), poisson(10.0 - mu)
+        assert (critical_p_i(h, g, r_grid, 10).hex()
+                == max(expected).hex()), mu
+    bench = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    got = critical_p_i(poisson_plus(2.0), poisson(8.0), bench, 10)
+    assert got.hex() == max(_FIG3_CRITICAL_P_I[2.0][::2]).hex()
+
+
+_R5 = [-1.0, -0.5, 0.0, 0.5, 1.0]
+# a bisection step per halving of [0, 1] down to _BISECT_WIDTH
+_STEPS = math.ceil(-math.log2(_BISECT_WIDTH))
+
+
+@pytest.mark.parametrize("argv, cfg, models, engines", [
+    # one model per r; one engine at p_i = 1 for the feasibility checks,
+    # one per bisection step and one per factor
+    (["figure", "fig3"],
+     {"figure": {"mu_grid": [2.0], "r_grid": _R5,
+                 "p_i_factors": [1.05, 1.5, 2.5, 4.0]}},
+     5, 1 + _STEPS + 4),
+    # one model per r and one engine per p_i
+    (["figure", "fig4"], {"figure": {"p_i_grid": [0.103, 0.104],
+                                     "r_grid": _R5}}, 5, 2),
+    # one model and engine for the five rewired rows, one each for the
+    # five unrewired rows, whose (mu, r) differ
+    (["figure", "fig5"], {}, 6, 6),
+    # one model per r and one engine
+    (["analyze"], {"model": {"household": "poisson_plus(2)",
+                             "global_degree": "poisson(8)", "r_grid": _R5,
+                             "n_q": 10, "p_rw": 0.3},
+                   "infection": {"kind": "gamma", "rate": 0.15,
+                                 "shape": 2.0, "scale": 0.5}}, 5, 1),
+], ids=["fig3", "fig4", "fig5", "analyze"])
+def test_commands_build_one_model_and_engine_per_shared_key(
+        monkeypatch, tmp_path, argv, cfg, models, engines):
+    built = {BranchingModel: 0, HouseholdEngine: 0}
+    for cls in built:
+        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    path = write_yaml(tmp_path / "c.yaml", cfg)
+    assert main([*argv, "--config", path, "--out", str(tmp_path)]) == 0
+    assert built == {BranchingModel: models, HouseholdEngine: engines}
 
 
 # fig5's inversions at its defaults (gamma = 10, n_q = 10, rho = 0.2): the

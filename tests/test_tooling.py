@@ -10,6 +10,7 @@ reads the source itself: a name set in src/ that nothing reads fails it.
 """
 
 import ast
+import hashlib
 import os
 import re
 import subprocess
@@ -225,6 +226,32 @@ def test_benchmark_configs_are_read_by_their_commands(monkeypatch, tmp_path):
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         float(proc.stdout)  # the probe's perf_counter reading
+
+
+# sha256 of each CSV of the analytic sweep at the benchmark's grids in
+# their own order; the benchmark's reference gate allows 1e-10, these pin
+# every byte, so sharing tables, engines or bisections moves no ulp
+_SWEEP_SHA256 = {
+    "fig3": "4540afc07e8689ac41f8802c6cadbff69844362acf623b645c8f409e64b02732",
+    "fig4": "31863e68c617814502c972b31047bb2d37a0185b03289549a398dcaeb6301e31",
+    "fig5": "d6bf51683213af625c4d226d8cbf0e9b7cc956be8c598af0a44fe09ad4f369af",
+    "analyze": ("9e52b9ebddc353a459760c50d686815f"
+                "8e649db5562c253f2ad1ea7e59aeb46f"),
+}
+
+
+def test_analytic_sweep_csvs_are_pinned_bytewise(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    got = {}
+    for label, argv, cfg, _ in workloads.sweep_steps():
+        path = workloads.write_config(tmp_path / f"{label}.yaml", cfg)
+        assert cli.main([*argv, "--config", str(path),
+                         "--out", str(tmp_path)]) == 0
+        got[label] = hashlib.sha256(
+            (tmp_path / f"{label}.csv").read_bytes()).hexdigest()
+    assert got == _SWEEP_SHA256
 
 
 def test_write_span_counts_the_bytes_of_the_edge_list(monkeypatch, tmp_path):
