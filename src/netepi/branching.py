@@ -42,8 +42,9 @@ The tables that depend only on (H, G, r, n_q), those of the offspring
 PGF and those of the mean matrix alike, are built once per model, and
 `BranchingModel.with_infection` shares them with another infection or
 p_rw, so the mean matrix of an infection only mixes in its household
-means.  A household engine depends only on the infection and the
-largest household size, so models on one household law can share one.
+means.  Each model takes its household engine from
+`household.household_engine`, which builds one per infection and largest
+household size, so models on one household law share one.
 
 R* is the Perron root by a shifted power iteration from a seeded start,
 which stops once a step moves the estimate by at most 1e-12 relative.
@@ -63,16 +64,17 @@ bracket is 1e-10 wide, or at a midpoint meeting an optional tolerance on
 |f - target|; a bracket that closes first raises `NonConvergence`.
 
 The p_i inversion finds the smallest p_i with R* above one at every r
-of a grid (one r is a grid of one) with one bisection: each step builds
-one household engine, which the grid's models share, and asks each
-model in turn which side of one its R* is on, starting from the model
-that last answered "not above" and stopping at the first that does.
-The exact root decides it unless it lies within 1e-5 of one; there the
-power iteration decides, as it decides every written R*.  The margin is
-30 times the largest gap between the two roots seen over that test's
-162 bisections (3.4e-7, the case above), so outside it both roots lie
-on the same side of one and the bisection returns the p_i, bit for bit,
-of one decided by the power iteration alone.  The grid's bisection
+of a grid (one r is a grid of one) with one bisection: each step asks
+the grid's models in turn, each with the step's infection and so with
+one shared household engine, which side of one its R* is on, starting
+from the model that last answered "not above" and stopping at the first
+that does.  The exact root decides it unless it lies within 1e-5 of
+one; there the power iteration decides, as it decides every written R*.
+The check that R* exceeds one at p_i = 1 goes by the same rule.  The
+margin is 30 times the largest gap between the two roots seen over that
+test's 162 bisections (3.4e-7, the case above), so outside it both
+roots lie on the same side of one and the bisection returns the p_i,
+bit for bit, of one decided by the power iteration alone.  The grid's bisection
 follows that of its binding r, so it returns the largest of the per-r
 critical values bit for bit, unless two of them lie within the power
 iteration's error of each other.  The rho inversions build the
@@ -104,7 +106,7 @@ from .errors import (
     NonConvergence,
     ReducibleMatrixWarning,
 )
-from .household import HouseholdEngine
+from .household import household_engine
 from .netgen import GenSpec, check_structure
 # not called here: bench/spans.py traces poisson_c_rho under this name too
 from .netprops import poisson_c_rho  # noqa: F401
@@ -119,7 +121,7 @@ _NEWTON_RESIDUAL_FLOOR = 8.0 * np.finfo(float).eps
 _RESIDUAL_TOL = 1e-10
 # every bisection ends once its bracket is this narrow
 _BISECT_WIDTH = 1e-10
-# critical_p_i's steps go by the exact root unless it is this close to one
+# R*'s side of one goes by the exact root unless it is this close to one
 _DECISION_MARGIN = 1e-5
 # tune_poisson stops once its rho misses the target by no more than this
 _TUNE_RHO_TOL = 1e-8
@@ -170,13 +172,11 @@ class BranchingModel:
     """Assembles every table the branching analytics need for one
     parameter set and caches intermediate results.  The structure tables
     depend only on (H, G, r, n_q); the household engine and the memos
-    depend on the infection too, and the memos on p_rw.  `households`, a
-    `HouseholdEngine` for params.infection up to the largest household
-    size, lets models on one household law share an engine; without it
-    the model builds its own."""
+    depend on the infection too, and the memos on p_rw.  The engine comes
+    from `household_engine`, shared by every model of one infection and
+    largest household size."""
 
-    def __init__(self, params: ModelParams,
-                 households: Optional[HouseholdEngine] = None):
+    def __init__(self, params: ModelParams):
         self.params = params
         p = params
         self.h_vals = p.household.support.astype(np.int64)
@@ -241,34 +241,26 @@ class BranchingModel:
                      @ self.kernels.degree_kernel[self.partner_rows])
         self.size_reached = (self.q_ih > 0.0).any(axis=0)
 
-        self._start_infection(households)
+        self._start_infection()
 
-    def _start_infection(self, households: Optional[HouseholdEngine]) -> None:
-        infection, max_size = self.params.infection, int(self.h_vals.max())
-        if households is None:
-            households = HouseholdEngine(infection, max_size)
-        # an engine for another size gives other bits, or fails on a size
-        elif (households.infection != infection
-              or households.max_size != max_size):
-            raise ValueError("the household engine is for another "
-                             "infection or largest household size")
-        self.households = households
+    def _start_infection(self) -> None:
+        self.households = household_engine(self.params.infection,
+                                           int(self.h_vals.max()))
         self._mean_matrix: Optional[np.ndarray] = None
         self._r_star: Optional[float] = None
         self._extinction: Optional[np.ndarray] = None
         self._extinction_stats: Optional[SolverStats] = None
 
     def with_infection(self, infection: InfectionSpec,
-                       households: Optional[HouseholdEngine] = None,
                        p_rw: Optional[float] = None) -> "BranchingModel":
         """The model with another infection, and p_rw if given, on the
         same (H, G, r, n_q): it shares this model's structure tables, which
         nothing mutates, and gets its own memos and the household engine
-        given (see BranchingModel) or a new one."""
+        of its infection (see BranchingModel)."""
         model = copy.copy(self)
         model.params = replace(self.params, infection=infection,
                                p_rw=self.params.p_rw if p_rw is None else p_rw)
-        model._start_infection(households)
+        model._start_infection()
         return model
 
     @property
@@ -543,17 +535,22 @@ def _bisect(f, target, lo, hi, tol=None):
     return lo, hi, value
 
 
+def _decided_root(model: BranchingModel) -> float:
+    """R* for deciding which side of one it lies on: the exact root, or
+    the power iteration's within _DECISION_MARGIN of one (see the module
+    docstring)."""
+    exact = exact_perron_root(model.mean_matrix())
+    return exact if abs(exact - 1.0) > _DECISION_MARGIN else model.r_star()
+
+
 def supercritical_models(h, g, r_grid, n_q: int) -> list:
-    """One model per r of the grid at p_i = 1, all sharing one household
-    engine; Infeasible, naming the first such r in grid order, where R*
-    <= 1 even there."""
+    """One model per r of the grid at p_i = 1; Infeasible, naming the
+    first such r in grid order, where R* <= 1 even there."""
     one = InfectionSpec.constant(1.0)
     models = []
     for r in r_grid:
-        # the first model builds the engine the others share
-        model = BranchingModel(ModelParams(h, g, r, n_q, one),
-                               models[0].households if models else None)
-        if model.r_star() <= 1.0:
+        model = BranchingModel(ModelParams(h, g, r, n_q, one))
+        if _decided_root(model) <= 1.0:
             raise Infeasible(f"no supercritical transmission probability "
                              f"exists at r={r}")
         models.append(model)
@@ -565,16 +562,11 @@ def threshold_p_i(models) -> float:
     model, by one bisection over their structure tables (see the module
     docstring)."""
     order = list(models)
-    max_size = order[0].households.max_size
 
     def threshold(p_i):
         infection = InfectionSpec.constant(p_i)
-        households = HouseholdEngine(infection, max_size)
         for k, model in enumerate(order):
-            step = model.with_infection(infection, households)
-            exact = exact_perron_root(step.mean_matrix())
-            value = (exact if abs(exact - 1.0) > _DECISION_MARGIN
-                     else step.r_star())
+            value = _decided_root(model.with_infection(infection))
             if value <= 1.0:
                 # the model that held p_i back is likeliest to again
                 order.insert(0, order.pop(k))

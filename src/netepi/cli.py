@@ -35,7 +35,6 @@ from .branching import (BranchingModel, ModelParams, analyze, mu_for_rho,
                         supercritical_models, threshold_p_i, tune_poisson)
 from .distributions import InfectionSpec, parse_distribution, poisson, poisson_plus
 from .errors import ConfigError, Infeasible, NetepiError
-from .household import HouseholdEngine
 from .netgen import build_network, rewire, write_network
 from .netprops import (
     analytic_degree_corr,
@@ -369,8 +368,7 @@ def cmd_analyze(cfg: dict, out_override=None) -> Path:
     params = [ModelParams(household=h, global_degree=g, r=r,
                           n_q=model["n_q"], infection=spec, p_rw=model["p_rw"])
               for r in model.get("r_grid", [model["r"]])]
-    households = HouseholdEngine(spec, h.max_support())
-    rows = [_analytic_row(BranchingModel(p, households)) for p in params]
+    rows = [_analytic_row(BranchingModel(p)) for p in params]
     resolved = {"model": model, "infection": infection}
     return _write_csv(
         path("analyze.csv"), _config_header("analyze", resolved),
@@ -508,9 +506,8 @@ def _figure_fig3(cfg):
         for factor in fig["p_i_factors"]:
             p_i = min(1.0, factor * p_base)
             spec = InfectionSpec.constant(p_i)
-            households = HouseholdEngine(spec, h.max_support())
             for model, (c, rho) in zip(models, c_rho):
-                rep = analyze(model.with_infection(spec, households))
+                rep = analyze(model.with_infection(spec))
                 rows.append([mu, factor, p_i, model.params.r, c, rho,
                              rep.r_star, rep.p_major, rep.z])
     return ({"figure": {"name": "fig3", **fig}},
@@ -521,18 +518,16 @@ def _figure_fig3(cfg):
 def _figure_fig4(cfg):
     fig, model = cfg["figure"], cfg["model"]
     h, g = model_distributions(model)
-    # one model per r and one household engine per p_i
+    # one model per r, and per p_i one infection its models share
     specs = [InfectionSpec.constant(p_i) for p_i in fig["p_i_grid"]]
-    params = [ModelParams(household=h, global_degree=g, r=r,
-                          n_q=model["n_q"], infection=specs[0],
-                          p_rw=model["p_rw"])
+    models = [BranchingModel(ModelParams(household=h, global_degree=g, r=r,
+                                         n_q=model["n_q"], infection=specs[0],
+                                         p_rw=model["p_rw"]))
               for r in fig["r_grid"]]
-    engines = [HouseholdEngine(spec, h.max_support()) for spec in specs]
-    models = [BranchingModel(p, engines[0]) for p in params]
     rows = []
-    for p_i, spec, households in zip(fig["p_i_grid"], specs, engines):
+    for p_i, spec in zip(fig["p_i_grid"], specs):
         for base in models:
-            rep = analyze(base.with_infection(spec, households))
+            rep = analyze(base.with_infection(spec))
             rows.append([p_i, base.params.r, rep.r_star, rep.p_major, rep.z])
     resolved = {"figure": {"name": "fig4", "p_i_grid": fig["p_i_grid"],
                            "r_grid": fig["r_grid"]}, "model": model}
@@ -550,15 +545,14 @@ def _figure_fig5(cfg):
     c_base = poisson_c_rho(gamma, mu_base, -1.0, n_q)[0]
 
     # rewiring reaches only the household laws, so the rewired rows share
-    # one model's structure tables and household engine
+    # one model's structure tables
     rewired = BranchingModel(ModelParams(household=poisson_plus(mu_base),
                                          global_degree=poisson(gamma - mu_base),
                                          r=-1.0, n_q=n_q, infection=spec))
     rows = []
     for p_rw in fig["p_rw_grid"]:
         c_target = (1.0 - p_rw) * c_base
-        rep = analyze(rewired.with_infection(spec, rewired.households,
-                                             p_rw=p_rw))
+        rep = analyze(rewired.with_infection(spec, p_rw=p_rw))
         rows.append(["rewired", c_target, rho_target, mu_base, -1.0, p_rw,
                      rep.r_star, rep.p_major, rep.z])
         try:

@@ -37,6 +37,17 @@ the mixture for many household sizes at once, with one Horner pass over
 the zero-padded matrix of their pmfs, and the branching engine calls it
 once per offspring-PGF evaluation.  The same pass gives the derivative
 of each PGF with respect to its argument when asked.
+
+An engine's tables depend only on the infection and the largest
+household size, so `household_engine(infection, max_size)` builds it
+once per such key and hands every later caller the same engine; the
+branching models get theirs from it, and nothing mutates one.  The key
+is the infection's dataclass equality, which for a general period
+compares `phi` and `sampler` by identity: the specs of one construction
+share engines, separately built ones do not, and two keys that compare
+equal always give the same tables.  A memo of 8 engines is enough, as
+every caller reuses an engine only across consecutive models of one
+infection.
 """
 
 from __future__ import annotations
@@ -150,6 +161,14 @@ class HouseholdEngine:
     def _check_sizes(self, sizes: np.ndarray) -> None:
         self._check_size(int(sizes.min(initial=1)))
         self._check_size(int(sizes.max(initial=1)))
+
+
+@functools.lru_cache(maxsize=8)
+def household_engine(infection: InfectionSpec,
+                     max_size: int) -> HouseholdEngine:
+    """The engine for an infection up to a largest household size, shared
+    by every caller with an equal key (see the module docstring)."""
+    return HouseholdEngine(infection, max_size)
 
 
 def _susceptibility_table(phi: np.ndarray) -> np.ndarray:

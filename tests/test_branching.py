@@ -47,7 +47,7 @@ from netepi.errors import (
     ReducibleMatrixWarning,
     ZeroMean,
 )
-from netepi.household import HouseholdEngine
+from netepi.household import household_engine
 from netepi.netprops import poisson_c_rho
 
 from oracles import (
@@ -558,24 +558,40 @@ def test_with_infection_shares_structure_and_matches_a_fresh_build():
 
 
 def test_models_share_a_household_engine_of_their_infection_and_size():
-    h, g = poisson_plus(2.0), poisson(6.0)
+    h, g, wider = poisson_plus(2.0), poisson(6.0), poisson_plus(3.0)
+    assert wider.max_support() != h.max_support()
     base = BranchingModel(params(h, g, r=-0.5, n_q=6, p_i=0.3))
-    inf = InfectionSpec.constant(0.15)
-    engine = HouseholdEngine(inf, h.max_support())
-    fresh = BranchingModel(params(h, g, r=-0.5, n_q=6, p_rw=0.3,
-                                  infection=inf))
-    for model in (base.with_infection(inf, engine, p_rw=0.3),
-                  BranchingModel(fresh.params, engine)):
-        assert model.households is engine and model.params.p_rw == 0.3
-        got, want = analyze(model), analyze(fresh.params)
+    # equal constant specs are one key
+    again = BranchingModel(params(h, g, r=0.0, n_q=3, p_i=0.3))
+    assert again.households is base.households
+    for inf in (InfectionSpec.constant(0.15), _GOLDEN_GAMMA):
+        # another r, n_q and p_rw leave the household law as it is
+        built = BranchingModel(params(h, g, r=0.5, n_q=4, p_rw=0.3,
+                                      infection=inf))
+        copied = base.with_infection(inf, p_rw=0.3)
+        assert copied.households is built.households
+        assert built.households.infection == inf
+        assert built.households.max_size == h.max_support()
+        # another infection or another largest size gets its own engine
+        assert base.households is not built.households
+        assert BranchingModel(params(wider, g, r=0.5, n_q=4, infection=inf)
+                              ).households is not built.households
+        # and the shared engine answers as one built afresh
+        got = analyze(copied)
+        household_engine.cache_clear()
+        fresh = BranchingModel(copied.params)
+        assert fresh.households is not copied.households
+        want = analyze(fresh)
         assert (got.r_star, got.z) == (want.r_star, want.z)
         assert np.array_equal(got.xi, want.xi)
-    # an engine for another infection or size would answer for the wrong
-    # model
-    with pytest.raises(ValueError, match="household engine"):
-        base.with_infection(InfectionSpec.constant(0.2), engine)
-    with pytest.raises(ValueError, match="household engine"):
-        BranchingModel(fresh.params, HouseholdEngine(inf, h.max_support() + 1))
+        for size in range(1, h.max_support() + 1):
+            assert np.array_equal(copied.households.susceptibility_pmf(size),
+                                  fresh.households.susceptibility_pmf(size))
+    # a general-period spec built anew compares its Laplace transform by
+    # identity, so it is another key
+    gamma = InfectionSpec.gamma(rate=0.4, shape=2.0, scale=0.5)
+    assert (base.with_infection(gamma).households
+            is not base.with_infection(_GOLDEN_GAMMA).households)
 
 
 def test_constant_period_analyze_solves_extinction_once(monkeypatch):

@@ -22,7 +22,7 @@ from netepi.branching import (_BISECT_WIDTH, BranchingModel, critical_p_i,
                               mu_for_rho, tune_poisson)
 from netepi.distributions import poisson, poisson_plus
 from netepi.errors import ConfigError
-from netepi.household import HouseholdEngine
+from netepi.household import HouseholdEngine, household_engine
 from netepi.netgen import read_network
 from netepi.netprops import poisson_c_rho
 
@@ -716,16 +716,20 @@ _STEPS = math.ceil(-math.log2(_BISECT_WIDTH))
     # one model per r and one engine per p_i
     (["figure", "fig4"], {"figure": {"p_i_grid": [0.103, 0.104],
                                      "r_grid": _R5}}, 5, 2),
-    # one model and engine for the five rewired rows, one each for the
-    # five unrewired rows, whose (mu, r) differ
-    (["figure", "fig5"], {}, 6, 6),
+    # one model and engine for the five rewired rows, and one model each
+    # for the five unrewired rows, whose (mu, r) differ; the p_rw = 0 row
+    # is tuned to the rewired rows' mu, so it shares their engine
+    (["figure", "fig5"], {}, 6, 5),
+    # one model per r and one engine
+    (["figure", "fig2"], {"figure": {"r_grid": [-1.0, 0.0, 1.0]},
+                          "simulation": {"n": 200, "n_sims": 3}}, 3, 1),
     # one model per r and one engine
     (["analyze"], {"model": {"household": "poisson_plus(2)",
                              "global_degree": "poisson(8)", "r_grid": _R5,
                              "n_q": 10, "p_rw": 0.3},
                    "infection": {"kind": "gamma", "rate": 0.15,
                                  "shape": 2.0, "scale": 0.5}}, 5, 1),
-], ids=["fig3", "fig4", "fig5", "analyze"])
+], ids=["fig3", "fig4", "fig5", "fig2", "analyze"])
 def test_commands_build_one_model_and_engine_per_shared_key(
         monkeypatch, tmp_path, argv, cfg, models, engines):
     built = {BranchingModel: 0, HouseholdEngine: 0}
@@ -734,6 +738,8 @@ def test_commands_build_one_model_and_engine_per_shared_key(
             built[_cls] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
+    # an engine left in the memo by an earlier test is not built again
+    household_engine.cache_clear()
     path = write_yaml(tmp_path / "c.yaml", cfg)
     assert main([*argv, "--config", path, "--out", str(tmp_path)]) == 0
     assert built == {BranchingModel: models, HouseholdEngine: engines}

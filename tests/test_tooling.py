@@ -5,8 +5,9 @@ wrappers and restoring them afterwards.  Renaming or deleting one of
 those callables would only show up when a traced benchmark run crashes;
 these tests make it fail the suite instead.  The same holds for the
 configs the benchmark workloads hand to the command line, and for the
-start-up cost every command pays before its work begins.  One guard
-reads the source itself: a name set in src/ that nothing reads fails it.
+start-up cost every command pays before its work begins.  Two guards
+read the source itself: a name set in src/ that nothing reads fails one,
+and a household engine built in src/ outside household.py the other.
 """
 
 import ast
@@ -135,6 +136,23 @@ def test_every_name_set_in_src_is_read():
         if bare not in read and not re.search(rf"\b{bare}\b", text):
             dead.append(f"{where}: {name}")
     assert not dead, dead
+
+
+def test_only_household_builds_household_engines():
+    # every other module takes its engine from household.household_engine,
+    # whose memo is keyed on all that fixes an engine's tables, so no model
+    # can hold an engine of another infection or largest household size
+    builders = []
+    for path, tree in _source_trees():
+        if not path.is_relative_to(SRC) or path.name == "household.py":
+            continue
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call)
+                    and getattr(func, "id", getattr(func, "attr", None))
+                    == "HouseholdEngine"):
+                builders.append(f"{path.name}:{node.lineno}")
+    assert not builders, builders
 
 
 def test_mistyped_mark_fails_collection(tmp_path):
