@@ -536,10 +536,13 @@ def _bisect(f, target, lo, hi, tol=None):
 
 
 def _decided_root(model: BranchingModel) -> float:
-    """R* for deciding which side of one it lies on: the exact root, or
-    the power iteration's within _DECISION_MARGIN of one (see the module
-    docstring)."""
-    exact = exact_perron_root(model.mean_matrix())
+    """R* for deciding which side of one it lies on: inf, as r_star
+    gives it, where the mean matrix has an inf entry; else the exact
+    root, or the power iteration's within _DECISION_MARGIN of one (see
+    the module docstring)."""
+    matrix = model.mean_matrix()
+    exact = (model.r_star() if np.isinf(matrix).any()
+             else exact_perron_root(matrix))
     return exact if abs(exact - 1.0) > _DECISION_MARGIN else model.r_star()
 
 

@@ -5,7 +5,9 @@ branching-process epidemic quantities) consumes the types defined here:
 finite-support laws for household size and global degree, the size- and
 edge-biased variants that describe what a randomly chosen stub or edge
 sees, the quantile decomposition of the stub degree law used to induce
-degree correlation, and the infectious-period specification.
+degree correlation, and the infectious-period specification, one
+frozen value record per period law (constant, exponential, gamma) that
+evaluates its Laplace transform and draws its periods by kind.
 
 Infinite-support laws (Poisson, geometric, ...) are truncated once, at
 construction, to a finite support carrying all but ``tail_mass_bound``
@@ -15,11 +17,10 @@ exact and renormalizes over it.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 from scipy import special
@@ -41,13 +42,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDist:
     """A probability law on a finite set of non-negative integers.
 
     support : sorted, distinct non-negative integers
     probs   : matching probabilities, summing to 1 - tail_mass_bound
     tail_mass_bound : upper bound on the mass lost to truncation
+
+    Laws compare and hash by value.
     """
 
     support: np.ndarray
@@ -74,6 +77,17 @@ class DiscreteDist:
             raise ValueError(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "support", _freeze(support))
         object.__setattr__(self, "probs", _freeze(probs))
+
+    def __eq__(self, other):
+        return (isinstance(other, DiscreteDist)
+                and self.tail_mass_bound == other.tail_mass_bound
+                and np.array_equal(self.support, other.support)
+                and np.array_equal(self.probs, other.probs))
+
+    def __hash__(self):
+        # floats hash as they compare, 0.0 and -0.0 alike
+        return hash((tuple(self.support.tolist()), tuple(self.probs.tolist()),
+                     self.tail_mass_bound))
 
     # -- basic queries -------------------------------------------------
 
@@ -408,33 +422,52 @@ def pairing_kernels(table: QuantileTable, r: float) -> PairingKernels:
 
 @dataclass(frozen=True)
 class InfectionSpec:
-    """Infectious-period model for the SIR epidemic.
+    """Infectious-period model for the SIR epidemic, as a value.
 
-    Either a constant period, parameterized directly by the probability
-    p_i that a given contact is infectious (one Bernoulli per directed
-    neighbour pair), or a general period with contact rate `rate`,
-    Laplace transform `phi` (theta -> E[exp(-theta I)]) and an optional
-    `sampler` for simulation.
+    A constant period is parameterized directly by the probability p_i
+    that a given contact is infectious (one Bernoulli per directed
+    neighbour pair).  An exponential (`mean`) or gamma (`shape`, `scale`)
+    period comes with a contact rate `rate`, and p_i = 1 - phi(rate),
+    where phi is the period's Laplace transform theta -> E[exp(-theta I)].
+    Parameters a law does not take stay 0.  Build specs with the
+    classmethod of each kind; equal laws compare and hash equal.
     """
 
     kind: str
     p_i: float
-    rate: Optional[float] = None
-    phi: Optional[Callable[[float], float]] = None
-    sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
+    rate: float = 0.0
+    mean: float = 0.0
+    shape: float = 0.0
+    scale: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "general"):
+        if self.kind not in ("constant", "exponential", "gamma"):
             raise ValueError(f"unknown infection kind {self.kind!r}")
         if not 0.0 <= self.p_i <= 1.0:
             raise ValueError("transmission probability must lie in [0, 1]")
-        if self.kind == "general":
-            if self.rate is None or self.rate < 0 or self.phi is None:
-                raise ValueError("general infectious period needs rate and phi")
+        if self.rate < 0:
+            raise ValueError("contact rate must be >= 0")
 
     @property
     def is_constant(self) -> bool:
         return self.kind == "constant"
+
+    def phi(self, theta: float) -> float:
+        """E[exp(-theta I)], the Laplace transform of a general period."""
+        if self.kind == "exponential":
+            return 1.0 / (1.0 + theta * self.mean)
+        if self.kind == "gamma":
+            return (1.0 + self.scale * theta) ** (-self.shape)
+        raise ValueError("a constant period is given by p_i, not a transform")
+
+    def sample_periods(self, rng: np.random.Generator,
+                       size: int) -> np.ndarray:
+        """`size` iid draws of a general period."""
+        if self.kind == "exponential":
+            return rng.exponential(self.mean, size)
+        if self.kind == "gamma":
+            return rng.gamma(self.shape, self.scale, size)
+        raise ValueError("a constant period is given by p_i, not by draws")
 
     def phi_multiple(self, k: int) -> float:
         """E[exp(-k * rate * I)]: survival of k independent exposures."""
@@ -447,44 +480,21 @@ class InfectionSpec:
         return cls(kind="constant", p_i=float(p_i))
 
     @classmethod
-    def general(cls, rate, phi, sampler=None) -> "InfectionSpec":
-        if rate < 0:
-            raise ValueError("contact rate must be >= 0")
-        p_i = 1.0 - float(phi(rate))
-        return cls(kind="general", p_i=p_i, rate=float(rate), phi=phi,
-                   sampler=sampler)
-
-    @classmethod
     def exponential(cls, rate: float, mean: float = 1.0) -> "InfectionSpec":
         """Exponentially distributed period with the given mean."""
         if mean < 0:
             raise ValueError("exponential period needs mean >= 0")
-        # partials of module-level functions keep the spec picklable for
-        # multi-process simulation
-        phi = functools.partial(_exponential_transform, mean=mean)
-        sampler = functools.partial(_exponential_sampler, mean=mean)
-        return cls.general(rate, phi, sampler)
+        return cls._general("exponential", rate, mean=float(mean))
 
     @classmethod
     def gamma(cls, rate: float, shape: float, scale: float = 1.0) -> "InfectionSpec":
         if shape < 0 or scale < 0:
             raise ValueError("gamma period needs shape >= 0 and scale >= 0")
-        phi = functools.partial(_gamma_transform, shape=shape, scale=scale)
-        sampler = functools.partial(_gamma_sampler, shape=shape, scale=scale)
-        return cls.general(rate, phi, sampler)
+        return cls._general("gamma", rate, shape=float(shape),
+                            scale=float(scale))
 
-
-def _exponential_transform(theta, mean):
-    return 1.0 / (1.0 + theta * mean)
-
-
-def _exponential_sampler(rng, size, mean):
-    return rng.exponential(mean, size)
-
-
-def _gamma_transform(theta, shape, scale):
-    return (1.0 + scale * theta) ** (-shape)
-
-
-def _gamma_sampler(rng, size, shape, scale):
-    return rng.gamma(shape, scale, size)
+    @classmethod
+    def _general(cls, kind: str, rate: float, **law) -> "InfectionSpec":
+        # checked before phi is read, then given p_i = 1 - phi(rate)
+        spec = cls(kind, 0.0, float(rate), **law)
+        return replace(spec, p_i=1.0 - spec.phi(spec.rate))

@@ -41,13 +41,10 @@ of each PGF with respect to its argument when asked.
 An engine's tables depend only on the infection and the largest
 household size, so `household_engine(infection, max_size)` builds it
 once per such key and hands every later caller the same engine; the
-branching models get theirs from it, and nothing mutates one.  The key
-is the infection's dataclass equality, which for a general period
-compares `phi` and `sampler` by identity: the specs of one construction
-share engines, separately built ones do not, and two keys that compare
-equal always give the same tables.  A memo of 8 engines is enough, as
-every caller reuses an engine only across consecutive models of one
-infection.
+branching models get theirs from it, and nothing mutates one.  An
+infection is a value record of its period law, so equal specs share one
+engine however each was built.  A memo of 8 engines is enough, as every
+caller reuses an engine only across consecutive models of one infection.
 """
 
 from __future__ import annotations

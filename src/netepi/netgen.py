@@ -194,10 +194,11 @@ class Network:
     def imperfections(self) -> Imperfections:
         """Discard counts plus self-loops and parallel edges, counted on
         first read."""
-        self_loops, parallel = _count_imperfections(self.n, self.edges_u,
-                                                    self.edges_v)
-        return Imperfections(self_loops, parallel, self.discarded_x0,
-                             self.discarded_x1, self.discarded_local)
+        key = sorted_pair_keys(self.n, self.edges_u, self.edges_v)
+        return Imperfections(int(np.sum(self.edges_u == self.edges_v)),
+                             int(np.sum(np.diff(key) == 0)),
+                             self.discarded_x0, self.discarded_x1,
+                             self.discarded_local)
 
     @cached_property
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
@@ -242,15 +243,13 @@ class Network:
         )
 
 
-def _count_imperfections(n, edges_u, edges_v) -> tuple[int, int]:
-    if edges_u.size == 0:
-        return 0, 0
-    self_loops = int(np.sum(edges_u == edges_v))
-    a = np.minimum(edges_u, edges_v).astype(np.int64)
-    b = np.maximum(edges_u, edges_v).astype(np.int64)
-    key = np.sort(a * n + b)
-    parallel = int(np.sum(np.diff(key) == 0))
-    return self_loops, parallel
+def sorted_pair_keys(n, edges_u, edges_v) -> np.ndarray:
+    """min(u, v) * n + max(u, v) per edge as int64, sorted: parallel edges
+    sit side by side, and distinct keys come in CSR order of the pairs."""
+    key = (np.minimum(edges_u, edges_v).astype(np.int64) * n
+           + np.maximum(edges_u, edges_v))
+    key.sort()
+    return key
 
 
 def _draw_household_sizes(household: DiscreteDist, n: int,

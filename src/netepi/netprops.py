@@ -36,7 +36,7 @@ from .distributions import (
     stub_degree_law,
 )
 from .errors import DegenerateNetwork, NoTriplets, ZeroVariance
-from .netgen import Network, index_dtype
+from .netgen import Network, index_dtype, sorted_pair_keys
 
 _VAR_FLOOR = 1e-300
 
@@ -191,11 +191,8 @@ def _simple_adjacency(net: Network) -> sparse.csr_matrix:
     keys are already in CSR order: rows from a bincount, columns b.
     """
     n = net.n
-    loop = net.edges_u == net.edges_v
-    a = np.minimum(net.edges_u, net.edges_v)[~loop].astype(np.int64)
-    b = np.maximum(net.edges_u, net.edges_v)[~loop].astype(np.int64)
-    key = a * n + b
-    key.sort()
+    keep = net.edges_u != net.edges_v
+    key = sorted_pair_keys(n, net.edges_u[keep], net.edges_v[keep])
     key = key[np.diff(key, prepend=-1) != 0]
     rows, cols = np.divmod(key, n)
     index = index_dtype(n, key.size)

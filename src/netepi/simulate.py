@@ -5,7 +5,8 @@ neighbour pair (u, v) carries an independent bond that is open with the
 probability that u, once infected, transmits to v.  For a constant
 infectious period that is one Bernoulli(p_i) per directed bond; for a
 general period each node draws its period once and all bonds out of it
-share that draw.  Breadth-first exploration of open bonds from the seed
+share that draw, which `InfectionSpec.sample_periods` makes for all n
+nodes once per run.  Breadth-first exploration of open bonds from the seed
 yields the final size and the per-generation counts.  Exploring against
 the bond direction instead yields the size of the set of nodes that
 would have infected the start node, whose mean connects to the
@@ -95,10 +96,7 @@ def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
 
     p_i = infection.p_i
     if not infection.is_constant:
-        if infection.sampler is None:
-            raise ValueError("general infectious period needs a sampler "
-                             "to simulate")
-        periods = infection.sampler(rng, n)
+        periods = infection.sample_periods(rng, n)
         p_node = 1.0 - np.exp(-infection.rate * periods)
 
     seen = np.zeros(n, dtype=bool)

@@ -127,7 +127,8 @@ def reference_percolation_bfs(net, infection, seed, start=None,
     if start is None:
         start = int(rng.integers(n))
     if not infection.is_constant:
-        p_node = 1.0 - np.exp(-infection.rate * infection.sampler(rng, n))
+        p_node = 1.0 - np.exp(-infection.rate
+                              * infection.sample_periods(rng, n))
     seen = np.zeros(n, dtype=bool)
     seen[start] = True
     frontier = np.array([start], dtype=np.int64)

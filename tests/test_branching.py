@@ -28,6 +28,7 @@ from netepi.branching import (
     critical_p_i,
     mu_for_rho,
     r_star,
+    threshold_p_i,
     tune_poisson,
 )
 from netepi.distributions import (
@@ -587,11 +588,12 @@ def test_models_share_a_household_engine_of_their_infection_and_size():
         for size in range(1, h.max_support() + 1):
             assert np.array_equal(copied.households.susceptibility_pmf(size),
                                   fresh.households.susceptibility_pmf(size))
-    # a general-period spec built anew compares its Laplace transform by
-    # identity, so it is another key
+    # infections are values: a general-period spec built anew with the
+    # same law is the same key
     gamma = InfectionSpec.gamma(rate=0.4, shape=2.0, scale=0.5)
+    assert gamma is not _GOLDEN_GAMMA
     assert (base.with_infection(gamma).households
-            is not base.with_infection(_GOLDEN_GAMMA).households)
+            is base.with_infection(_GOLDEN_GAMMA).households)
 
 
 def test_constant_period_analyze_solves_extinction_once(monkeypatch):
@@ -778,6 +780,29 @@ def test_critical_p_i_matches_the_power_iteration_bisection(capsys):
     with capsys.disabled():
         print(f"\n{fallbacks} fallback steps; largest |power - exact| "
               f"{fallback_largest:.3g} there, {largest:.3g} over all steps")
+
+
+def test_threshold_p_i_decides_an_infinite_mean_matrix():
+    # at p_i = 1 the rewired households' local epidemics are
+    # supercritical, so the mean matrix is all inf: R* is inf, decided
+    # without an eigenvalue call
+    model = BranchingModel(params(poisson_plus(2.0), poisson(6.0), r=0.0,
+                                  n_q=4, p_i=1.0, p_rw=0.5))
+    assert np.isinf(model.mean_matrix()).all()
+    p_i = threshold_p_i([model])
+    assert 0.0 < p_i < 1.0
+    assert model.with_infection(InfectionSpec.constant(p_i)).r_star() > 1.0
+
+
+def test_model_params_compare_and_hash_by_value():
+    def build():
+        return params(poisson_plus(2.0), poisson(6.0), r=-0.5, n_q=4,
+                      infection=InfectionSpec.gamma(0.4, 2.0, 0.5))
+    one, two = build(), build()
+    assert one == two and hash(one) == hash(two)
+    assert one != params(poisson_plus(2.0), poisson(6.5), r=-0.5, n_q=4,
+                         infection=InfectionSpec.gamma(0.4, 2.0, 0.5))
+    assert len({one, two}) == 1
 
 
 def test_grid_critical_p_i_names_the_first_infeasible_r():

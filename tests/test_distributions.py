@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import pickle
 import re
 
 import numpy as np
@@ -336,8 +339,83 @@ def test_infection_spec_gamma():
     spec = dd.InfectionSpec.gamma(rate=1.0, shape=2.0, scale=0.5)
     assert spec.p_i == pytest.approx(1 - 1.5**-2, abs=1e-12)
     rng = np.random.default_rng(5)
-    draws = spec.sampler(rng, 100_000)
+    draws = spec.sample_periods(rng, 100_000)
     assert draws.mean() == pytest.approx(1.0, abs=0.02)
+
+
+# Bit patterns of the general laws' transforms phi(k * rate), k = 0, 1,
+# 2, 7, and of their first period draws at seed 2024, with a digest of
+# 1000 draws, as recorded while the transform and the sampler were
+# stored callables: the spec must evaluate the same float expressions
+# and make the same RNG calls.
+_PERIOD_PINS = [
+    pytest.param(
+        dd.InfectionSpec.exponential(rate=0.3, mean=1.5),
+        "0x1.3dcb08d3dcb08p-2",
+        ["0x1.0000000000000p+0", "0x1.611a7b9611a7cp-1",
+         "0x1.0d79435e50d79p-1", "0x1.ed7e75346f093p-3"],
+        ["0x1.479ed4e5ff4d6p+0", "0x1.5fdc779db865ap-3",
+         "0x1.03e9e33129c18p-2", "0x1.f19132f5e1017p+0",
+         "0x1.bf99acd682354p+1"],
+        "48e9c6bfedb4aea6827d03b6be8b7f1289b3a931086a9ace98e72fd723cd1df7",
+        id="exponential"),
+    pytest.param(
+        dd.InfectionSpec.gamma(rate=0.6, shape=4.0, scale=0.25),
+        "0x1.b68651332f2bep-2",
+        ["0x1.0000000000000p+0", "0x1.24bcd766686a1p-1",
+         "0x1.6687e6b00e7c0p-2", "0x1.cfd8c34e68fdcp-5"],
+        ["0x1.80af2bd50a48ap+0", "0x1.951dfb7109438p+0",
+         "0x1.98124112a7a6dp-2", "0x1.64d8391afc666p+0",
+         "0x1.0ae31eea91fefp+1"],
+        "7d5fa384c4ef12878c8bf31103094c65b262a1485766a33026a3f5c23a8750bd",
+        id="gamma"),
+]
+
+
+@pytest.mark.parametrize("spec, p_i, phis, draws, digest", _PERIOD_PINS)
+def test_general_period_transform_and_draws_pinned_bitwise(spec, p_i, phis,
+                                                           draws, digest):
+    assert spec.p_i.hex() == p_i
+    assert [spec.phi_multiple(k).hex() for k in (0, 1, 2, 7)] == phis
+    first = spec.sample_periods(np.random.default_rng(2024), 5)
+    assert [float(x).hex() for x in first] == draws
+    many = spec.sample_periods(np.random.default_rng(2024), 1000)
+    assert hashlib.sha256(many.tobytes()).hexdigest() == digest
+
+
+def test_infection_specs_are_values():
+    gamma = dd.InfectionSpec.gamma(rate=0.15, shape=2.0, scale=0.5)
+    # a worker process gets its spec by pickle
+    back = pickle.loads(pickle.dumps(gamma))
+    assert back == gamma and hash(back) == hash(gamma)
+    assert back.phi_multiple(3) == gamma.phi_multiple(3)
+    assert gamma == dd.InfectionSpec.gamma(0.15, 2, 0.5)
+    assert gamma != dd.InfectionSpec.gamma(0.15, 2.0, 0.25)
+    assert gamma != dd.InfectionSpec.exponential(0.15, 1.0)
+    for spec in (gamma, dd.InfectionSpec.exponential(0.3, 1.5),
+                 dd.InfectionSpec.constant(0.2)):
+        assert all(isinstance(getattr(spec, f.name), (str, float))
+                   for f in dataclasses.fields(spec))
+    constant = dd.InfectionSpec.constant(0.2)
+    with pytest.raises(ValueError):
+        constant.phi(1.0)
+    with pytest.raises(ValueError):
+        constant.sample_periods(np.random.default_rng(0), 3)
+
+
+def test_discrete_dists_compare_and_hash_by_value():
+    assert dd.poisson(2.0) == dd.poisson(2.0)
+    assert hash(dd.poisson(2.0)) == hash(dd.poisson(2.0))
+    assert dd.poisson(2.0) != dd.poisson(2.5)
+    assert dd.poisson(2.0) != dd.poisson_plus(2.0)
+    pmf = dd.from_pmf({1: 0.25, 3: 0.75})
+    assert pmf == dd.DiscreteDist(np.array([1, 3]), np.array([0.25, 0.75]))
+    # the same table with another tail bound is another law
+    assert pmf != dd.DiscreteDist(np.array([1, 3]), np.array([0.25, 0.75]),
+                                  1e-12)
+    assert pmf != dd.from_pmf({1: 0.25, 2: 0.75})
+    assert len({dd.point(3), dd.point(3), dd.point(4)}) == 2
+    assert dd.point(3) != "point(3)"
 
 
 def test_infection_spec_validation():

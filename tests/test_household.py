@@ -5,7 +5,8 @@ import pytest
 
 from netepi.distributions import InfectionSpec
 from netepi.errors import NonConvergence
-from netepi.household import HouseholdEngine, _subtree_fixed_point
+from netepi.household import (HouseholdEngine, _subtree_fixed_point,
+                              household_engine)
 
 from oracles import (
     branching_total_progeny_mc,
@@ -158,11 +159,25 @@ def test_mean_and_susceptibility_agree_for_general_periods():
             )
 
 
+@pytest.mark.parametrize("build", [
+    lambda: InfectionSpec.gamma(0.15, 2.0, 0.5),
+    lambda: InfectionSpec.exponential(0.3, mean=1.5),
+], ids=["gamma", "exponential"])
+def test_equal_general_specs_share_one_engine(build):
+    # the memo is keyed by the period law's value, not by the spec object
+    one, two = build(), build()
+    assert one is not two and one == two
+    assert household_engine(one, 5) is household_engine(two, 5)
+    assert household_engine(one, 5) is not household_engine(one, 6)
+    other = InfectionSpec.gamma(0.15, 2.0, 0.25)
+    assert household_engine(other, 5) is not household_engine(one, 5)
+
+
 def test_general_period_mean_against_monte_carlo():
     spec = InfectionSpec.exponential(rate=0.8, mean=1.0)
     eng = HouseholdEngine(spec, 5)
     mc = general_period_household_mean_mc(
-        4, 0.8, spec.sampler, n_runs=200_000, seed=17
+        4, 0.8, spec.sample_periods, n_runs=200_000, seed=17
     )
     # binomial-ish SE of the MC mean is ~0.003
     # E[T] = E[M] for any period

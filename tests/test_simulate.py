@@ -279,11 +279,23 @@ def test_general_period_forward_backward_means_agree():
     assert abs(fwd.mean() - bwd.mean()) <= 4.0 * se
 
 
-def test_general_period_needs_sampler():
-    spec = InfectionSpec.general(1.0, phi=lambda t: 1.0 / (1.0 + t))
-    net = tiny_network(TINY_EDGES, TINY_N)
-    with pytest.raises(ValueError):
-        run_epidemic(net, spec, seed=0)
+@pytest.mark.parametrize("infection, forward, backward", [
+    pytest.param(InfectionSpec.exponential(rate=0.3, mean=1.5),
+                 [1803, 1761, 1780, 2, 1], [1365, 1368, 1321, 1, 1351],
+                 id="exponential"),
+    pytest.param(InfectionSpec.gamma(rate=0.6, shape=4.0, scale=0.25),
+                 [1912, 1, 1923, 1923, 1952], [1841, 1846, 1834, 1857, 1852],
+                 id="gamma"),
+])
+def test_general_period_final_sizes_pinned(infection, forward, backward):
+    # recorded while the period sampler was a stored callable; a general
+    # period's draws must stay the same RNG calls
+    net = build_network(GenSpec(n=2000, household=poisson_plus(2.0),
+                                global_degree=poisson(6.0), r=-0.5, n_q=10),
+                        seed=3)
+    for reverse, sizes in ((False, forward), (True, backward)):
+        assert [run_epidemic(net, infection, seed=s, reverse=reverse)
+                .final_size for s in range(5)] == sizes
 
 
 def test_outcome_reports_infected_fraction():

@@ -8,14 +8,18 @@ configs the benchmark workloads hand to the command line, and for the
 start-up cost every command pays before its work begins.  Two guards
 read the source itself: a name set in src/ that nothing reads fails one,
 and a household engine built in src/ outside household.py the other.
+A third holds the config table's infection keys to the parameters of
+the InfectionSpec constructors that resolve_infection reads them by.
 """
 
 import ast
 import hashlib
+import inspect
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -244,6 +248,35 @@ def test_benchmark_configs_are_read_by_their_commands(monkeypatch, tmp_path):
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         float(proc.stdout)  # the probe's perf_counter reading
+
+
+def _accepted_infection_kinds():
+    """The tuple of kinds that cli._infection_kind checks its value in."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cli._infection_kind)))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare)
+                and isinstance(node.ops[0], ast.NotIn)):
+            return ast.literal_eval(node.comparators[0])
+    raise AssertionError("cli._infection_kind checks no tuple of kinds")
+
+
+def test_infection_keys_are_the_spec_constructors_parameters():
+    # resolve_infection takes each kind's keys from the signature of its
+    # InfectionSpec classmethod, so the config table must list exactly
+    # those, and every kind the config accepts must have one
+    kinds = _accepted_infection_kinds()
+    params = set()
+    for kind in kinds:
+        assert cli._infection_kind("infection.kind", kind) == kind
+        assert isinstance(inspect.getattr_static(InfectionSpec, kind),
+                          classmethod), kind
+        params.update(inspect.signature(getattr(InfectionSpec, kind))
+                      .parameters)
+    rows = {name.split(".", 1)[1] for name in cli._KEYS
+            if name.startswith("infection.")}
+    assert rows == {"kind", *params}
+    with pytest.raises(cli.ConfigError):
+        cli._infection_kind("infection.kind", "general")
 
 
 # sha256 of each CSV of the analytic sweep at the benchmark's grids in
