@@ -68,12 +68,13 @@ class DiscreteDist:
             raise ValueError("support values must be non-negative integers")
         if np.any(np.diff(support) <= 0):
             raise ValueError("support must be strictly increasing")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        # written so that a NaN fails each check
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
         if not 0.0 <= self.tail_mass_bound <= 1.0:
             raise ValueError("tail_mass_bound must lie in [0, 1]")
         total = float(probs.sum()) + self.tail_mass_bound
-        if abs(total - 1.0) > _SUM_TOL:
+        if not abs(total - 1.0) <= _SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "support", _freeze(support))
         object.__setattr__(self, "probs", _freeze(probs))

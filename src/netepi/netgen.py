@@ -12,22 +12,26 @@ blocks i and n_q + 1 - i when r < 0 (the middle block pairing internally
 when n_q is odd).  Unpairable leftovers are discarded and counted: at
 most one X=0 stub and at most n_q X=1 stubs.
 
-The ranking shuffles the X=1 stubs and then groups them stably by owner
-degree, so ties keep the uniform random order of the shuffle.  Every
-shuffle permutes a stub array the generator owns in place
-(`Generator.shuffle` draws the same order as indexing by
-`Generator.permutation`, without the gather).  One pairing step,
-`_pair_blocks`, forms every edge that is not a household clique edge: it
-pairs the X=0 stubs as one block, the X=1 blocks each with itself or with
-its mirror block, and the stubs `rewire` frees by household-size class.
-It shuffles each block once: a block pairs consecutive stubs of its
-shuffle, and a mirror pair shuffles only its larger block, since a
-uniform order of one side against a fixed order of the other is already
-a uniform matching.  The ranking, the rewiring's size classes and the
-adjacency build all use `_group_by`, one counting scatter
-(count each key, prefix-sum the counts, then drop every value into the
-next free slot of its key) in compiled code.  It runs in linear time
-where a comparison sort of labelled stubs or edge ends does not, and
+The ranking groups the nodes that hold X=1 stubs (not the stubs) by
+degree and repeats each once per X=1 stub, so the stubs come grouped by
+owner degree.  Ties matter only where an inner block bound falls
+strictly inside a degree class: that class's stubs are shuffled, so it
+splits at random stub by stub, and every other class lies wholly in one
+block, whose matching the pairing's own shuffle makes uniform whatever
+the order in the block.  Every shuffle permutes a stub array the
+generator owns in place (`Generator.shuffle` draws the same order as
+indexing by `Generator.permutation`, without the gather).  One pairing
+step, `_pair_blocks`, forms every edge that is not a household clique
+edge: it pairs the X=0 stubs as one block, the X=1 blocks each with
+itself or with its mirror block, and the stubs `rewire` frees by
+household-size class.  It shuffles each block once: a block pairs
+consecutive stubs of its shuffle, and a mirror pair shuffles only its
+larger block, since a uniform order of one side against a fixed order of
+the other is already a uniform matching.  The ranking, the rewiring's
+size classes and the adjacency build all use `_group_by`, one counting
+scatter (count each key, prefix-sum the counts, then drop every value
+into the next free slot of its key) in compiled code.  It runs in linear
+time where a comparison sort of nodes, stubs or edge ends does not, and
 gives the same order as a stable argsort of the keys.
 
 Node ids, edge ends and CSR offsets have one dtype rule,
@@ -130,7 +134,8 @@ def _group_by(keys: np.ndarray, values: np.ndarray,
     input order, so grouped equals values[np.argsort(keys, kind="stable")]
     and np.diff(indptr) equals np.bincount(keys, minlength=n_keys).  One
     counting scatter, linear in keys.size + n_keys: scipy's COO->CSR
-    kernel with the values as column indices and an ignored int8 payload;
+    kernel with the values as both its column indices and its data, so
+    it writes each value twice into `grouped` and needs no payload array;
     it keeps repeated (key, value) pairs.  Both outputs take the values'
     dtype, widened to the index dtype of n_keys and keys.size.
     """
@@ -149,11 +154,8 @@ def _group_by(keys: np.ndarray, values: np.ndarray,
     values = values.astype(dtype, copy=False)
     indptr = np.empty(n_keys + 1, dtype=dtype)
     grouped = np.empty(keys.size, dtype=dtype)
-    # the payload is all zeros, so one buffer can be both its input and
-    # its output
-    payload = np.zeros(keys.size, dtype=np.int8)
-    _sparsetools.coo_tocsr(n_keys, 1, keys.size, keys, values, payload,
-                           indptr, grouped, payload)
+    _sparsetools.coo_tocsr(n_keys, 1, keys.size, keys, values, values,
+                           indptr, grouped, grouped)
     return indptr, grouped
 
 
@@ -349,21 +351,31 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
     g1 = rng.binomial(g, abs(spec.r))
     nodes = np.arange(n, dtype=np.int64)
     x0_owners = np.repeat(nodes, g - g1)
-    x1_owners = np.repeat(nodes, g1)
 
     g0_u, g0_v, disc_x0 = _pair_blocks(
         x0_owners, np.array([0, x0_owners.size]), rng)
 
-    # rank X=1 stubs by owner degree, uniform tie-break: shuffle, then a
-    # stable grouping keeps the shuffled order within each degree; cut
-    # into n_q blocks, the rem larger ones first
-    rng.shuffle(x1_owners)
-    ranked = _group_by(degree[x1_owners], x1_owners,
-                       int(degree.max()) + 1)[1]
+    # rank X=1 stubs by owner degree: the nodes that hold any grouped by
+    # degree (so the work follows the labelled stubs, none at r = 0),
+    # each repeated once per X=1 stub; cut into n_q blocks, the rem
+    # larger ones first.  Ties matter only in a degree class that an
+    # inner block bound cuts, so only those classes are shuffled (per
+    # stub), and _pair_blocks shuffles every block it pairs
+    holders = np.flatnonzero(g1)
+    node_ptr, by_node = _group_by(degree[holders], holders,
+                                  int(degree.max()) + 1)
+    counts = g1[by_node]
+    ranked = np.repeat(by_node, counts)
+    # ranked[class_ptr[d]:class_ptr[d + 1]]: the stubs of degree class d
+    class_ptr = np.concatenate([[0], np.cumsum(counts)])[node_ptr]
     base, rem = divmod(ranked.size, spec.n_q)
     j = np.arange(spec.n_q + 1)
-    g1_u, g1_v, disc_x1 = _pair_blocks(
-        ranked, j * base + np.minimum(j, rem), rng, mirror=spec.r < 0)
+    bounds = j * base + np.minimum(j, rem)
+    cut = np.searchsorted(class_ptr, bounds[1:-1], side="right") - 1
+    for c in np.unique(cut[class_ptr[cut] < bounds[1:-1]]):
+        rng.shuffle(ranked[class_ptr[c] : class_ptr[c + 1]])
+    g1_u, g1_v, disc_x1 = _pair_blocks(ranked, bounds, rng,
+                                       mirror=spec.r < 0)
 
     # each pair is narrowed once, from the stubs into the edge arrays
     edges_u = np.concatenate([local_u, *g0_u, *g1_u], dtype=ids)

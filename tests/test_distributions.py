@@ -313,6 +313,16 @@ def test_from_pmf_validation():
         dd.from_pmf({-1: 1.0})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_discrete_dist_rejects_non_finite_probabilities(bad):
+    # a comparison with NaN is False, so a check written as "reject if
+    # out of range" would let a NaN through
+    with pytest.raises(ValueError, match="must lie in"):
+        dd.DiscreteDist(np.array([1, 2]), np.array([bad, 0.5]))
+    with pytest.raises(ValueError, match="must lie in"):
+        dd.DiscreteDist(np.array([1]), np.array([1.0]), tail_mass_bound=bad)
+
+
 def test_sampling_matches_pmf():
     rng = np.random.default_rng(7)
     d = dd.from_pmf({0: 0.2, 1: 0.5, 4: 0.3})

@@ -157,8 +157,9 @@ def test_structure_layer_stores_int32_ids(tmp_path):
 # tracemalloc peak bytes per built edge of each structure stage, counting
 # what is alive during the stage (the input network included): int64 ids
 # took 69 / 54 / 73 B/edge, int32 ids written straight from the stubs
-# into the edge arrays take 44 / 35 / 41
-MEMORY_BUDGET = {"build": 56, "rewire": 45, "adjacency": 56}
+# into the edge arrays took 44 / 35 / 41, and ranking nodes rather than
+# stubs, with no int8 payload in the grouping, takes 42 / 35 / 39
+MEMORY_BUDGET = {"build": 52, "rewire": 45, "adjacency": 49}
 
 
 def test_structure_stages_stay_within_their_memory_budget():
@@ -199,15 +200,15 @@ def heads_digest(net) -> str:
 # a change that moves the generator's or the adjacency's output, or the
 # RNG stream of run_epidemic, shows here
 GOLDEN = {
-    -0.5: ("2455563639c905f4fe823bc3fbeaeda102d12b4b838c4a9d7545b3fea7743ee6",
-           "aeb67bf645acf80b96d9eb3bd07c3a354e7ee683a6acb3d0d930d2f912e3a6b3",
-           14364),
-    0.5: ("29c751c8a60070d05af66ba2d3623f18c74ac08928471fde598eb50635231cff",
-          "0404693a223485c068e57c32aef59610a1606d0b9e3d04df2f8dd2d6ba5ac2e5",
-          13466),
-    1.0: ("27558ef6e9898a352eb9556c7eba1b44fdc8de2cac0b0d406c86ed8ea34e19a1",
-          "60fadb89d134ee4c87f2a64ba520c85448a6488d3c75ca3ffc472a9ea299bfe9",
-          12722),
+    -0.5: ("8eaa8f0b83034cb4abf72894b6e02a3c36e700a37e0aafd4bca58f7b55ac4393",
+           "80fcff91e2368928c0e5a1b3e3f49f376cadef278ba23e331a1a6fa55c24e756",
+           14199),
+    0.5: ("4b533aa111350e16d3eaf331e568dbe38c8f567057cd3e99b3005d236c8c8aa6",
+          "5998e4ac66b72a8714a05b2602f4fe722f3c320c3ff8c59c229beba84e64dd9a",
+          13703),
+    1.0: ("09926a0d32d8136b0b46fbcbb8c8cc82207dcad581ff44762a1ee32b192cd316",
+          "29a1048d4bec9748e83057df22fda78cc6993b7bd8bd38911e5e30af9d9331aa",
+          12879),
 }
 
 
@@ -231,12 +232,12 @@ def test_odd_block_count_mirror_stream_is_pinned():
                       global_degree=dd.poisson(8.0), r=-1.0, n_q=7)
     net = ng.rewire(ng.build_network(spec, 5), 0.3, 6)
     digest = hashlib.sha256(network_text(net).encode()).hexdigest()
-    assert digest == ("4fc9ff766451d96eec5929fe4f72d5c2"
-                      "b6f70e65aaded9e8a2357f998736c7a5")
+    assert digest == ("79de7dd2fc2d7454c8a94eae5bd780df"
+                      "b19f523b0978e5630628ce17c2281b48")
     assert heads_digest(net) == (
-        "62c55c064dda4de3dd6124b174b798c1e5280c558553156ee82f9e590eb8a30f")
+        "fbb43eae0dc896076f8a8d9765b9d621284a8fbfe3ee4b87380e4cf1755cc4dc")
     out = run_epidemic(net, InfectionSpec.gamma(0.1, 2.0), seed=1)
-    assert out.final_size == 14201
+    assert out.final_size == 14385
 
 
 def test_ranking_follows_quantile_table_with_random_tie_break():
@@ -278,6 +279,50 @@ def test_ranking_follows_quantile_table_with_random_tie_break():
             assert abs(lo.mean() - hi.mean()) < 4.0 * se, (d, b)
             checked += 1
     assert checked >= 3
+
+
+@pytest.mark.parametrize("r", [1.0, -1.0])
+def test_cut_degree_class_is_split_per_stub(r):
+    # at |r| = 1 every global stub is labelled, so a node's stubs all sit
+    # in its own degree class.  A block bound inside a class splits that
+    # class's stubs at random one by one: given the t of the class's S
+    # stubs that fall below the bound, a node with g of them has stubs on
+    # both sides with probability 1 - P(0) - P(g) of a hypergeometric
+    # draw of g from S holding t.  A split by node id or by whole nodes
+    # splits about no node.  A discarded stub drops its owner one degree
+    # class, so cuts whose smaller side could be one node's stubs are
+    # skipped; the independent-node SE overstates the spread
+    n_q = 10
+    spec = ng.GenSpec(n=100_000, household=dd.poisson_plus(2.0),
+                      global_degree=dd.poisson(8.0), r=r, n_q=n_q)
+    net = ng.build_network(spec, 41)
+    labelled = net.stub_q_u > 0
+    owner = np.concatenate([net.edges_u[labelled], net.edges_v[labelled]])
+    block = np.concatenate([net.stub_q_u[labelled], net.stub_q_v[labelled]]) - 1
+    # below[v, j - 1]: v's stubs in blocks before bound j
+    below = np.bincount(owner * n_q + block, minlength=net.n * n_q)
+    below = below.reshape(net.n, n_q).cumsum(axis=1)
+    g1 = below[:, -1]
+    degree = net.degrees()
+    observed, expected, var, cuts = 0, 0.0, 0.0, 0
+    for d in np.unique(degree[g1 > 0]):
+        rows = np.flatnonzero((degree == d) & (g1 > 0))
+        g, total = g1[rows], int(g1[rows].sum())
+        for j in range(1, n_q):
+            lo = below[rows, j - 1]
+            t = int(lo.sum())
+            if min(t, total - t) < 100:
+                continue
+            observed += int(np.sum((lo > 0) & (lo < g)))
+            sizes, nodes = np.unique(g, return_counts=True)
+            p = (1.0 - stats.hypergeom.pmf(0, total, t, sizes)
+                 - stats.hypergeom.pmf(sizes, total, t, sizes))
+            expected += float(np.sum(nodes * p))
+            var += float(np.sum(nodes * p * (1.0 - p)))
+            cuts += 1
+    assert cuts >= 5
+    assert expected > 1000
+    assert abs(observed - expected) < 4.0 * np.sqrt(var), (observed, expected)
 
 
 @pytest.mark.parametrize("r", [0.3, -0.5])
