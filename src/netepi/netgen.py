@@ -3,31 +3,31 @@
 Construction: household sizes are drawn iid (the last household truncated
 so sizes sum to n) and each household forms a complete graph of "local"
 edges.  Each node independently draws a number g of "global" stubs and
-labels each X=1 with probability |r|, else X=0; a node's stubs being
-exchangeable, that is one Binomial(g, |r|) draw of its X=1 count.  X=0
-stubs are paired uniformly.  X=1 stubs are sorted by owner total degree
-(uniform random tie-break), cut into n_q near-equal blocks (larger blocks
-first), and paired within a block when r > 0 or between mirror-image
-blocks i and n_q + 1 - i when r < 0 (the middle block pairing internally
-when n_q is odd).  Unpairable leftovers are discarded and counted: at
-most one X=0 stub and at most n_q X=1 stubs.
+labels each X=1 with probability |r|, else X=0.  X=0 stubs are paired
+uniformly.  X=1 stubs are sorted by owner total degree (uniform random
+tie-break), cut into n_q near-equal blocks (larger blocks first), and
+paired within a block when r > 0 or between mirror-image blocks i and
+n_q + 1 - i when r < 0 (the middle block pairing internally when n_q is
+odd).  Unpairable leftovers are discarded and counted: at most one X=0
+stub and at most n_q X=1 stubs.
 
-The ranking groups the nodes that hold X=1 stubs (not the stubs) by
-degree and repeats each once per X=1 stub, so the stubs come grouped by
-owner degree.  Ties matter only where an inner block bound falls
-strictly inside a degree class: that class's stubs are shuffled, so it
-splits at random stub by stub, and every other class lies wholly in one
-block, whose matching the pairing's own shuffle makes uniform whatever
-the order in the block.  Every shuffle permutes a stub array the
-generator owns in place (`Generator.shuffle` draws the same order as
-indexing by `Generator.permutation`, without the gather).  One pairing
-step, `_pair_blocks`, forms every edge that is not a household clique
-edge: it pairs the X=0 stubs as one block, the X=1 blocks each with
-itself or with its mirror block, and the stubs `rewire` frees by
+One shuffle of every global stub, laid out by owner, serves three of
+those draws.  Labels drawn per stub have the law of a Binomial(S, |r|)
+count of the S stubs taken as a uniformly random subset, so the first n1
+stubs of the shuffle, n1 drawn from that binomial, are the X=1 stubs.
+The rest, in uniform order, pair consecutively as the X=0 matching with
+no second shuffle.  A stable grouping of the X=1 stubs by owner degree
+ranks them, each degree class in the shuffle's order, which is the
+uniform tie-break.  Every shuffle permutes a stub array the generator
+owns in place (`Generator.shuffle` draws the same order as indexing by
+`Generator.permutation`, without the gather).  One pairing step,
+`_pair_blocks`, pairs the X=1 blocks, each with itself or with its
+mirror block, and the stubs `rewire` frees, one block per
 household-size class.  It shuffles each block once: a block pairs
 consecutive stubs of its shuffle, and a mirror pair shuffles only its
 larger block, since a uniform order of one side against a fixed order of
-the other is already a uniform matching.  The ranking, the rewiring's
+the other is already a uniform matching.  `rewire` writes its new pairs
+into the slots of the edges it breaks.  The ranking, the rewiring's
 size classes and the adjacency build all use `_group_by`, one counting
 scatter (count each key, prefix-sum the counts, then drop every value
 into the next free slot of its key) in compiled code.  It runs in linear
@@ -136,8 +136,10 @@ def _group_by(keys: np.ndarray, values: np.ndarray,
     counting scatter, linear in keys.size + n_keys: scipy's COO->CSR
     kernel with the values as both its column indices and its data, so
     it writes each value twice into `grouped` and needs no payload array;
-    it keeps repeated (key, value) pairs.  Both outputs take the values'
-    dtype, widened to the index dtype of n_keys and keys.size.
+    it keeps repeated (key, value) pairs.  Being stable, it keeps values
+    in uniform random order in uniform order within each key, which is
+    the ranking's tie-break.  Both outputs take the values' dtype, widened
+    to the index dtype of n_keys and keys.size.
     """
     keys, values = np.asarray(keys), np.asarray(values)
     # the kernel checks neither lengths nor indices: a short values array
@@ -167,7 +169,9 @@ class Network:
     aligned; edge_local marks household edges.  stub_q_u/stub_q_v carry
     the 1-based sorting-block labels of the two stubs of an X=1 global
     edge and are 0 everywhere else.  The discarded_* fields count the
-    stubs the generator (x0, x1) and rewiring (local) could not pair.
+    stubs the generator (x0, x1) could not pair, and discarded_local any
+    count a file carries: rewiring pairs every stub it frees, so it never
+    adds to it.
     """
 
     n: int
@@ -298,6 +302,14 @@ def _household_edges(sizes: np.ndarray, starts: np.ndarray):
     return np.concatenate(chunks_u), np.concatenate(chunks_v)
 
 
+def _pair_consecutive(stubs: np.ndarray):
+    """(u, v, unpaired) of stubs in uniform random order: the pairs
+    (stubs[0], stubs[1]), (stubs[2], stubs[3]), ... as views, a uniform
+    matching, and the count of stubs left unpaired (0 or 1)."""
+    half = stubs.size // 2
+    return stubs[: 2 * half : 2], stubs[1 : 2 * half : 2], stubs.size % 2
+
+
 def _pair_blocks(stubs: np.ndarray, bounds: np.ndarray,
                  rng: np.random.Generator, mirror: bool = False):
     """Uniform matchings of the blocks stubs[bounds[b]:bounds[b + 1]].
@@ -305,11 +317,11 @@ def _pair_blocks(stubs: np.ndarray, bounds: np.ndarray,
     Block b pairs with itself, or with its mirror block k - 1 - b of the
     k blocks when `mirror` is set; a mirror pair is matched when the loop
     reaches its first block.  That block is shuffled in place once, as is
-    a block paired with itself: a block paired
-    with itself pairs consecutive stubs, and one paired with a mirror
-    block at most as large (larger blocks first) matches its first stubs
-    against that block as it stands, since a uniform order of one side
-    against any fixed order of the other is already a uniform matching.
+    a block paired with itself: a block paired with itself pairs
+    consecutive stubs, and one paired with a mirror block at most as
+    large (larger blocks first) matches its first stubs against that
+    block as it stands, since a uniform order of one side against any
+    fixed order of the other is already a uniform matching.
     Returns (us, vs, unpaired): for each visited block the two ends of its
     pairs, as views of `stubs`, and the count of stubs left unpaired.
     """
@@ -322,8 +334,7 @@ def _pair_blocks(stubs: np.ndarray, bounds: np.ndarray,
         block = stubs[bounds[b] : bounds[b + 1]]
         rng.shuffle(block)
         if m == b:
-            half = block.size // 2
-            u, v = block[: 2 * half : 2], block[1 : 2 * half : 2]
+            u, v, _ = _pair_consecutive(block)
         else:
             v = stubs[bounds[m] : bounds[m + 1]]
             u = block[: v.size]
@@ -346,40 +357,29 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
 
     g = spec.global_degree.sample(rng, n)
     degree = size_of_node - 1 + g
-    # a node's stubs are exchangeable, so labelling each X=1 with
-    # probability |r| only fixes how many of them are
-    g1 = rng.binomial(g, abs(spec.r))
-    nodes = np.arange(n, dtype=np.int64)
-    x0_owners = np.repeat(nodes, g - g1)
+    # every global stub by owner, in one uniform order: labelling each
+    # X=1 with probability |r| on its own takes a Binomial count of them
+    # as a uniform subset, so the first n1 are the X=1 stubs, and the rest,
+    # already in uniform order, pair consecutively as the X=0 matching
+    stubs = np.repeat(np.arange(n, dtype=np.int64), g)
+    rng.shuffle(stubs)
+    n1 = int(rng.binomial(stubs.size, abs(spec.r)))
+    g0_u, g0_v, disc_x0 = _pair_consecutive(stubs[n1:])
 
-    g0_u, g0_v, disc_x0 = _pair_blocks(
-        x0_owners, np.array([0, x0_owners.size]), rng)
-
-    # rank X=1 stubs by owner degree: the nodes that hold any grouped by
-    # degree (so the work follows the labelled stubs, none at r = 0),
-    # each repeated once per X=1 stub; cut into n_q blocks, the rem
-    # larger ones first.  Ties matter only in a degree class that an
-    # inner block bound cuts, so only those classes are shuffled (per
-    # stub), and _pair_blocks shuffles every block it pairs
-    holders = np.flatnonzero(g1)
-    node_ptr, by_node = _group_by(degree[holders], holders,
-                                  int(degree.max()) + 1)
-    counts = g1[by_node]
-    ranked = np.repeat(by_node, counts)
-    # ranked[class_ptr[d]:class_ptr[d + 1]]: the stubs of degree class d
-    class_ptr = np.concatenate([[0], np.cumsum(counts)])[node_ptr]
-    base, rem = divmod(ranked.size, spec.n_q)
+    # rank X=1 stubs by owner degree, the ties in the shuffle's order, and
+    # cut them into n_q blocks, the rem larger ones first; the ranking is
+    # copied back over the X=1 stubs, so that no second stub array is
+    # alive when the edge arrays are written
+    ranked = stubs[:n1]
+    ranked[:] = _group_by(degree[ranked], ranked, int(degree.max()) + 1)[1]
+    base, rem = divmod(n1, spec.n_q)
     j = np.arange(spec.n_q + 1)
-    bounds = j * base + np.minimum(j, rem)
-    cut = np.searchsorted(class_ptr, bounds[1:-1], side="right") - 1
-    for c in np.unique(cut[class_ptr[cut] < bounds[1:-1]]):
-        rng.shuffle(ranked[class_ptr[c] : class_ptr[c + 1]])
-    g1_u, g1_v, disc_x1 = _pair_blocks(ranked, bounds, rng,
-                                       mirror=spec.r < 0)
+    g1_u, g1_v, disc_x1 = _pair_blocks(ranked, j * base + np.minimum(j, rem),
+                                       rng, mirror=spec.r < 0)
 
     # each pair is narrowed once, from the stubs into the edge arrays
-    edges_u = np.concatenate([local_u, *g0_u, *g1_u], dtype=ids)
-    edges_v = np.concatenate([local_v, *g0_v, *g1_v], dtype=ids)
+    edges_u = np.concatenate([local_u, g0_u, *g1_u], dtype=ids)
+    edges_v = np.concatenate([local_v, g0_v, *g1_v], dtype=ids)
     edge_local = np.zeros(edges_u.size, dtype=bool)
     edge_local[: local_u.size] = True
     # the X=1 pairs come last; the 1-based labels of their two ends:
@@ -403,7 +403,12 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
 
     Degrees are preserved exactly; clustering is diluted by the factor
     (1 - p_rw) in expectation.  Meant for freshly built networks, where
-    every local edge lies inside a single household.
+    every local edge lies inside a single household.  Both stubs of a
+    broken edge join the size class of its first end, so every class
+    pairs off whole: nothing is discarded, and the new pairs fill the
+    broken edges' slots as unlabelled local edges.  Every other slot keeps
+    its edge, and edge_local and discarded_local do not change: the new
+    network shares the input's arrays that it does not change.
     """
     if not 0.0 <= p_rw <= 1.0:
         raise ValueError("p_rw must lie in [0, 1]")
@@ -420,8 +425,6 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
     if broken.size == 0:
         return net
 
-    keep = np.ones(net.n_edges, dtype=bool)
-    keep[broken] = False
     label = net.household_sizes[net.household_index[net.edges_u[broken]]]
     # the freed stubs grouped by household size, ascending, as int64 for
     # the shuffles
@@ -430,24 +433,22 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
         np.concatenate([net.edges_u[broken], net.edges_v[broken]],
                        dtype=np.int64),
         int(label.max()) + 1)
-    new_u, new_v, disc_local = _pair_blocks(stubs, indptr, rng)
+    new_u, new_v, _ = _pair_blocks(stubs, indptr, rng)
 
-    # the new pairs come last, in the network's own id dtype
+    # copies in the network's own id dtype
     ids = np.promote_types(net.edges_u.dtype, net.edges_v.dtype)
-    edges_u = np.concatenate([net.edges_u[keep], *new_u], dtype=ids)
-    edges_v = np.concatenate([net.edges_v[keep], *new_v], dtype=ids)
-    kept = slice(net.n_edges - broken.size)
-    edge_local = np.ones(edges_u.size, dtype=bool)
-    edge_local[kept] = net.edge_local[keep]
-    stub_q_u = np.zeros(edges_u.size, dtype=np.int16)
-    stub_q_u[kept] = net.stub_q_u[keep]
-    stub_q_v = np.zeros(edges_u.size, dtype=np.int16)
-    stub_q_v[kept] = net.stub_q_v[keep]
+    edges_u, edges_v = net.edges_u.astype(ids), net.edges_v.astype(ids)
+    edges_u[broken] = np.concatenate(new_u)
+    edges_v[broken] = np.concatenate(new_v)
+    stub_q_u, stub_q_v = net.stub_q_u, net.stub_q_v
+    if np.any(stub_q_u[broken] | stub_q_v[broken]):
+        # local edges labelled by hand or by a file
+        stub_q_u, stub_q_v = stub_q_u.copy(), stub_q_v.copy()
+        stub_q_u[broken] = stub_q_v[broken] = 0
 
     return Network(net.n, net.household_sizes,
-                   edges_u, edges_v, edge_local, stub_q_u, stub_q_v,
-                   net.discarded_x0, net.discarded_x1,
-                   net.discarded_local + disc_local)
+                   edges_u, edges_v, net.edge_local, stub_q_u, stub_q_v,
+                   net.discarded_x0, net.discarded_x1, net.discarded_local)
 
 
 # -- plain-text edge list format ----------------------------------------

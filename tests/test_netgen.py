@@ -3,6 +3,7 @@ import io
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from scipy import stats
 
 from netepi import distributions as dd
 from netepi import netgen as ng
+from netepi.branching import ModelParams
 from netepi.distributions import InfectionSpec
-from netepi.simulate import run_epidemic
+from netepi.simulate import estimate, run_epidemic
 from oracles import reference_read_network, reference_write_network
 
 
@@ -157,9 +159,11 @@ def test_structure_layer_stores_int32_ids(tmp_path):
 # tracemalloc peak bytes per built edge of each structure stage, counting
 # what is alive during the stage (the input network included): int64 ids
 # took 69 / 54 / 73 B/edge, int32 ids written straight from the stubs
-# into the edge arrays took 44 / 35 / 41, and ranking nodes rather than
-# stubs, with no int8 payload in the grouping, takes 42 / 35 / 39
-MEMORY_BUDGET = {"build": 52, "rewire": 45, "adjacency": 49}
+# into the edge arrays took 44 / 35 / 41, ranking nodes rather than
+# stubs, with no int8 payload in the grouping, took 42 / 35 / 39, and one
+# shuffle of every global stub ranked in place, with rewire writing into
+# the slots it breaks, takes 35 / 28 / 39
+MEMORY_BUDGET = {"build": 44, "rewire": 38, "adjacency": 49}
 
 
 def test_structure_stages_stay_within_their_memory_budget():
@@ -200,15 +204,15 @@ def heads_digest(net) -> str:
 # a change that moves the generator's or the adjacency's output, or the
 # RNG stream of run_epidemic, shows here
 GOLDEN = {
-    -0.5: ("8eaa8f0b83034cb4abf72894b6e02a3c36e700a37e0aafd4bca58f7b55ac4393",
-           "80fcff91e2368928c0e5a1b3e3f49f376cadef278ba23e331a1a6fa55c24e756",
-           14199),
-    0.5: ("4b533aa111350e16d3eaf331e568dbe38c8f567057cd3e99b3005d236c8c8aa6",
-          "5998e4ac66b72a8714a05b2602f4fe722f3c320c3ff8c59c229beba84e64dd9a",
-          13703),
-    1.0: ("09926a0d32d8136b0b46fbcbb8c8cc82207dcad581ff44762a1ee32b192cd316",
-          "29a1048d4bec9748e83057df22fda78cc6993b7bd8bd38911e5e30af9d9331aa",
-          12879),
+    -0.5: ("60fe9e30a3a6a2e316039259e57c07a6a55938a13aca7373d9d619143bc3bb59",
+           "9dc1b4dbce89d383463154aeca37f11ec5f6add6e045bf9bfa875799db462ef9",
+           14182),
+    0.5: ("60bd9e30c3978dbf2616a4b4b5145f58de611f1ed64f3a2c3231acc82f90fe7d",
+          "2c7b626e07852852b19a843ef7f95c6d64c2d8b82c8b1e0b5ed9fb14b2a08582",
+          13698),
+    1.0: ("fda11ee08d0a78cb0608583556c790afa1d727d43ea451ca1b5c69f46827fb09",
+          "d272744d8350d364730e3262181f7169ffae07b5d154ef89efd48d6b68073a43",
+          12783),
 }
 
 
@@ -232,12 +236,30 @@ def test_odd_block_count_mirror_stream_is_pinned():
                       global_degree=dd.poisson(8.0), r=-1.0, n_q=7)
     net = ng.rewire(ng.build_network(spec, 5), 0.3, 6)
     digest = hashlib.sha256(network_text(net).encode()).hexdigest()
-    assert digest == ("79de7dd2fc2d7454c8a94eae5bd780df"
-                      "b19f523b0978e5630628ce17c2281b48")
+    assert digest == ("f2b99cb9caacf9e37aaef7e90e785bf4"
+                      "cbc9269367303c5c54f3a3a7d3c9bbcc")
     assert heads_digest(net) == (
-        "fbb43eae0dc896076f8a8d9765b9d621284a8fbfe3ee4b87380e4cf1755cc4dc")
+        "2e54e1a010fa4bc87af168739947235e0aa164932f1b9b364bf6c08e89ffb33f")
     out = run_epidemic(net, InfectionSpec.gamma(0.1, 2.0), seed=1)
-    assert out.final_size == 14385
+    assert out.final_size == 14264
+
+
+def test_zero_correlation_stream_is_pinned():
+    # at r = 0 no stub is labelled, and the generator draws one shuffle of
+    # every global stub and pairs it consecutively; both pins were
+    # recorded when the X=0 stubs were labelled per node, by a binomial
+    # that draws nothing at r = 0, and shuffled on their own
+    spec = ng.GenSpec(n=20_000, household=dd.poisson_plus(2.0),
+                      global_degree=dd.poisson(8.0), r=0.0, n_q=10)
+    digest = hashlib.sha256(
+        network_text(ng.build_network(spec, 5)).encode()).hexdigest()
+    assert digest == ("ad6883d2dc0558a137970524650d3415"
+                      "81e7bc40e319e4b030317a7eedcdc8c4")
+    params = ModelParams(dd.poisson_plus(1.5), dd.poisson(5.0), 0.0, 1,
+                         InfectionSpec.constant(0.3))
+    rep = estimate(params, n=1500, n_sims=12, master_seed=2024)
+    assert rep.final_sizes.tolist() == [1, 1145, 1, 2, 1186, 1, 1178, 1161,
+                                        1, 1165, 1089, 1152]
 
 
 def test_ranking_follows_quantile_table_with_random_tie_break():
@@ -395,8 +417,8 @@ def test_rewire_stream_is_pinned_apart_from_the_generator():
     # with the generator's stream; this one pins rewire alone
     net = ng.rewire(_hand_built_network(), 0.3, 6)
     digest = hashlib.sha256(network_text(net).encode()).hexdigest()
-    assert digest == ("210c6e60437d3d50cdcc17a63ff5b1fd"
-                      "750f4c1cd01553a74a5ca16a4011acc4")
+    assert digest == ("ae52d1ed2f0c66d8b888287bbae065cd"
+                      "5831f61eb79fa919330fe63171ddf950")
 
 
 def test_rewire_takes_households_beyond_the_block_label_range():
@@ -441,30 +463,41 @@ def test_discard_bounds(r):
 
 
 def test_zero_correlation_matching_is_uniform():
-    # post-hoc degree classes must pair at uniform-matching frequencies;
-    # for a uniform matching of S stubs every stub pair is an edge with
-    # probability 1/(S-1)
-    spec = ng.GenSpec(n=60, household=dd.point(1),
-                      global_degree=dd.from_pmf({1: 0.5, 3: 0.5}), r=0.0, n_q=4)
-    observed = np.zeros(3)
-    expected = np.zeros(3)
-    for seed in range(2000):
-        net = ng.build_network(spec, seed)
-        deg = net.degrees()
-        n1 = int(np.sum(deg == 1) + 2 * net.imperfections.discarded_x0 * 0)
-        stubs = int(deg.sum())
-        n1_stubs = int(np.sum(deg[deg == 1]))
-        n3_stubs = stubs - n1_stubs
-        du = deg[net.edges_u]
-        dv = deg[net.edges_v]
-        observed[0] += np.sum((du == 1) & (dv == 1))
-        observed[1] += np.sum((du != dv))
-        observed[2] += np.sum((du == 3) & (dv == 3))
-        if stubs >= 2:
-            expected[0] += n1_stubs * (n1_stubs - 1) / 2 / (stubs - 1)
-            expected[1] += n1_stubs * n3_stubs / (stubs - 1)
-            expected[2] += n3_stubs * (n3_stubs - 1) / 2 / (stubs - 1)
-    assert np.all(np.abs(observed - expected) < 3.0 * np.sqrt(expected))
+    # the X=0 stubs must pair as a uniform matching, in which each pair of
+    # the S0 stubs paired is an edge with probability 1/(S0 - 1): counted
+    # over pairs of two stubs of one node (self-loops) and over pairs
+    # within and across post-hoc degree classes.  At r != 0 the X=0 stubs
+    # take their order from the shuffle that also picks the X=1 stubs.
+    # The built degrees (X=1 edges and discards included) and each node's
+    # X=0 count depend on which stubs are paired, not on how, so they may
+    # define the classes
+    for r in (0.0, 0.5, -0.5):
+        spec = ng.GenSpec(n=60, household=dd.point(1),
+                          global_degree=dd.from_pmf({1: 0.5, 3: 0.5}), r=r,
+                          n_q=4)
+        observed = np.zeros(4)
+        expected = np.zeros(4)
+        for seed in range(2000):
+            net = ng.build_network(spec, seed)
+            x0 = (net.stub_q_u == 0) & ~net.edge_local
+            u, v = net.edges_u[x0], net.edges_v[x0]
+            a = (np.bincount(u, minlength=net.n)
+                 + np.bincount(v, minlength=net.n))
+            stubs = 2 * int(x0.sum())
+            high = net.degrees() >= 2
+            lo_stubs = int(a[~high].sum())
+            hi_stubs = stubs - lo_stubs
+            observed[0] += np.sum(~high[u] & ~high[v])
+            observed[1] += np.sum(high[u] != high[v])
+            observed[2] += np.sum(high[u] & high[v])
+            observed[3] += np.sum(u == v)
+            if stubs >= 2:
+                expected[0] += lo_stubs * (lo_stubs - 1) / 2 / (stubs - 1)
+                expected[1] += lo_stubs * hi_stubs / (stubs - 1)
+                expected[2] += hi_stubs * (hi_stubs - 1) / 2 / (stubs - 1)
+                expected[3] += np.sum(a * (a - 1)) / 2 / (stubs - 1)
+        assert np.all(np.abs(observed - expected)
+                      < 3.0 * np.sqrt(expected)), (r, observed, expected)
 
 
 def test_degree_law_matches_asymptotic_prediction():
@@ -954,6 +987,53 @@ def test_rewire_preserves_degrees_and_size_classes():
     lu = rewired.edges_u[rewired.edge_local]
     lv = rewired.edges_v[rewired.edge_local]
     assert np.array_equal(size_of_node[lu], size_of_node[lv])
+
+
+def _labelled_local_network() -> ng.Network:
+    """_hand_built_network with block labels on its local edges as well,
+    read back from its text, which the format allows, and with discard
+    counts in its header."""
+    net = _hand_built_network()
+    local = np.flatnonzero(net.edge_local)
+    q_u, q_v = net.stub_q_u.copy(), net.stub_q_v.copy()
+    q_u[local], q_v[local] = 3, 1 + local % 4
+    text = network_text(replace(net, stub_q_u=q_u, stub_q_v=q_v,
+                                discarded_x0=1, discarded_local=2))
+    return ng.read_network(io.StringIO(text))
+
+
+@pytest.mark.parametrize("p_rw", [0.4, 1.0])
+def test_rewire_fills_only_the_slots_it_breaks(p_rw):
+    spec = small_spec(n=3000, household=dd.poisson_plus(3.0), r=-0.5, n_q=5)
+    for net, labelled in ((ng.build_network(spec, 4), False),
+                          (_labelled_local_network(), True)):
+        out = ng.rewire(net, p_rw, 8)
+        assert np.array_equal(out.degrees(), net.degrees())
+        assert (out.discarded_x0, out.discarded_x1, out.discarded_local) == (
+            net.discarded_x0, net.discarded_x1, net.discarded_local)
+        assert np.array_equal(out.edge_local, net.edge_local)
+        # where every local edge is labelled, the cleared ones are the
+        # broken slots, and a household's local edges break all together
+        # or not at all
+        broken = net.edge_local
+        if labelled:
+            broken = broken & (out.stub_q_u == 0) & (out.stub_q_v == 0)
+            house = net.household_index[net.edges_u[net.edge_local]]
+            hit = np.bincount(house, broken[net.edge_local])
+            assert np.all((hit == 0) | (hit == np.bincount(house)))
+            whole = broken.sum() == net.edge_local.sum()
+            assert broken.any() and whole == (p_rw == 1.0)
+        # every other slot, each global one included, keeps its edge and
+        # labels bitwise; a broken one holds an unlabelled local edge
+        # within one household-size class
+        for name in ("edges_u", "edges_v", "stub_q_u", "stub_q_v"):
+            old, new = getattr(net, name), getattr(out, name)
+            assert new.dtype == old.dtype
+            assert np.array_equal(new[~broken], old[~broken]), name
+        assert not np.any(out.stub_q_u[broken] | out.stub_q_v[broken])
+        size_of_node = net.household_sizes[net.household_index]
+        assert np.array_equal(size_of_node[out.edges_u[broken]],
+                              size_of_node[out.edges_v[broken]])
 
 
 def test_rewire_zero_is_identity_and_partial_keeps_some_households():

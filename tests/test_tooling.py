@@ -10,6 +10,9 @@ read the source itself: a name set in src/ that nothing reads fails one,
 and a household engine built in src/ outside household.py the other.
 A third holds the config table's infection keys to the parameters of
 the InfectionSpec constructors that resolve_infection reads them by.
+Another records every shuffle the structure layer draws, each of which
+must permute an array whose items are the size of intp: the only item
+size numpy's Generator.shuffle has a fast path for.
 """
 
 import ast
@@ -22,6 +25,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from netepi import cli, netgen, simulate
@@ -357,3 +361,42 @@ def test_read_span_is_one_per_call_and_counts_the_file(monkeypatch, tmp_path):
     read = [rec for rec in tracer.spans if rec[2] == "netgen.read_network"]
     assert [rec[6]["bytes"] for rec in read] == [network.stat().st_size] * 2
     assert nets[0] == nets[1] and nets[0].n == 2_000
+
+
+class _ShuffleRecorder:
+    """A numpy Generator that logs the dtype of each array it shuffles."""
+
+    def __init__(self, rng, shuffled):
+        self._rng, self._shuffled = rng, shuffled
+
+    def shuffle(self, x):
+        self._shuffled.append(x.dtype)
+        self._rng.shuffle(x)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_structure_layer_shuffles_intp_sized_arrays(monkeypatch):
+    # netgen's docstring keeps the stubs it shuffles int64 for
+    # Generator.shuffle's intp fast path: 4e4 int32 stubs shuffle in
+    # 0.79 ms against 0.44 ms as int64 (Intel Xeon, numpy 2.4.6)
+    shuffled = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None:
+                        _ShuffleRecorder(default_rng(seed), shuffled))
+    intp = np.dtype(np.intp).itemsize
+
+    def check(stage, r):
+        assert shuffled, (stage, r)
+        assert all(dtype.itemsize == intp for dtype in shuffled), (
+            stage, r, shuffled)
+        shuffled.clear()
+
+    for r in (0.0, 0.5, -0.5, 1.0):
+        spec = netgen.GenSpec(n=3000, household=poisson_plus(2.0),
+                              global_degree=poisson(8.0), r=r, n_q=7)
+        net = netgen.build_network(spec, 1)
+        check("build_network", r)
+        netgen.rewire(net, 0.5, 2)
+        check("rewire", r)
