@@ -39,12 +39,14 @@ Jacobian is wanted, and combines its per-size values for all types in
 one batched product.  `BranchingModel` memoises the mean matrix, R* and
 the extinction vector; `analyze` reads every output from those methods.
 The tables that depend only on (H, G, r, n_q), those of the offspring
-PGF and those of the mean matrix alike, are built once per model, and
-`BranchingModel.with_infection` shares them with another infection or
-p_rw, so the mean matrix of an infection only mixes in its household
-means.  Each model takes its household engine from
-`household.household_engine`, which builds one per infection and largest
-household size, so models on one household law share one.
+PGF and those of the mean matrix alike, form one read-only `Structure`,
+which `structure` builds once per such key and hands to every model with
+an equal key, so the mean matrix of an infection only mixes in its
+household means.  Each model takes its household engine from
+`household.household_engine` in the same way, one per infection and
+largest household size.  So a model is built per parameter set, cheaply
+once its structure and engine are memoised, and no model is copied or
+kept for another infection.
 
 R* is the Perron root by a shifted power iteration from a seeded start,
 which stops once a step moves the estimate by at most 1e-12 relative.
@@ -63,30 +65,31 @@ becomes the upper end, any other the lower end.  It stops once the
 bracket is 1e-10 wide, or at a midpoint meeting an optional tolerance on
 |f - target|; a bracket that closes first raises `NonConvergence`.
 
-The p_i inversion finds the smallest p_i with R* above one at every r
-of a grid (one r is a grid of one) with one bisection: each step asks
-the grid's models in turn, each with the step's infection and so with
-one shared household engine, which side of one its R* is on, starting
-from the model that last answered "not above" and stopping at the first
-that does.  The exact root decides it unless it lies within 1e-5 of
-one; there the power iteration decides, as it decides every written R*.
-The check that R* exceeds one at p_i = 1 goes by the same rule.  The
-margin is 30 times the largest gap between the two roots seen over that
-test's 162 bisections (3.4e-7, the case above), so outside it both
-roots lie on the same side of one and the bisection returns the p_i,
-bit for bit, of one decided by the power iteration alone.  The grid's bisection
-follows that of its binding r, so it returns the largest of the per-r
-critical values bit for bit, unless two of them lie within the power
-iteration's error of each other.  The rho inversions build the
-template's stub table once and bisect on its closed form.
+The p_i inversion finds the smallest p_i with R* above one at every r of
+a grid (one r is a grid of one) with one bisection: each step builds the
+model of each r of the grid in turn, on its memoised structure and with
+the step's infection, so with one shared household engine, and asks
+which side of one its R* is on, starting from the r that last answered
+"not above" and stopping at the first that does.  The exact root decides
+it unless it lies within 1e-5 of one; there the power iteration decides,
+as it decides every written R*.  The check that R* exceeds one at p_i = 1
+goes by the same rule.  The margin is 30 times the largest gap between
+the two roots seen over that test's 162 bisections (3.4e-7, the case
+above), so outside it both roots lie on the same side of one and the
+bisection returns the p_i, bit for bit, of one decided by the power
+iteration alone.  The grid's bisection follows that of its binding r, so
+it returns the largest of the per-r critical values bit for bit, unless
+two of them lie within the power iteration's error of each other.  The
+rho inversions build the template's stub table once and bisect on its
+closed form.
 """
 
 from __future__ import annotations
 
-import copy
+import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -168,33 +171,28 @@ class AnalyticReport:
     has_infinite: bool
 
 
-class BranchingModel:
-    """Assembles every table the branching analytics need for one
-    parameter set and caches intermediate results.  The structure tables
-    depend only on (H, G, r, n_q); the household engine and the memos
-    depend on the infection too, and the memos on p_rw.  The engine comes
-    from `household_engine`, shared by every model of one infection and
-    largest household size."""
+class Structure:
+    """The tables of one (H, G, r, n_q), read-only: those of the offspring
+    PGF and those of the mean matrix.  `structure` builds one per such key
+    and shares it with every model of that key."""
 
-    def __init__(self, params: ModelParams):
-        self.params = params
-        p = params
-        self.h_vals = p.household.support.astype(np.int64)
-        self.h_tilde = size_bias(p.household)
+    def __init__(self, household: DiscreteDist, global_degree: DiscreteDist,
+                 r: float, n_q: int):
+        self.h_vals = household.support.astype(np.int64)
         # household law is supported on >= 1, so biasing keeps the support
-        self.pi_tilde = self.h_tilde.probs
+        self.pi_tilde = size_bias(household).probs
 
-        self.d_tilde = stub_degree_law(p.household, p.global_degree)
-        self.table = quantile_table(self.d_tilde, p.n_q)
-        self.kernels = pairing_kernels(self.table, p.r)
-        self.d_vals = self.table.degrees.astype(np.int64)
+        self.table = quantile_table(stub_degree_law(household, global_degree),
+                                    n_q)
+        kernels = pairing_kernels(self.table, r)
+        d_vals = self.table.degrees.astype(np.int64)
 
-        g_tilde = size_bias(p.global_degree)
-        g_dense = np.zeros(p.global_degree.max_support() + 2)
+        g_tilde = size_bias(global_degree)
+        g_dense = np.zeros(global_degree.max_support() + 2)
         g_dense[g_tilde.support] = g_tilde.probs
 
         # household-size weights given total degree: pi~_h p~_G(d - h + 1)
-        shift = self.d_vals[:, None] - self.h_vals[None, :] + 1
+        shift = d_vals[:, None] - self.h_vals[None, :] + 1
         valid = (shift >= 0) & (shift < g_dense.size)
         raw = np.where(valid, g_dense[np.clip(shift, 0, g_dense.size - 1)], 0.0)
         raw = raw * self.pi_tilde[None, :]
@@ -202,32 +200,32 @@ class BranchingModel:
         self.size_given_degree = raw / np.where(rows > 0.0, rows, 1.0)[:, None]
 
         # spare-stub counts d - h and the exponents of their derivatives
-        self.exponents = np.maximum(self.d_vals[:, None] - self.h_vals[None, :], 0)
+        self.exponents = np.maximum(d_vals[:, None] - self.h_vals[None, :], 0)
         self.exponents_below = np.maximum(self.exponents - 1, 0)
         self.exponent_range = np.arange(self.exponents.max() + 1)
 
-        gk = p.global_degree.support >= 1
-        self.g1_vals = p.global_degree.support[gk].astype(np.int64)
-        self.g1_probs = p.global_degree.probs[gk]
+        gk = global_degree.support >= 1
+        self.g1_vals = global_degree.support[gk].astype(np.int64)
+        self.g1_probs = global_degree.probs[gk]
         self.g0_prob = 1.0 - float(self.g1_probs.sum())
-        self.mu_g = p.global_degree.mean()
+        self.mu_g = global_degree.mean()
 
         # rows of the stub-degree table reached as g + h - 1
         partner_degrees = self.h_vals[:, None] + self.g1_vals[None, :] - 1
-        missing = np.setdiff1d(partner_degrees, self.d_vals)
+        missing = np.setdiff1d(partner_degrees, d_vals)
         if missing.size:
             raise ValueError(
                 f"stub degree {missing[0]} is reached by a household size "
                 f"and a global degree but its probability underflows to 0 "
                 f"in the stub-degree law")
-        self.partner_rows = np.searchsorted(self.d_vals, partner_degrees)
+        self.partner_rows = np.searchsorted(d_vals, partner_degrees)
 
         # the law of a stub's partner block: the pairing kernel with
         # probability |r|, else uniform; by arrival type and by degree row
-        abs_r = abs(p.r)
-        uniform = (1.0 - abs_r) / p.n_q
-        self.block_mix_type = uniform + abs_r * self.kernels.quantile_kernel
-        self.block_mix_degree = uniform + abs_r * self.kernels.degree_kernel
+        abs_r = abs(r)
+        uniform = (1.0 - abs_r) / n_q
+        self.block_mix_type = uniform + abs_r * kernels.quantile_kernel
+        self.block_mix_degree = uniform + abs_r * kernels.degree_kernel
         self.block_mix_partner = self.block_mix_degree[self.partner_rows]
 
         # mean-matrix tables: q_ih = P(H = h | Q = i); a_i, the mean count
@@ -236,32 +234,50 @@ class BranchingModel:
         # a household of size h; and which sizes some type reaches
         self.q_ih = self.table.d_given_q.T @ self.size_given_degree
         mean_h_given_d = self.size_given_degree @ self.h_vals.astype(float)
-        self.a_i = self.table.d_given_q.T @ (self.d_vals - mean_h_given_d)
+        self.a_i = self.table.d_given_q.T @ (d_vals - mean_h_given_d)
         self.w_hj = ((self.g1_probs * self.g1_vals)
-                     @ self.kernels.degree_kernel[self.partner_rows])
+                     @ kernels.degree_kernel[self.partner_rows])
         self.size_reached = (self.q_ih > 0.0).any(axis=0)
 
-        self._start_infection()
+        # every model of this key reads these arrays, so none may change
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
-    def _start_infection(self) -> None:
-        self.households = household_engine(self.params.infection,
-                                           int(self.h_vals.max()))
+
+# A sweep reuses a structure across consecutive rows and commands: a
+# fig3 grid cycles through its r (9 by default) in every bisection step and
+# every row, and fig3, fig4 and analyze on one model law share their 5 r
+# while fig5 adds 6 structures of its own (bench/workloads.py runs these
+# four in turn).  16 records hold the 11 of such a sweep, at about 160 KB
+# each (mu = 6); a grid longer than 16 only rebuilds each row's record,
+# about 0.3 ms.
+@functools.lru_cache(maxsize=16)
+def structure(household: DiscreteDist, global_degree: DiscreteDist,
+              r: float, n_q: int) -> Structure:
+    """The structure tables of (H, G, r, n_q), shared by every caller with
+    an equal key (laws compare by value)."""
+    return Structure(household, global_degree, r, n_q)
+
+
+class BranchingModel:
+    """The branching analytics of one parameter set, with its intermediate
+    results memoised.  The model takes its structure tables from
+    `structure` and its household engine from `household_engine`, so
+    models of one (H, G, r, n_q) share one record, and models of one
+    infection and largest household size one engine; its memos depend on
+    the infection and p_rw too."""
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self.structure = structure(params.household, params.global_degree,
+                                   params.r, params.n_q)
+        self.households = household_engine(params.infection,
+                                           params.household.max_support())
         self._mean_matrix: Optional[np.ndarray] = None
         self._r_star: Optional[float] = None
         self._extinction: Optional[np.ndarray] = None
         self._extinction_stats: Optional[SolverStats] = None
-
-    def with_infection(self, infection: InfectionSpec,
-                       p_rw: Optional[float] = None) -> "BranchingModel":
-        """The model with another infection, and p_rw if given, on the
-        same (H, G, r, n_q): it shares this model's structure tables, which
-        nothing mutates, and gets its own memos and the household engine
-        of its infection (see BranchingModel)."""
-        model = copy.copy(self)
-        model.params = replace(self.params, infection=infection,
-                               p_rw=self.params.p_rw if p_rw is None else p_rw)
-        model._start_infection()
-        return model
 
     @property
     def extinction_stats(self) -> Optional[SolverStats]:
@@ -277,22 +293,22 @@ class BranchingModel:
         every entry is inf."""
         if self._mean_matrix is not None:
             return self._mean_matrix
-        p = self.params
+        st, p = self.structure, self.params
         abs_r = abs(p.r)
         p_i = p.infection.p_i
-        mu = self.households.mixture_means(self.h_vals, p.p_rw)
+        mu = self.households.mixture_means(st.h_vals, p.p_rw)
         # a type that reaches a supercritical rewired household (which
         # needs p_i > 0) has infinite mean offspring, so R* is inf
-        if np.any(self.size_reached & np.isinf(mu)):
+        if np.any(st.size_reached & np.isinf(mu)):
             entries = np.full((p.n_q, p.n_q), np.inf)
         else:
             # an infinite mean left here sits at a size no type reaches
             mu = np.where(np.isinf(mu), 0.0, mu)
-            u = self.q_ih @ mu
-            v = (self.q_ih * mu[None, :]) @ self.w_hj
+            u = st.q_ih @ mu
+            v = (st.q_ih * mu[None, :]) @ st.w_hj
             entries = p_i * (
-                self.a_i[:, None] * self.block_mix_type
-                + (1.0 - abs_r) * self.mu_g / p.n_q * u[:, None]
+                st.a_i[:, None] * st.block_mix_type
+                + (1.0 - abs_r) * st.mu_g / p.n_q * u[:, None]
                 + abs_r * v
             )
         entries.flags.writeable = False
@@ -310,16 +326,17 @@ class BranchingModel:
         """g_i(s), the spare-stub factor per type; f1_h(s), the PGF of one
         housemate's global transmissions, per household size; and with
         jacobian=True df1_h/ds (n_h x n_q), else None."""
+        st = self.structure
         p_i = self.params.infection.p_i
-        g_type = 1.0 - p_i + p_i * (self.block_mix_type @ s)
-        g_degree = 1.0 - p_i + p_i * (self.block_mix_degree @ s)
-        g_partner = g_degree[self.partner_rows]
-        powered = g_partner ** self.g1_vals[None, :].astype(float)
-        f1 = self.g0_prob + powered @ self.g1_probs
+        g_type = 1.0 - p_i + p_i * (st.block_mix_type @ s)
+        g_degree = 1.0 - p_i + p_i * (st.block_mix_degree @ s)
+        g_partner = g_degree[st.partner_rows]
+        powered = g_partner ** st.g1_vals[None, :].astype(float)
+        f1 = st.g0_prob + powered @ st.g1_probs
         if not jacobian:
             return g_type, f1, None
-        coef = self.g1_probs * self.g1_vals * g_partner ** (self.g1_vals - 1)
-        d_f1 = p_i * (coef[:, None, :] @ self.block_mix_partner)[:, 0, :]
+        coef = st.g1_probs * st.g1_vals * g_partner ** (st.g1_vals - 1)
+        d_f1 = p_i * (coef[:, None, :] @ st.block_mix_partner)[:, 0, :]
         return g_type, f1, d_f1
 
     def _spare_powers(self, g_type: np.ndarray):
@@ -327,21 +344,23 @@ class BranchingModel:
         exponents * g_type ** (exponents - 1) of its derivatives, both
         gathered from one row of powers per type: the same pow calls the
         broadcast `**` makes, once per distinct exponent."""
-        powers = g_type[:, None] ** self.exponent_range
-        return (powers.take(self.exponents, axis=1),
-                self.exponents * powers.take(self.exponents_below, axis=1))
+        st = self.structure
+        powers = g_type[:, None] ** st.exponent_range
+        return (powers.take(st.exponents, axis=1),
+                st.exponents * powers.take(st.exponents_below, axis=1))
 
     def _offspring_pgf(self, s: np.ndarray, jacobian: bool = False):
         """Offspring PGF F(s) by type; with jacobian=True, (F, dF/ds)."""
+        st = self.structure
         g_type, f1, d_f1 = self._stub_pgfs(s, jacobian)
         local = self.households.mixture_pgf_profile(
-            self.h_vals, f1, self.params.p_rw, derivative=jacobian
+            st.h_vals, f1, self.params.p_rw, derivative=jacobian
         )
         if jacobian:
             local, d_local = local
-        by_type = self.table.d_given_q.T[:, None, :]            # (n_q, 1, n_d)
+        by_type = st.table.d_given_q.T[:, None, :]            # (n_q, 1, n_d)
         spare, d_spare = self._spare_powers(g_type)            # (n_q, n_d, n_h)
-        weighted = self.size_given_degree * spare
+        weighted = st.size_given_degree * spare
         inner = weighted @ local                                # (n_q, n_d)
         # one stacked dot per type, summed in the same order as a per-type
         # loop; an einsum reorders the sums and moves results by ~1e-13
@@ -349,18 +368,19 @@ class BranchingModel:
         if not jacobian:
             return value
         # dF_i/ds_j = p_i A_i block_mix_type[i, j] + sum_h C_ih L'_h df1_h/ds_j
-        a = (by_type @ ((self.size_given_degree * d_spare) @ local)[:, :, None])
+        a = (by_type @ ((st.size_given_degree * d_spare) @ local)[:, :, None])
         c = (by_type @ weighted)[:, 0, :]                       # (n_q, n_h)
-        jac = (self.params.infection.p_i * a[:, 0, :] * self.block_mix_type
+        jac = (self.params.infection.p_i * a[:, 0, :] * st.block_mix_type
                + (c * d_local) @ d_f1)
         return value, jac
 
     def _ancestor_pgf(self, s: np.ndarray) -> float:
+        st = self.structure
         _, f1, _ = self._stub_pgfs(s)
         local = self.households.mixture_pgf_profile(
-            self.h_vals, f1, self.params.p_rw
+            st.h_vals, f1, self.params.p_rw
         )
-        return float(np.dot(self.pi_tilde, f1 * local))
+        return float(np.dot(st.pi_tilde, f1 * local))
 
     def _solve_extinction(self) -> np.ndarray:
         """Least fixed point of F by Newton's method from 0 (see the
@@ -495,13 +515,10 @@ def _perron_root(mat: np.ndarray) -> float:
     return exact_perron_root(mat)
 
 
-def analyze(source) -> AnalyticReport:
-    """Every analytic output of a `BranchingModel`, or of one built from
-    a `ModelParams`; the forward quantities (p_major, sigma) are None for
-    a general infectious period."""
-    model = (source if isinstance(source, BranchingModel)
-             else BranchingModel(source))
-    params = model.params
+def analyze(params: ModelParams) -> AnalyticReport:
+    """Every analytic output of the model of `params`; the forward
+    quantities (p_major, sigma) are None for a general infectious period."""
+    model = BranchingModel(params)
     constant = params.infection.is_constant
     # the public extinction method is called only above threshold, so
     # each call is one fixed-point solve (bench/spans.py counts PGF
@@ -546,43 +563,31 @@ def _decided_root(model: BranchingModel) -> float:
     return exact if abs(exact - 1.0) > _DECISION_MARGIN else model.r_star()
 
 
-def supercritical_models(h, g, r_grid, n_q: int) -> list:
-    """One model per r of the grid at p_i = 1; Infeasible, naming the
-    first such r in grid order, where R* <= 1 even there."""
-    one = InfectionSpec.constant(1.0)
-    models = []
-    for r in r_grid:
-        model = BranchingModel(ModelParams(h, g, r, n_q, one))
-        if _decided_root(model) <= 1.0:
+def critical_p_i(h, g, r, n_q: int, *, p_rw: float = 0.0) -> float:
+    """Smallest transmission probability with R* above one at r, or at
+    every r of a sequence, with households rewired with probability p_rw,
+    by one bisection (see the module docstring); Infeasible, naming the
+    first such r in grid order, where R* <= 1 even at p_i = 1."""
+    order = [r] if np.ndim(r) == 0 else list(r)
+
+    def root(r, p_i):
+        infection = InfectionSpec.constant(p_i)
+        return _decided_root(BranchingModel(ModelParams(h, g, r, n_q,
+                                                        infection, p_rw)))
+    for r in order:
+        if root(r, 1.0) <= 1.0:
             raise Infeasible(f"no supercritical transmission probability "
                              f"exists at r={r}")
-        models.append(model)
-    return models
-
-
-def threshold_p_i(models) -> float:
-    """Smallest transmission probability with R* above one for every
-    model, by one bisection over their structure tables (see the module
-    docstring)."""
-    order = list(models)
 
     def threshold(p_i):
-        infection = InfectionSpec.constant(p_i)
-        for k, model in enumerate(order):
-            value = _decided_root(model.with_infection(infection))
+        for k, r in enumerate(order):
+            value = root(r, p_i)
             if value <= 1.0:
-                # the model that held p_i back is likeliest to again
+                # the r that held p_i back is likeliest to again
                 order.insert(0, order.pop(k))
                 break
         return value
     return _bisect(threshold, 1.0, 0.0, 1.0)[1]
-
-
-def critical_p_i(h, g, r, n_q: int) -> float:
-    """Smallest transmission probability with R* above one at r, or at
-    every r of a sequence; Infeasible where R* <= 1 at p_i = 1."""
-    grid = [r] if np.ndim(r) == 0 else r
-    return threshold_p_i(supercritical_models(h, g, grid, n_q))
 
 
 def mu_for_rho(gamma: float, rho_target: float, n_q: int) -> float:

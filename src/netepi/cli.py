@@ -31,11 +31,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .branching import (BranchingModel, ModelParams, analyze, mu_for_rho,
-                        supercritical_models, threshold_p_i, tune_poisson)
+from .branching import (ModelParams, analyze, critical_p_i, mu_for_rho,
+                        tune_poisson)
 from .distributions import InfectionSpec, parse_distribution, poisson, poisson_plus
 from .errors import ConfigError, Infeasible, NetepiError
-from .netgen import build_network, rewire, write_network
+from .netgen import GenSpec, build_network, rewire, write_network
 from .netprops import (
     analytic_degree_corr,
     analytic_degree_dist,
@@ -349,10 +349,9 @@ def _write_csv(path: Path, header: str, columns, rows):
 # -- subcommands ---------------------------------------------------------
 
 
-def _analytic_row(model):
-    p = model.params
+def _analytic_row(p: ModelParams):
     h, g, r, n_q, p_rw = p.household, p.global_degree, p.r, p.n_q, p.p_rw
-    rep = analyze(model)
+    rep = analyze(p)
     d = analytic_degree_dist(h, g)
     comp = degree_corr_components(h, g, r, n_q)
     c = rewired_clustering(h, g, p_rw)
@@ -365,10 +364,10 @@ def cmd_analyze(cfg: dict, out_override=None) -> Path:
     path = _output(cfg, out_override)
     h, g = model_distributions(model)
     spec = infection_spec(infection)
-    params = [ModelParams(household=h, global_degree=g, r=r,
-                          n_q=model["n_q"], infection=spec, p_rw=model["p_rw"])
-              for r in model.get("r_grid", [model["r"]])]
-    rows = [_analytic_row(BranchingModel(p)) for p in params]
+    rows = [_analytic_row(ModelParams(household=h, global_degree=g, r=r,
+                                      n_q=model["n_q"], infection=spec,
+                                      p_rw=model["p_rw"]))
+            for r in model.get("r_grid", [model["r"]])]
     resolved = {"model": model, "infection": infection}
     return _write_csv(
         path("analyze.csv"), _config_header("analyze", resolved),
@@ -384,11 +383,12 @@ def cmd_generate(cfg: dict, out_override=None):
     header = _config_header("generate", {"model": model, "n": sim["n"],
                                          "seed": sim["master_seed"]})
 
-    params = ModelParams(household=h, global_degree=g, r=model["r"],
-                         n_q=model["n_q"], p_rw=model["p_rw"],
-                         infection=InfectionSpec.constant(0.0))
+    spec = GenSpec(n=sim["n"], household=h, global_degree=g, r=model["r"],
+                   n_q=model["n_q"])
+    # rewire checks p_rw only once the network is built
+    c_analytic = rewired_clustering(h, g, model["p_rw"])
     s_build, s_rewire = np.random.SeedSequence(sim["master_seed"]).spawn(2)
-    net = build_network(params.gen_spec(sim["n"]), seed=s_build)
+    net = build_network(spec, seed=s_build)
     if model["p_rw"] > 0.0:
         net = rewire(net, model["p_rw"], seed=s_rewire)
 
@@ -402,8 +402,7 @@ def cmd_generate(cfg: dict, out_override=None):
     row = [net.n, net.n_edges, imp.self_loops, imp.parallel_edges,
            imp.discarded_x0, imp.discarded_x1, imp.discarded_local,
            float(deg.mean()), float(deg.var()),
-           empirical_clustering(net), empirical_degree_corr(net),
-           rewired_clustering(h, g, model["p_rw"]),
+           empirical_clustering(net), empirical_degree_corr(net), c_analytic,
            analytic_degree_corr(h, g, model["r"], model["n_q"])]
     props_path = _write_csv(
         path("network_properties.csv"), header,
@@ -495,20 +494,19 @@ def _figure_fig3(cfg):
     rows = []
     for mu in fig["mu_grid"]:
         h, g = poisson_plus(mu), poisson(gamma - mu)
-        try:
-            models = supercritical_models(h, g, fig["r_grid"], n_q)
-        except Infeasible as exc:
-            raise ConfigError(f"fig3 at mu={mu}: {exc}") from None
         # the flattest supercritical line: just above the critical p_i of
         # the hardest r on the grid
-        p_base = threshold_p_i(models)
+        try:
+            p_base = critical_p_i(h, g, fig["r_grid"], n_q)
+        except Infeasible as exc:
+            raise ConfigError(f"fig3 at mu={mu}: {exc}") from None
         c_rho = [poisson_c_rho(gamma, mu, r, n_q) for r in fig["r_grid"]]
         for factor in fig["p_i_factors"]:
             p_i = min(1.0, factor * p_base)
             spec = InfectionSpec.constant(p_i)
-            for model, (c, rho) in zip(models, c_rho):
-                rep = analyze(model.with_infection(spec))
-                rows.append([mu, factor, p_i, model.params.r, c, rho,
+            for r, (c, rho) in zip(fig["r_grid"], c_rho):
+                rep = analyze(ModelParams(h, g, r, n_q, spec))
+                rows.append([mu, factor, p_i, r, c, rho,
                              rep.r_star, rep.p_major, rep.z])
     return ({"figure": {"name": "fig3", **fig}},
             ["mu", "p_i_factor", "p_i", "r", "c", "rho", "r_star", "p_maj",
@@ -518,17 +516,13 @@ def _figure_fig3(cfg):
 def _figure_fig4(cfg):
     fig, model = cfg["figure"], cfg["model"]
     h, g = model_distributions(model)
-    # one model per r, and per p_i one infection its models share
-    specs = [InfectionSpec.constant(p_i) for p_i in fig["p_i_grid"]]
-    models = [BranchingModel(ModelParams(household=h, global_degree=g, r=r,
-                                         n_q=model["n_q"], infection=specs[0],
-                                         p_rw=model["p_rw"]))
-              for r in fig["r_grid"]]
     rows = []
-    for p_i, spec in zip(fig["p_i_grid"], specs):
-        for base in models:
-            rep = analyze(base.with_infection(spec))
-            rows.append([p_i, base.params.r, rep.r_star, rep.p_major, rep.z])
+    for p_i in fig["p_i_grid"]:
+        spec = InfectionSpec.constant(p_i)
+        for r in fig["r_grid"]:
+            rep = analyze(ModelParams(h, g, r, model["n_q"], spec,
+                                      model["p_rw"]))
+            rows.append([p_i, r, rep.r_star, rep.p_major, rep.z])
     resolved = {"figure": {"name": "fig4", "p_i_grid": fig["p_i_grid"],
                            "r_grid": fig["r_grid"]}, "model": model}
     return resolved, ["p_i", "r", "r_star", "p_maj", "z"], rows
@@ -544,15 +538,13 @@ def _figure_fig5(cfg):
     mu_base = mu_for_rho(gamma, rho_target, n_q)
     c_base = poisson_c_rho(gamma, mu_base, -1.0, n_q)[0]
 
-    # rewiring reaches only the household laws, so the rewired rows share
-    # one model's structure tables
-    rewired = BranchingModel(ModelParams(household=poisson_plus(mu_base),
-                                         global_degree=poisson(gamma - mu_base),
-                                         r=-1.0, n_q=n_q, infection=spec))
+    h_base, g_base = poisson_plus(mu_base), poisson(gamma - mu_base)
     rows = []
     for p_rw in fig["p_rw_grid"]:
         c_target = (1.0 - p_rw) * c_base
-        rep = analyze(rewired.with_infection(spec, p_rw=p_rw))
+        # rewiring reaches only the household laws, so the rewired rows
+        # share one structure
+        rep = analyze(ModelParams(h_base, g_base, -1.0, n_q, spec, p_rw))
         rows.append(["rewired", c_target, rho_target, mu_base, -1.0, p_rw,
                      rep.r_star, rep.p_major, rep.z])
         try:

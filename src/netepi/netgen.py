@@ -102,9 +102,16 @@ class GenSpec:
     n_q: int = 1
 
     def __post_init__(self):
+        _check_integer("n", self.n)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         check_structure(self.household, self.r, self.n_q)
+
+
+def _check_integer(name: str, value) -> None:
+    # numpy integers count; bools and integral floats do not
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
 
 
 def check_structure(household: DiscreteDist, r: float, n_q: int) -> None:
@@ -113,6 +120,7 @@ def check_structure(household: DiscreteDist, r: float, n_q: int) -> None:
         raise ValueError("household sizes must be >= 1")
     if not -1.0 <= r <= 1.0:
         raise ValueError("r must lie in [-1, 1]")
+    _check_integer("n_q", n_q)
     if not 1 <= n_q <= MAX_BLOCKS:
         raise ValueError(f"n_q must lie in 1..{MAX_BLOCKS}")
 

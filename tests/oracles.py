@@ -41,18 +41,20 @@ def reference_monotone_extinction(model, tol=1e-13, max_iter=500_000):
 def reference_critical_p_i(h, g, r, n_q):
     """The critical p_i the original way: bisect [0, 1] down to a 1e-10
     bracket, each step decided by the power-iteration R* of the step's
-    constant infection on one structure model.  Returns the upper end and
+    constant infection on one structure.  Returns the upper end and
     the (p_i, R*, mean matrix) of every step."""
+    from dataclasses import replace
+
     from netepi.branching import BranchingModel, ModelParams
     from netepi.distributions import InfectionSpec
 
-    model = BranchingModel(ModelParams(h, g, r, n_q,
-                                       InfectionSpec.constant(1.0)))
+    params = ModelParams(h, g, r, n_q, InfectionSpec.constant(1.0))
     steps = []
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        step = model.with_infection(InfectionSpec.constant(mid))
+        step = BranchingModel(replace(params,
+                                      infection=InfectionSpec.constant(mid)))
         value = step.r_star()
         steps.append((mid, value, step.mean_matrix()))
         if value > 1.0:

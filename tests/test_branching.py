@@ -9,6 +9,7 @@ table with the implementation.
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from netepi.branching import (
     critical_p_i,
     mu_for_rho,
     r_star,
-    threshold_p_i,
+    structure,
     tune_poisson,
 )
 from netepi.distributions import (
@@ -118,8 +119,8 @@ def test_mean_matrix_is_read_only():
     # from it, so a write must fail rather than change both
     pm = params(poisson_plus(2.0), poisson(6.0), r=-0.8, n_q=6, p_i=0.3)
     model = BranchingModel(pm)
-    for m in (model.mean_matrix(),
-              model.with_infection(InfectionSpec.constant(0.6)).mean_matrix()):
+    other = replace(pm, infection=InfectionSpec.constant(0.6))
+    for m in (model.mean_matrix(), BranchingModel(other).mean_matrix()):
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = 0.0
     infinite = BranchingModel(params(point(4), poisson(4.0), r=0.3, n_q=4,
@@ -180,10 +181,8 @@ def test_mean_matrix_is_the_offspring_pgf_jacobian_at_one(h, g):
             for p_rw in (0.0, 0.3, 1.0):
                 base = BranchingModel(params(h, g, r=r, n_q=n_q, p_rw=p_rw))
                 for inf in _JACOBIAN_INFECTIONS:
-                    model = base.with_infection(inf)
-                    assert model.q_ih is base.q_ih
-                    assert model.a_i is base.a_i
-                    assert model.w_hj is base.w_hj
+                    model = BranchingModel(replace(base.params, infection=inf))
+                    assert model.structure is base.structure
                     m = model.mean_matrix()
                     # every size of these laws is reached, so a rewired
                     # household beyond 1/(h-2) makes the means infinite
@@ -209,7 +208,7 @@ def test_spare_powers_equal_the_broadcast_powers_bitwise(h, g):
     for r in (-1.0, -0.75, -0.5, 0.0, 0.3, 0.5, 1.0):
         for n_q in (1, 6, 10):
             model = BranchingModel(params(h, g, r=r, n_q=n_q))
-            exponents = model.exponents
+            exponents = model.structure.exponents
             rows = [np.zeros(n_q), np.ones(n_q), *rng.random((3, n_q)),
                     1.0 - 1e-3 * rng.random(n_q)]
             for g_type in rows:
@@ -247,7 +246,7 @@ def test_diagonal_kernel_warns_reducible_and_matches_max_block():
     model = BranchingModel(pm)
     with pytest.warns(ReducibleMatrixWarning):
         got = model.r_star()
-    table = model.table
+    table = model.structure.table
     block_mean = table.d_given_q.T @ table.degrees.astype(float)
     assert got == pytest.approx(0.1 * float(np.max(block_mean - 1.0)), abs=1e-9)
 
@@ -278,6 +277,27 @@ def test_params_bound_blocks_like_the_generator():
         ModelParams(point(2), poisson(5.0), 0.0, 32768, inf)
     with pytest.raises(ValueError, match=r"^n_q must lie in 1\.\.32767$"):
         ModelParams(point(2), poisson(5.0), 0.0, 0, inf)
+
+
+@pytest.mark.parametrize("n_q", [2.5, 3.0, True])
+def test_params_reject_a_block_count_that_is_not_an_integer(n_q):
+    # a float or bool n_q would fail later as a numpy index; the check at
+    # the boundary names the field
+    with pytest.raises(TypeError,
+                       match=f"^n_q must be an integer, not {n_q!r}$"):
+        params(point(2), poisson(5.0), n_q=n_q)
+
+
+def test_params_take_a_numpy_integer_block_count():
+    # each from an empty memo, so each key builds its own record
+    structure.cache_clear()
+    got = analyze(params(poisson_plus(2.0), poisson(6.0), r=0.5,
+                         n_q=np.int64(4), p_i=0.3))
+    structure.cache_clear()
+    want = analyze(params(poisson_plus(2.0), poisson(6.0), r=0.5, n_q=4,
+                          p_i=0.3))
+    assert (got.r_star, got.z) == (want.r_star, want.z)
+    assert np.array_equal(got.xi, want.xi)
 
 
 # -- extinction probabilities and outbreak sizes ------------------------
@@ -406,9 +426,10 @@ def test_offspring_pgf_matches_per_type_loop(r, p_rw):
                                   n_q=5, p_i=0.25, p_rw=p_rw))
     s = np.linspace(0.1, 0.9, 5)
     g_type, f1, _ = model._stub_pgfs(s)
-    local = model.households.mixture_pgf_profile(model.h_vals, f1, p_rw)
-    ref = [model.table.d_given_q[:, i]
-           @ ((model.size_given_degree * g_type[i] ** model.exponents)
+    tables = model.structure
+    local = model.households.mixture_pgf_profile(tables.h_vals, f1, p_rw)
+    ref = [tables.table.d_given_q[:, i]
+           @ ((tables.size_given_degree * g_type[i] ** tables.exponents)
               @ local)
            for i in range(5)]
     assert model._offspring_pgf(s) == pytest.approx(ref, rel=0.0, abs=1e-14)
@@ -535,27 +556,61 @@ def test_extinction_singular_newton_system_raises(monkeypatch):
     assert len(info.value.history) == 1
 
 
-def test_with_infection_shares_structure_and_matches_a_fresh_build():
-    base = BranchingModel(params(poisson_plus(2.0), poisson(6.0), r=-0.5,
-                                 n_q=6, p_i=0.3, p_rw=0.3))
-    base.backward_extinction()
+def _record_leaves(record, prefix=""):
+    """(path, value) of every array and scalar of a structure record,
+    through the records it holds (its quantile table and that table's
+    law)."""
+    for name, value in vars(record).items():
+        if hasattr(value, "__dict__"):
+            yield from _record_leaves(value, f"{prefix}{name}.")
+        else:
+            yield f"{prefix}{name}", value
+
+
+def test_models_of_one_structure_share_one_record_and_match_fresh_builds():
+    base = params(poisson_plus(2.0), poisson(6.0), r=-0.5, n_q=6, p_i=0.3,
+                  p_rw=0.3)
+    first = BranchingModel(base)
+    first.backward_extinction()
+    assert BranchingModel(base).structure is first.structure
     for inf in (InfectionSpec.constant(0.15), _GOLDEN_GAMMA):
-        model = base.with_infection(inf)
-        fresh = BranchingModel(params(poisson_plus(2.0), poisson(6.0),
+        model = BranchingModel(replace(base, infection=inf))
+        # laws built anew compare by value, so they are the same key
+        again = BranchingModel(params(poisson_plus(2.0), poisson(6.0),
                                       r=-0.5, n_q=6, p_rw=0.3, infection=inf))
-        assert model.params.infection is inf
-        assert model.params.household is base.params.household
-        assert model.params.p_rw == 0.3 and model.params.r == -0.5
-        assert model.table is base.table and model.kernels is base.kernels
-        assert model.households is not base.households
+        assert model.structure is again.structure
+        assert model.structure is BranchingModel(base).structure
+        assert model.households is not first.households
         assert model.extinction_stats is None
+        structure.cache_clear()
+        fresh = BranchingModel(model.params)
+        assert fresh.structure is not model.structure
+        leaves = dict(_record_leaves(fresh.structure))
+        assert leaves.keys() == dict(_record_leaves(model.structure)).keys()
+        for path, value in _record_leaves(model.structure):
+            assert type(value) is type(leaves[path]), path
+            assert np.array_equal(value, leaves[path]), path
+            assert np.asarray(value).dtype == np.asarray(leaves[path]).dtype
         assert model.r_star() == fresh.r_star()
         assert model.z_final_size() == fresh.z_final_size()
         assert np.array_equal(model.backward_extinction(),
                               fresh.backward_extinction())
-    # the source model keeps its own infection and memos
-    assert base.params.infection.p_i == 0.3
-    assert base.r_star() == BranchingModel(base.params).r_star()
+    # the first model keeps its own infection and memos
+    assert first.params.infection.p_i == 0.3
+    assert first.r_star() == BranchingModel(first.params).r_star()
+
+
+def test_structure_record_is_read_only():
+    # every model of one (H, G, r, n_q) in the process reads one record,
+    # so a write to any of its arrays must fail rather than change them all
+    model = BranchingModel(params(poisson_plus(2.0), poisson(6.0), r=-0.5,
+                                  n_q=6, p_rw=0.3))
+    arrays = {path: value for path, value in _record_leaves(model.structure)
+              if isinstance(value, np.ndarray)}
+    assert {"size_given_degree", "exponents", "q_ih", "block_mix_partner",
+            "partner_rows", "table.joint", "table.dist.probs"} <= arrays.keys()
+    for path, array in arrays.items():
+        assert not array.flags.writeable, path
 
 
 def test_models_share_a_household_engine_of_their_infection_and_size():
@@ -569,7 +624,8 @@ def test_models_share_a_household_engine_of_their_infection_and_size():
         # another r, n_q and p_rw leave the household law as it is
         built = BranchingModel(params(h, g, r=0.5, n_q=4, p_rw=0.3,
                                       infection=inf))
-        copied = base.with_infection(inf, p_rw=0.3)
+        copied = BranchingModel(replace(base.params, infection=inf,
+                                        p_rw=0.3))
         assert copied.households is built.households
         assert built.households.infection == inf
         assert built.households.max_size == h.max_support()
@@ -578,11 +634,11 @@ def test_models_share_a_household_engine_of_their_infection_and_size():
         assert BranchingModel(params(wider, g, r=0.5, n_q=4, infection=inf)
                               ).households is not built.households
         # and the shared engine answers as one built afresh
-        got = analyze(copied)
+        got = analyze(copied.params)
         household_engine.cache_clear()
         fresh = BranchingModel(copied.params)
         assert fresh.households is not copied.households
-        want = analyze(fresh)
+        want = analyze(fresh.params)
         assert (got.r_star, got.z) == (want.r_star, want.z)
         assert np.array_equal(got.xi, want.xi)
         for size in range(1, h.max_support() + 1):
@@ -592,8 +648,9 @@ def test_models_share_a_household_engine_of_their_infection_and_size():
     # same law is the same key
     gamma = InfectionSpec.gamma(rate=0.4, shape=2.0, scale=0.5)
     assert gamma is not _GOLDEN_GAMMA
-    assert (base.with_infection(gamma).households
-            is base.with_infection(_GOLDEN_GAMMA).households)
+    assert (BranchingModel(replace(base.params, infection=gamma)).households
+            is BranchingModel(replace(base.params, infection=_GOLDEN_GAMMA)
+                              ).households)
 
 
 def test_constant_period_analyze_solves_extinction_once(monkeypatch):
@@ -650,10 +707,11 @@ def _r_star_warning_iff_reducible(model):
 
 def _mc_setup(pm):
     model = BranchingModel(pm)
+    table = model.structure.table
     mc = MultitypeForwardMC(
         pm.household.support, pm.household.probs,
         pm.global_degree.support, pm.global_degree.probs,
-        model.d_vals, model.table.d_given_q, model.table.q_given_d,
+        table.degrees, table.d_given_q, table.q_given_d,
         pm.r, pm.n_q, pm.infection.p_i, cap=200,
     )
     return model, mc
@@ -782,16 +840,17 @@ def test_critical_p_i_matches_the_power_iteration_bisection(capsys):
               f"{fallback_largest:.3g} there, {largest:.3g} over all steps")
 
 
-def test_threshold_p_i_decides_an_infinite_mean_matrix():
+def test_critical_p_i_decides_an_infinite_mean_matrix():
     # at p_i = 1 the rewired households' local epidemics are
     # supercritical, so the mean matrix is all inf: R* is inf, decided
     # without an eigenvalue call
     model = BranchingModel(params(poisson_plus(2.0), poisson(6.0), r=0.0,
                                   n_q=4, p_i=1.0, p_rw=0.5))
     assert np.isinf(model.mean_matrix()).all()
-    p_i = threshold_p_i([model])
+    p_i = critical_p_i(poisson_plus(2.0), poisson(6.0), 0.0, 4, p_rw=0.5)
     assert 0.0 < p_i < 1.0
-    assert model.with_infection(InfectionSpec.constant(p_i)).r_star() > 1.0
+    at_p_i = replace(model.params, infection=InfectionSpec.constant(p_i))
+    assert BranchingModel(at_p_i).r_star() > 1.0
 
 
 def test_model_params_compare_and_hash_by_value():

@@ -18,8 +18,8 @@ from netepi.cli import (
     resolve_infection,
     resolve_model,
 )
-from netepi.branching import (_BISECT_WIDTH, BranchingModel, critical_p_i,
-                              mu_for_rho, tune_poisson)
+from netepi.branching import (_BISECT_WIDTH, Structure, critical_p_i,
+                              mu_for_rho, structure, tune_poisson)
 from netepi.distributions import poisson, poisson_plus
 from netepi.errors import ConfigError
 from netepi.household import HouseholdEngine, household_engine
@@ -512,6 +512,22 @@ def test_generate_writes_network_and_properties(tmp_path):
     assert abs(float(row["rho_empirical"]) - float(row["rho_analytic"])) < 0.1
 
 
+@pytest.mark.parametrize("p_rw", [-0.1, 1.5])
+def test_generate_rejects_p_rw_before_building(monkeypatch, tmp_path,
+                                               capsys, p_rw):
+    # a negative p_rw would skip rewiring and one above 1 would fail only
+    # in rewire, after the build; both fail before any network is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("network built")
+
+    monkeypatch.setattr("netepi.cli.build_network", unreachable)
+    cfg = {**GENERATE_CFG, "model": {**GENERATE_CFG["model"], "p_rw": p_rw}}
+    path = write_yaml(tmp_path / "c.yaml", cfg)
+    assert main(["generate", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "error: p_rw must lie in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "network.txt").exists()
+
+
 def test_generate_deterministic_and_seed_flag(tmp_path):
     path = write_yaml(tmp_path / "c.yaml", GENERATE_CFG)
     main(["generate", "--config", path, "--out", str(tmp_path / "a")])
@@ -706,24 +722,40 @@ _R5 = [-1.0, -0.5, 0.0, 0.5, 1.0]
 _STEPS = math.ceil(-math.log2(_BISECT_WIDTH))
 
 
-@pytest.mark.parametrize("argv, cfg, models, engines", [
-    # one model per r; one engine at p_i = 1 for the feasibility checks,
-    # one per bisection step and one per factor
+def _count_builds(monkeypatch):
+    """{class: builds} of structure records and household engines from
+    now on, with both memos emptied, as an earlier test may have left a
+    record or an engine in them."""
+    built = {Structure: 0, HouseholdEngine: 0}
+    for cls in built:
+        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    structure.cache_clear()
+    household_engine.cache_clear()
+    return built
+
+
+@pytest.mark.parametrize("argv, cfg, structures, engines", [
+    # one structure per r; one engine at p_i = 1 for the feasibility
+    # checks, one per bisection step and one per factor
     (["figure", "fig3"],
      {"figure": {"mu_grid": [2.0], "r_grid": _R5,
                  "p_i_factors": [1.05, 1.5, 2.5, 4.0]}},
      5, 1 + _STEPS + 4),
-    # one model per r and one engine per p_i
+    # one structure per r and one engine per p_i
     (["figure", "fig4"], {"figure": {"p_i_grid": [0.103, 0.104],
                                      "r_grid": _R5}}, 5, 2),
-    # one model and engine for the five rewired rows, and one model each
-    # for the five unrewired rows, whose (mu, r) differ; the p_rw = 0 row
-    # is tuned to the rewired rows' mu, so it shares their engine
+    # one structure and engine for the five rewired rows, and one
+    # structure each for the five unrewired rows, whose (mu, r) differ; the
+    # p_rw = 0 row is tuned to the rewired rows' mu, so it shares their
+    # engine
     (["figure", "fig5"], {}, 6, 5),
-    # one model per r and one engine
+    # one structure per r and one engine
     (["figure", "fig2"], {"figure": {"r_grid": [-1.0, 0.0, 1.0]},
                           "simulation": {"n": 200, "n_sims": 3}}, 3, 1),
-    # one model per r and one engine
+    # one structure per r and one engine
     (["analyze"], {"model": {"household": "poisson_plus(2)",
                              "global_degree": "poisson(8)", "r_grid": _R5,
                              "n_q": 10, "p_rw": 0.3},
@@ -731,18 +763,30 @@ _STEPS = math.ceil(-math.log2(_BISECT_WIDTH))
                                  "shape": 2.0, "scale": 0.5}}, 5, 1),
 ], ids=["fig3", "fig4", "fig5", "fig2", "analyze"])
 def test_commands_build_one_model_and_engine_per_shared_key(
-        monkeypatch, tmp_path, argv, cfg, models, engines):
-    built = {BranchingModel: 0, HouseholdEngine: 0}
-    for cls in built:
-        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
-            built[_cls] += 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
-    # an engine left in the memo by an earlier test is not built again
-    household_engine.cache_clear()
+        monkeypatch, tmp_path, argv, cfg, structures, engines):
+    # each row builds its own model; the models of a shared (H, G, r, n_q)
+    # share one structure record, and those of a shared infection one engine
+    built = _count_builds(monkeypatch)
     path = write_yaml(tmp_path / "c.yaml", cfg)
     assert main([*argv, "--config", path, "--out", str(tmp_path)]) == 0
-    assert built == {BranchingModel: models, HouseholdEngine: engines}
+    assert built == {Structure: structures, HouseholdEngine: engines}
+
+
+def test_fig4_after_fig3_builds_no_structure(monkeypatch, tmp_path):
+    # fig3 at mu = 2 and fig4's default model are one law, so with one
+    # r grid fig4 finds every structure it needs in the memo
+    built = _count_builds(monkeypatch)
+    fig3 = write_yaml(tmp_path / "fig3.yaml", {"figure": {
+        "mu_grid": [2.0], "r_grid": _R5,
+        "p_i_factors": [1.05, 1.5, 2.5, 4.0]}})
+    fig4 = write_yaml(tmp_path / "fig4.yaml", {"figure": {
+        "p_i_grid": [0.103, 0.104], "r_grid": _R5}})
+    assert main(["figure", "fig3", "--config", fig3,
+                 "--out", str(tmp_path)]) == 0
+    assert built[Structure] == 5
+    assert main(["figure", "fig4", "--config", fig4,
+                 "--out", str(tmp_path)]) == 0
+    assert built[Structure] == 5
 
 
 # fig5's inversions at its defaults (gamma = 10, n_q = 10, rho = 0.2): the

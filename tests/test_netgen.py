@@ -1087,6 +1087,24 @@ def test_gen_spec_validation():
         ng.GenSpec(n=5, household=dd.point(2), global_degree=dd.point(1), n_q=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 10.5), ("n", 1e3), ("n", True),
+    ("n_q", 2.5), ("n_q", 3.0), ("n_q", True),
+])
+def test_gen_spec_rejects_a_count_that_is_not_an_integer(field, value):
+    # a float or bool count would fail later inside numpy; the spec names
+    # the field instead
+    with pytest.raises(TypeError, match=re.escape(
+            f"{field} must be an integer, not {value!r}")):
+        small_spec(**{field: value})
+
+
+def test_gen_spec_takes_numpy_integer_counts():
+    spec = small_spec(n=np.int64(200), n_q=np.int16(4))
+    assert (network_text(ng.build_network(spec, 3))
+            == network_text(ng.build_network(small_spec(n=200, n_q=4), 3)))
+
+
 def test_imperfections_are_counted_on_first_read():
     spec = small_spec(n=400, r=0.5, n_q=4)
     net = ng.build_network(spec, 6)

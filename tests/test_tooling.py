@@ -5,10 +5,11 @@ wrappers and restoring them afterwards.  Renaming or deleting one of
 those callables would only show up when a traced benchmark run crashes;
 these tests make it fail the suite instead.  The same holds for the
 configs the benchmark workloads hand to the command line, and for the
-start-up cost every command pays before its work begins.  Two guards
+start-up cost every command pays before its work begins.  Three guards
 read the source itself: a name set in src/ that nothing reads fails one,
-and a household engine built in src/ outside household.py the other.
-A third holds the config table's infection keys to the parameters of
+a household engine built in src/ outside household.py another, and a
+structure record or its tables built outside branching's memo the third.
+Another holds the config table's infection keys to the parameters of
 the InfectionSpec constructors that resolve_infection reads them by.
 Another records every shuffle the structure layer draws, each of which
 must permute an array whose items are the size of intp: the only item
@@ -146,6 +147,11 @@ def test_every_name_set_in_src_is_read():
     assert not dead, dead
 
 
+def _called_name(node):
+    func = getattr(node, "func", None)
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
 def test_only_household_builds_household_engines():
     # every other module takes its engine from household.household_engine,
     # whose memo is keyed on all that fixes an engine's tables, so no model
@@ -155,11 +161,39 @@ def test_only_household_builds_household_engines():
         if not path.is_relative_to(SRC) or path.name == "household.py":
             continue
         for node in ast.walk(tree):
-            func = getattr(node, "func", None)
             if (isinstance(node, ast.Call)
-                    and getattr(func, "id", getattr(func, "attr", None))
-                    == "HouseholdEngine"):
+                    and _called_name(node) == "HouseholdEngine"):
                 builders.append(f"{path.name}:{node.lineno}")
+    assert not builders, builders
+
+
+def test_only_the_memo_builds_structure_tables():
+    # a Structure record is built only by branching.structure, whose memo
+    # is keyed on all that fixes its tables, (H, G, r, n_q), and its
+    # stub-degree law, quantile table and pairing kernels are built only
+    # in the record, so no model holds tables of another structure or
+    # builds its own
+    builders = []
+    for path, tree in _source_trees():
+        if not path.is_relative_to(SRC):
+            continue
+        # the nodes each watched call may sit in: none outside branching
+        homes = {"Structure": set()}
+        if path.name == "branching.py":
+            defs = {stmt.name: stmt for stmt in tree.body
+                    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+            memo, record = defs["structure"], defs["Structure"]
+            assert any(ast.unparse(d).startswith("functools.lru_cache")
+                       for d in memo.decorator_list)
+            homes["Structure"] = {id(node) for node in ast.walk(memo)}
+            homes.update(dict.fromkeys(
+                ("stub_degree_law", "quantile_table", "pairing_kernels"),
+                {id(node) for node in ast.walk(record)}))
+        for node in ast.walk(tree):
+            name = _called_name(node)
+            if (isinstance(node, ast.Call) and name in homes
+                    and id(node) not in homes[name]):
+                builders.append(f"{path.name}:{node.lineno} {name}")
     assert not builders, builders
 
 
