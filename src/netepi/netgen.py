@@ -54,17 +54,20 @@ epidemics walk is built once per `Network` and cached as
 
 `write_network` and `read_network` round-trip a plain-text edge list
 (format and grammar in the comment above them) without a Python step per
-edge: the writer lays out chunks of 2**16 edges in a byte buffer and
-writes the decimal digits of each column with numpy, one pass per digit
-place, and the reader parses blocks of whole lines with a numpy
-tokenizer and integer parser.  A path is read as raw bytes and an open
-text file as its UTF-8 encoding, 2**18 bytes or characters at a time, so
-memory stays bounded by the block size, and both take one line-end rule.
-A bad file's error names its first bad line, at any block size.
+edge: the writer makes each chunk of 2**16 edges one matrix of four-byte
+words, one row per line, with every number right-aligned in words looked
+up in one table of four-digit words and every gap padded with NUL, and
+drops the NULs from the matrix's bytes in one pass; the reader parses
+blocks of whole lines with a numpy tokenizer and integer parser.  A path
+is read as raw bytes and an open text file as its UTF-8 encoding, 2**18
+bytes or characters at a time, so memory stays bounded by the block
+size, and both take one line-end rule.  A bad file's error names its
+first bad line, at any block size.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -114,10 +117,17 @@ def _check_integer(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, not {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    # numpy floats and integers count; bools do not
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, not {value!r}")
+
+
 def check_structure(household: DiscreteDist, r: float, n_q: int) -> None:
     """The checks GenSpec and ModelParams share, with the same messages."""
     if household.min_support() < 1:
         raise ValueError("household sizes must be >= 1")
+    check_real("r", r)
     if not -1.0 <= r <= 1.0:
         raise ValueError("r must lie in [-1, 1]")
     _check_integer("n_q", n_q)
@@ -484,26 +494,33 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
 # lines names the first of them.
 #
 # Both directions work in bounded blocks.  The writer takes _IO_CHUNK
-# edges at a time: it counts the decimal digits of every number in the
-# chunk, takes each line's length and offset from one cumsum, and fills a
-# byte buffer by position: spaces, the kind and the newline, then the
-# digits, one divide-by-ten pass per digit place (_format_edges,
-# _put_decimal).  It hands the chunk to the text file as one str, so a
-# caller's own lines before it stay in order.  The reader reads a path in
-# binary and an open text file encoded to UTF-8, _READ_BLOCK bytes or
-# characters at a time, and cuts each block after its last line end
-# (_byte_blocks).  The parser finds the tokens of a block in numpy,
-# decodes only the "#" lines for _read_header, parses the edge lines'
-# integers in numpy, and raises the first bad line's first fault
-# (_parse_block, _parse_ints).
+# edges at a time and makes them one uint32 matrix, one row of four-byte
+# words per line (_word_matrix).  Each number takes as many words as the
+# largest in its column needs, looked up in one read-only table of 20,001
+# words (_digit_words): 0000-9999, the same with NULs for leading zeros,
+# and an all-NUL word for the places above a short number's first digit;
+# a sign word goes first only where a column holds a negative value
+# (_decimal_words).  The spaces, " loc" + "al" or " glo" + "bal" and the
+# newline are constant words, and the label block is all NUL on unlabelled
+# edges.  The matrix's bytes with every NUL dropped, one bytes.translate
+# pass, are the chunk's lines (_format_edges).  It hands the chunk to the
+# text file as one str, so a caller's own lines before it stay in order.
+# The reader reads a path in binary and an open text file encoded to
+# UTF-8, _READ_BLOCK bytes or characters at a time, and cuts each block
+# after its last line end (_byte_blocks).  The parser finds the tokens
+# of a block in numpy, decodes only the "#" lines for _read_header,
+# parses the edge lines' integers in numpy, and raises the first bad
+# line's first fault (_parse_block, _parse_ints).
 
 _IO_CHUNK = 1 << 16
 _READ_BLOCK = 1 << 18  # bytes, or characters of a text file
 _LOCAL = np.frombuffer(b"local", dtype=np.uint8)
-_LOCAL_PADDED = np.frombuffer(b"local ", dtype=np.uint8)
 _GLOBAL = np.frombuffer(b"global", dtype=np.uint8)
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 _MAX_DIGITS = 18  # any 18-digit decimal fits in int64
+# the constant words of a line, NUL-padded: a space, " loc" + "al",
+# " glo" + "bal", the newline and a minus sign
+_SPACE, _LOC, _AL, _GLO, _BAL, _NEWLINE, _MINUS = np.frombuffer(
+    b" \0\0\0 local\0\0 global\0\n\0\0\0-\0\0\0", dtype=np.uint32)
 
 
 def write_network(net: Network, out: Union[str, os.PathLike, TextIO]) -> None:
@@ -525,61 +542,79 @@ def write_network(net: Network, out: Union[str, os.PathLike, TextIO]) -> None:
                                 net.stub_q_v[part]))
 
 
+@lru_cache(maxsize=1)
+def _digit_words() -> np.ndarray:
+    """The 20,001 four-byte words numbers are written in, read-only: word
+    k < 10,000 is k in four digits, word 10,000 + k is k with NULs for its
+    leading zeros (0 keeps its "0"), and word 20,000 is all NUL."""
+    k = np.arange(10_000)
+    places = 10 ** np.arange(3, -1, -1)
+    digits = (k[:, None] // places % 10 + ord("0")).astype(np.uint8)
+    padded = np.where(k[:, None] >= places, digits, 0)
+    padded[:, -1] = digits[:, -1]
+    words = np.concatenate([digits, padded, np.zeros((1, 4), np.uint8)])
+    table = words.view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
+
+
 def _format_edges(u, v, local, q_u, q_v) -> str:
-    """The edge lines of aligned, non-empty edge columns."""
-    u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
-    labelled = np.flatnonzero(q_u | q_v)
-    q_u = np.asarray(q_u[labelled], np.int64)
-    q_v = np.asarray(q_v[labelled], np.int64)
-    w_u, w_v = _decimal_width(u), _decimal_width(v)
-    w_qu, w_qv = _decimal_width(q_u), _decimal_width(q_v)
-    # "u v kind", then " qu qv" on labelled edges, then the newline
-    kind_offset = w_u + w_v + 2
-    line_len = kind_offset + np.where(local, 6, 7)
-    line_len[labelled] += w_qu + w_qv + 2
-    line_end = np.cumsum(line_len)
-    kind = line_end - line_len + kind_offset
-    # one spare byte at the end takes the writes that land nowhere
-    buf = np.full(int(line_end[-1]) + 1, ord(" "), dtype=np.uint8)
-    buf[kind[:, None] + np.arange(6)] = np.where(local[:, None],
-                                                 _LOCAL_PADDED, _GLOBAL)
-    buf[line_end - 1] = ord("\n")
-    _put_decimal(buf, kind - 2 - w_v, u, w_u)
-    _put_decimal(buf, kind - 1, v, w_v)
-    q_end = line_end[labelled] - 1
-    _put_decimal(buf, q_end - 1 - w_qv, q_u, w_qu)
-    _put_decimal(buf, q_end, q_v, w_qv)
-    return buf[:-1].tobytes().decode("ascii")
+    """The edge lines of aligned, non-empty edge columns: the rows of
+    their word matrix with the NULs dropped.  The matrix goes as soon as
+    its bytes are taken, before the NULs are dropped."""
+    return (_word_matrix(u, v, local, q_u, q_v).tobytes()
+            .translate(None, b"\0").decode("ascii"))
 
 
-def _decimal_width(x: np.ndarray) -> np.ndarray:
-    """len(str(x[i])) for each int64 x[i]."""
-    magnitude = np.abs(x)
-    width = 1 + (x < 0)
-    for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= magnitude.max(initial=0)]:
-        width += magnitude >= power
-    return width
+def _word_matrix(u, v, local, q_u, q_v) -> np.ndarray:
+    """A uint32 matrix of four-byte words, one row per edge line: "u v
+    kind", then " qu qv" on labelled edges, then the newline, each number
+    right-aligned in its column's words and every gap padded with NUL."""
+    local = np.asarray(local, dtype=bool)
+    # the label block, all NUL on unlabelled edges
+    labelled = (q_u | q_v) != 0
+    labels = [labelled * word for word in [_SPACE, *_decimal_words(q_u),
+                                           _SPACE, *_decimal_words(q_v)]]
+    columns = [*_decimal_words(u), _SPACE, *_decimal_words(v),
+               np.where(local, _LOC, _GLO), np.where(local, _AL, _BAL),
+               *labels, _NEWLINE]
+    # one row per word place, each written contiguously, transposed
+    words = np.empty((len(columns), u.size), dtype=np.uint32)
+    for i, column in enumerate(columns):
+        words[i] = column
+    return words.T
 
 
-def _put_decimal(buf: np.ndarray, end: np.ndarray, x: np.ndarray,
-                 width: np.ndarray) -> None:
-    """Write str(x[i]) into buf[end[i] - width[i]:end[i]] for each i.
-
-    One pass per digit place; a place beyond a number's digits writes to
-    buf's last byte instead, which the caller drops.
-    """
-    spare = buf.size - 1
-    negative = x < 0
-    digits = width - negative
-    most = int(digits.max(initial=0))
-    # uint32 divides by 10 several times faster than int64
-    rest = np.abs(x).astype(np.uint32 if most <= 9 else np.uint64)
-    for place in range(most):
-        quotient = rest // 10
-        buf[np.where(digits > place, end - 1 - place, spare)] = (
-            rest - quotient * 10 + ord("0"))
+def _decimal_words(x: np.ndarray) -> list[np.ndarray]:
+    """The word columns that write str(x[i]) right-aligned, NUL-padded on
+    the left: a sign word where any x[i] is negative, then as many
+    four-digit words as the largest magnitude needs, most significant
+    first.  A word above a number's leading digit is all NUL."""
+    table = _digit_words()
+    lo, hi = int(x.min()), int(x.max())
+    top = max(hi, -lo)
+    # magnitudes in unsigned integers, which divide several times faster
+    # than int64 and negate -2**63 exactly
+    rest = x.astype(np.uint32 if top < 2**32 else np.uint64)
+    if lo < 0:
+        np.negative(rest, out=rest, where=x < 0)
+    words = []
+    for place in range((len(str(top)) + 3) // 4):
+        quotient = rest // 10_000
+        # the word's value, moved up 10,000 into the NUL-padded words
+        # where it holds the number's leading digit, and 10,000 more to the
+        # all-NUL word where the number ends below it (never in the last
+        # place, so that 0 keeps its "0")
+        word = rest - quotient * 10_000
+        lead = (quotient == 0).view(np.uint8)
+        if place:
+            lead += rest == 0
+        word += lead * np.uint32(10_000)
+        words.append(table.take(word))
         rest = quotient
-    buf[np.where(negative, end - width, spare)] = ord("-")
+    if lo < 0:
+        words.append((x < 0) * _MINUS)
+    return words[::-1]
 
 
 def read_network(src: Union[str, os.PathLike, TextIO]) -> Network:

@@ -8,6 +8,7 @@ table with the implementation.
 
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -286,6 +287,27 @@ def test_params_reject_a_block_count_that_is_not_an_integer(n_q):
     with pytest.raises(TypeError,
                        match=f"^n_q must be an integer, not {n_q!r}$"):
         params(point(2), poisson(5.0), n_q=n_q)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("r", True), ("r", np.True_), ("r", "0.5"),
+    ("p_rw", True), ("p_rw", np.False_),
+])
+def test_params_reject_an_r_or_p_rw_that_is_not_a_real_number(field, value):
+    # a bool r or p_rw once passed the range checks and analyze returned
+    # R* = inf for r = True, p_rw = True; the check at the boundary names
+    # the field
+    with pytest.raises(TypeError, match=re.escape(
+            f"{field} must be a real number, not {value!r}")):
+        params(poisson_plus(2.0), poisson(8.0), n_q=4, **{field: value})
+
+
+def test_params_take_numpy_floats_for_r_and_p_rw():
+    got = analyze(params(poisson_plus(2.0), poisson(6.0), r=np.float64(0.5),
+                         n_q=4, p_rw=np.float32(0.25), p_i=0.3))
+    want = analyze(params(poisson_plus(2.0), poisson(6.0), r=0.5, n_q=4,
+                          p_rw=0.25, p_i=0.3))
+    assert (got.r_star, got.z) == (want.r_star, want.z)
 
 
 def test_params_take_a_numpy_integer_block_count():

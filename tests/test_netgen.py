@@ -657,6 +657,45 @@ def test_writer_matches_reference_across_chunk_seams(n_edges, labelled_first):
     assert network_text(net) == reference_text(net)
 
 
+# tracemalloc peak bytes per line of a write chunk, above what is alive
+# before the call: one byte buffer filled by digit place took 141.5, and
+# one word matrix per chunk, freed once its bytes are taken, takes 97
+WRITE_BUDGET_PER_CHUNK_LINE = 110
+
+
+def write_peak(net, path) -> int:
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ng.write_network(net, path)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_writer_memory_is_bounded_by_its_chunk(tmp_path):
+    # lines shaped like generate's: six-digit ends, two in five edges
+    # labelled, and the same law at every length
+    def network(chunks):
+        rng = np.random.default_rng(chunks)
+        m, n = chunks * ng._IO_CHUNK, 200_000
+        q_u, q_v = np.where(rng.random(m) < 0.4,
+                            rng.integers(1, 11, (2, m)), 0)
+        return edge_network(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                            rng.random(m) < 0.3, q_u, q_v)
+
+    peak = {chunks: write_peak(network(chunks), tmp_path / "net.txt")
+            for chunks in (2, 8)}
+    assert abs(peak[8] / peak[2] - 1) <= 0.1, peak
+    per_line = {chunks: round(b / ng._IO_CHUNK, 1)
+                for chunks, b in peak.items()}
+    assert max(per_line.values()) <= WRITE_BUDGET_PER_CHUNK_LINE, per_line
+
+
 def test_writer_appends_to_an_open_text_file(tmp_path):
     # generate writes its "# config:" line first and then the network
     # into the same file; the span tracer reads the bytes written from
@@ -1097,6 +1136,20 @@ def test_gen_spec_rejects_a_count_that_is_not_an_integer(field, value):
     with pytest.raises(TypeError, match=re.escape(
             f"{field} must be an integer, not {value!r}")):
         small_spec(**{field: value})
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5"])
+def test_gen_spec_rejects_an_r_that_is_not_a_real_number(value):
+    with pytest.raises(TypeError, match=re.escape(
+            f"r must be a real number, not {value!r}")):
+        small_spec(r=value)
+
+
+def test_gen_spec_takes_a_numpy_float_r():
+    spec = small_spec(n=200, r=np.float64(-0.5), n_q=4)
+    assert (network_text(ng.build_network(spec, 3))
+            == network_text(ng.build_network(small_spec(n=200, r=-0.5,
+                                                        n_q=4), 3)))
 
 
 def test_gen_spec_takes_numpy_integer_counts():

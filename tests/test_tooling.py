@@ -13,13 +13,16 @@ Another holds the config table's infection keys to the parameters of
 the InfectionSpec constructors that resolve_infection reads them by.
 Another records every shuffle the structure layer draws, each of which
 must permute an array whose items are the size of intp: the only item
-size numpy's Generator.shuffle has a fast path for.
+size numpy's Generator.shuffle has a fast path for.  Another holds every
+module-level array in src/, and the tables its memos share, read-only.
 """
 
 import ast
 import hashlib
+import importlib
 import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -145,6 +148,25 @@ def test_every_name_set_in_src_is_read():
         if bare not in read and not re.search(rf"\b{bare}\b", text):
             dead.append(f"{where}: {name}")
     assert not dead, dead
+
+
+def test_every_module_level_array_in_src_is_read_only():
+    # a module-level array is shared by every caller, so a write through
+    # one would change every later result; the tables a memo builds on
+    # first use and shares the same way count too
+    shared = {}
+    for info in pkgutil.iter_modules([str(SRC / "netepi")]):
+        module = importlib.import_module(f"netepi.{info.name}")
+        shared.update((f"{info.name}.{name}", value)
+                      for name, value in vars(module).items()
+                      if isinstance(value, np.ndarray))
+    shared["netgen._digit_words()"] = netgen._digit_words()
+    for i, t in enumerate(netgen._clique_offsets(4, np.dtype(np.int32))):
+        shared[f"netgen._clique_offsets(4, int32)[{i}]"] = t
+    assert "netgen._LOCAL" in shared
+    writable = [name for name, value in shared.items()
+                if value.flags.writeable]
+    assert not writable, writable
 
 
 def _called_name(node):
