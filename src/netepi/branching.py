@@ -97,6 +97,7 @@ import numpy as np
 from .distributions import (
     DiscreteDist,
     InfectionSpec,
+    check_p_rw,
     pairing_kernels,
     quantile_table,
     size_bias,
@@ -110,7 +111,7 @@ from .errors import (
     ReducibleMatrixWarning,
 )
 from .household import household_engine
-from .netgen import GenSpec, check_real, check_structure
+from .netgen import GenSpec, check_structure
 # not called here: bench/spans.py traces poisson_c_rho under this name too
 from .netprops import poisson_c_rho  # noqa: F401
 from .netprops import poisson_stub_table, template_c_rho
@@ -143,9 +144,7 @@ class ModelParams:
 
     def __post_init__(self):
         check_structure(self.household, self.r, self.n_q)
-        check_real("p_rw", self.p_rw)
-        if not 0.0 <= self.p_rw <= 1.0:
-            raise ValueError("p_rw must lie in [0, 1]")
+        check_p_rw(self.p_rw)
 
     def gen_spec(self, n: int) -> GenSpec:
         return GenSpec(n=n, household=self.household,

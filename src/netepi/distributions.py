@@ -9,6 +9,12 @@ degree correlation, and the infectious-period specification, one
 frozen value record per period law (constant, exponential, gamma) that
 evaluates its Laplace transform and draws its periods by kind.
 
+The domain of each model parameter is checked here and nowhere else:
+`check_r` (r in [-1, 1]), `check_n_q` (n_q in 1..MAX_BLOCKS) and
+`check_p_rw` (p_rw in [0, 1]), each rejecting a bool or a value of the
+wrong type with TypeError before it checks the range.  Every public
+entry that takes one of them calls its check.
+
 Infinite-support laws (Poisson, geometric, ...) are truncated once, at
 construction, to a finite support carrying all but ``tail_mass_bound``
 of the mass; every derived law then treats the truncated support as
@@ -18,6 +24,7 @@ exact and renormalizes over it.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -40,6 +47,45 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+# -- the domains of the model parameters --------------------------------
+
+# stub block labels are stored as int16: 0 for unlabelled, 1..n_q otherwise
+MAX_BLOCKS = int(np.iinfo(np.int16).max)
+
+
+def check_integer(name: str, value) -> None:
+    # numpy integers count; bools and integral floats do not
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    # numpy floats and integers count; bools do not
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, not {value!r}")
+
+
+def check_r(r: float) -> None:
+    """The correlation strength r is a real number in [-1, 1]."""
+    check_real("r", r)
+    if not -1.0 <= r <= 1.0:
+        raise ValueError("r must lie in [-1, 1]")
+
+
+def check_n_q(n_q: int) -> None:
+    """The block count n_q is an integer in 1..MAX_BLOCKS."""
+    check_integer("n_q", n_q)
+    if not 1 <= n_q <= MAX_BLOCKS:
+        raise ValueError(f"n_q must lie in 1..{MAX_BLOCKS}")
+
+
+def check_p_rw(p_rw: float) -> None:
+    """The household rewiring probability p_rw is a real number in [0, 1]."""
+    check_real("p_rw", p_rw)
+    if not 0.0 <= p_rw <= 1.0:
+        raise ValueError("p_rw must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +233,7 @@ def poisson_plus(mean: float) -> DiscreteDist:
         return point(1)
     hi = max(1, _poisson_isf(DEFAULT_TAIL_EPS, mean) + 1)
     support = np.arange(1, hi + 1)
-    probs = _poisson_pmf(support, mean) / (1.0 - math.exp(-mean))
+    probs = _poisson_pmf(support, mean) / -math.expm1(-mean)
     tail = max(0.0, 1.0 - float(probs.sum()))
     return DiscreteDist(support, probs, tail)
 
@@ -373,8 +419,7 @@ class QuantileTable:
 
 
 def quantile_table(dist: DiscreteDist, n_q: int) -> QuantileTable:
-    if n_q < 1:
-        raise ValueError("n_q must be >= 1")
+    check_n_q(n_q)
     cdf_hi = np.cumsum(dist.probs)
     cdf_lo = cdf_hi - dist.probs
     i = np.arange(1, n_q + 1)

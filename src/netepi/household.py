@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .distributions import InfectionSpec
+from .distributions import InfectionSpec, check_p_rw
 from .errors import NonConvergence
 
 _FIXED_POINT_TOL = 1e-14
@@ -101,7 +101,7 @@ class HouseholdEngine:
         E[T] for any infectious period; at p_rw = 1, the tree-like local
         process's mean; inf where p_rw > 0 and the rewired local epidemic
         is supercritical, from p_i >= 1/(h-2) on."""
-        _check_prw(p_rw)
+        check_p_rw(p_rw)
         sizes = np.asarray(sizes, dtype=np.int64)
         self._check_sizes(sizes)
         intact = self._means[sizes - 1]
@@ -122,7 +122,7 @@ class HouseholdEngine:
         for a constant period, the forward one too, where the final size T
         has the law of M.  With derivative=True, returns (values,
         derivatives) with each PGF's derivative at its own argument."""
-        _check_prw(p_rw)
+        check_p_rw(p_rw)
         sizes = np.asarray(sizes, dtype=np.int64)
         s_by_size = np.asarray(s_by_size, dtype=np.float64)
         # Horner over the columns of the zero-padded pmf matrix, carrying
@@ -221,11 +221,6 @@ def _rewired_means(sizes: np.ndarray, p: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         means = (sizes - 1) * p / (1.0 - (sizes - 2) * p)
     return np.where(supercritical, np.inf, means)
-
-
-def _check_prw(p_rw: float) -> None:
-    if not 0.0 <= p_rw <= 1.0:
-        raise ValueError("p_rw must lie in [0, 1]")
 
 
 def _subtree_fixed_point(s: np.ndarray, sizes: np.ndarray,

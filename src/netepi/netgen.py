@@ -67,21 +67,18 @@ first bad line, at any block size.
 
 from __future__ import annotations
 
-import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Callable, TextIO, Union
 
 import numpy as np
 from scipy.sparse import _sparsetools
 
-from .distributions import DiscreteDist
+from .distributions import (MAX_BLOCKS, DiscreteDist, check_integer,
+                            check_n_q, check_p_rw, check_r)
 
 Seed = Union[int, np.random.SeedSequence, None]
-
-# stub block labels are stored as int16: 0 for unlabelled, 1..n_q otherwise
-MAX_BLOCKS = int(np.iinfo(np.int16).max)
 
 
 def index_dtype(*counts: int) -> np.dtype:
@@ -105,34 +102,18 @@ class GenSpec:
     n_q: int = 1
 
     def __post_init__(self):
-        _check_integer("n", self.n)
+        check_integer("n", self.n)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         check_structure(self.household, self.r, self.n_q)
-
-
-def _check_integer(name: str, value) -> None:
-    # numpy integers count; bools and integral floats do not
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, not {value!r}")
-
-
-def check_real(name: str, value) -> None:
-    # numpy floats and integers count; bools do not
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, not {value!r}")
 
 
 def check_structure(household: DiscreteDist, r: float, n_q: int) -> None:
     """The checks GenSpec and ModelParams share, with the same messages."""
     if household.min_support() < 1:
         raise ValueError("household sizes must be >= 1")
-    check_real("r", r)
-    if not -1.0 <= r <= 1.0:
-        raise ValueError("r must lie in [-1, 1]")
-    _check_integer("n_q", n_q)
-    if not 1 <= n_q <= MAX_BLOCKS:
-        raise ValueError(f"n_q must lie in 1..{MAX_BLOCKS}")
+    check_r(r)
+    check_n_q(n_q)
 
 
 @dataclass(frozen=True)
@@ -253,18 +234,8 @@ class Network:
     def __eq__(self, other):
         if not isinstance(other, Network):
             return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.household_sizes, other.household_sizes)
-            and np.array_equal(self.edges_u, other.edges_u)
-            and np.array_equal(self.edges_v, other.edges_v)
-            and np.array_equal(self.edge_local, other.edge_local)
-            and np.array_equal(self.stub_q_u, other.stub_q_u)
-            and np.array_equal(self.stub_q_v, other.stub_q_v)
-            and self.discarded_x0 == other.discarded_x0
-            and self.discarded_x1 == other.discarded_x1
-            and self.discarded_local == other.discarded_local
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(Network))
 
 
 def sorted_pair_keys(n, edges_u, edges_v) -> np.ndarray:
@@ -428,8 +399,7 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
     its edge, and edge_local and discarded_local do not change: the new
     network shares the input's arrays that it does not change.
     """
-    if not 0.0 <= p_rw <= 1.0:
-        raise ValueError("p_rw must lie in [0, 1]")
+    check_p_rw(p_rw)
     if p_rw == 0.0 or not np.any(net.edge_local):
         return net
     rng = np.random.default_rng(seed)

@@ -29,6 +29,9 @@ from scipy import sparse
 from .distributions import (
     DiscreteDist,
     QuantileTable,
+    check_n_q,
+    check_p_rw,
+    check_r,
     edge_bias,
     poisson,
     quantile_table,
@@ -74,8 +77,7 @@ def analytic_clustering(household: DiscreteDist,
 def rewired_clustering(household: DiscreteDist, global_degree: DiscreteDist,
                        p_rw: float) -> float:
     """Clustering after rewiring each household w.p. p_rw: scaled by 1 - p_rw."""
-    if not 0.0 <= p_rw <= 1.0:
-        raise ValueError("p_rw must lie in [0, 1]")
+    check_p_rw(p_rw)
     return (1.0 - p_rw) * analytic_clustering(household, global_degree)
 
 
@@ -100,8 +102,8 @@ class DegreeCorrComponents:
 
 def degree_corr_components(household: DiscreteDist, global_degree: DiscreteDist,
                            r: float, n_q: int) -> DegreeCorrComponents:
-    if not -1.0 <= r <= 1.0:
-        raise ValueError("r must lie in [-1, 1]")
+    check_r(r)
+    check_n_q(n_q)
     h_tilde = size_bias(household)
     mu_ht, var_ht = h_tilde.mean(), h_tilde.variance()
     mu_g, var_g = global_degree.mean(), global_degree.variance()
@@ -153,8 +155,7 @@ def poisson_c_rho(gamma: float, mu: float, r: float, n_q: int) -> tuple[float, f
     table = poisson_stub_table(gamma, n_q)
     if not 0.0 <= mu <= gamma:
         raise ValueError("mu must lie in [0, gamma]")
-    if not -1.0 <= r <= 1.0:
-        raise ValueError("r must lie in [-1, 1]")
+    check_r(r)
     return template_c_rho(table, gamma, mu, r)
 
 

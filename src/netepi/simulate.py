@@ -48,6 +48,7 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 from .branching import ModelParams
+from .distributions import check_integer
 from .errors import AmbiguousBimodality, NoMajorOutbreaks
 from .netgen import Network, build_network, rewire
 
@@ -229,8 +230,10 @@ def estimate(params: ModelParams, n: int, n_sims: int, master_seed: int,
     reproducible bit for bit and independent of `threads` (the worker
     pool returns results in seed order).
     """
-    if n_sims < 1:
-        raise ValueError("n_sims must be >= 1")
+    for name, count in (("n_sims", n_sims), ("threads", threads)):
+        check_integer(name, count)
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
     if cutoff <= 0.0:
         raise ValueError("cutoff must be positive")
     params.gen_spec(n)  # a bad n fails here, before any run or worker

@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from netepi import distributions as dd
+from netepi import netgen as ng
+from netepi import netprops
+from netepi.branching import ModelParams, mu_for_rho, tune_poisson
 from netepi.errors import EmptyDistribution, NoEdges, ZeroMean
+from netepi.household import household_engine
 
 
 def pmf_dict(d):
@@ -73,15 +77,20 @@ def test_poisson_tables_match_scipy_stats_bitwise():
 
 
 def test_poisson_plus_tables_match_scipy_stats_bitwise():
-    # no tiny mean here: below about 1e-8, 1 - exp(-mean) cancels and the
-    # zero-truncated table fails its own sum check, scipy.stats or not
     for mu in POISSON_MEANS:
         hi = max(1, int(stats.poisson.isf(dd.DEFAULT_TAIL_EPS, mu)) + 1)
         d = dd.poisson_plus(mu)
         support = np.arange(1, hi + 1)
-        want = stats.poisson.pmf(support, mu) / (1.0 - math.exp(-mu))
+        want = stats.poisson.pmf(support, mu) / -math.expm1(-mu)
         assert same_bits(d.support, support), mu
         assert same_bits(d.probs, want), mu
+
+
+@pytest.mark.parametrize("mu", [1e-9, 1e-10, 1e-11, 1e-12])
+def test_poisson_plus_sums_to_one_at_tiny_means(mu):
+    # 1 - exp(-mu) cancels here: 1e-9 once failed the sum check and 1e-10
+    # summed to 0.99999992
+    assert abs(dd.poisson_plus(mu).probs.sum() - 1.0) <= 3e-15
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5, 1.0, 1.7, 2.0, 4.5, 10.0, 37.5])
@@ -472,3 +481,97 @@ def test_quantile_table_partition_property(weights, n_q):
     assert t.joint.sum(axis=1) == pytest.approx(d.probs, abs=1e-12)
     assert t.joint.sum(axis=0) == pytest.approx(np.full(n_q, 1 / n_q), abs=1e-10)
     assert np.all(np.diff(t.quantile_means) >= -1e-9)
+
+
+# -- the one check of each model parameter's domain -----------------------
+
+_H, _G = dd.poisson_plus(2.0), dd.poisson(8.0)
+_CONSTANT = dd.InfectionSpec.constant(0.2)
+
+
+def _params(r=0.5, n_q=4, p_rw=0.0):
+    return ModelParams(_H, _G, r, n_q, _CONSTANT, p_rw)
+
+
+def _rewire(p_rw):
+    return ng.rewire(ng.build_network(ng.GenSpec(60, _H, _G), 1), p_rw, 1)
+
+
+def _engine():
+    return household_engine(_CONSTANT, 6)
+
+
+# every public entry that takes r, n_q or p_rw, called with that one value
+_ENTRIES = {
+    "r": {
+        "check_structure": lambda r: ng.check_structure(_H, r, 4),
+        "GenSpec": lambda r: ng.GenSpec(60, _H, _G, r, 4),
+        "ModelParams": lambda r: _params(r=r),
+        "degree_corr_components":
+            lambda r: netprops.degree_corr_components(_H, _G, r, 4),
+        "poisson_c_rho": lambda r: netprops.poisson_c_rho(10.0, 2.0, r, 4),
+    },
+    "n_q": {
+        "check_structure": lambda n_q: ng.check_structure(_H, 0.5, n_q),
+        "GenSpec": lambda n_q: ng.GenSpec(60, _H, _G, 0.5, n_q),
+        "ModelParams": lambda n_q: _params(n_q=n_q),
+        "degree_corr_components":
+            lambda n_q: netprops.degree_corr_components(_H, _G, 0.5, n_q),
+        "poisson_c_rho":
+            lambda n_q: netprops.poisson_c_rho(10.0, 2.0, 0.5, n_q),
+        "quantile_table": lambda n_q: dd.quantile_table(_H, n_q),
+        "tune_poisson": lambda n_q: tune_poisson(10.0, 0.04, 0.2, n_q),
+        "mu_for_rho": lambda n_q: mu_for_rho(10.0, 0.2, n_q),
+    },
+    "p_rw": {
+        "ModelParams": lambda p_rw: _params(p_rw=p_rw),
+        "rewire": _rewire,
+        "mixture_means":
+            lambda p_rw: _engine().mixture_means(np.array([2, 3]), p_rw),
+        "mixture_pgf_profile": lambda p_rw: _engine().mixture_pgf_profile(
+            np.array([2, 3]), np.array([0.5, 0.5]), p_rw),
+        "rewired_clustering":
+            lambda p_rw: netprops.rewired_clustering(_H, _G, p_rw),
+    },
+}
+
+_OUT_OF_DOMAIN = {
+    "r": [(True, TypeError, "r must be a real number, not True"),
+          (math.nan, ValueError, "r must lie in [-1, 1]"),
+          (1.5, ValueError, "r must lie in [-1, 1]"),
+          (-1.5, ValueError, "r must lie in [-1, 1]")],
+    "n_q": [(True, TypeError, "n_q must be an integer, not True"),
+            (math.nan, TypeError, "n_q must be an integer, not nan"),
+            (2.5, TypeError, "n_q must be an integer, not 2.5"),
+            (0, ValueError, "n_q must lie in 1..32767"),
+            (40000, ValueError, "n_q must lie in 1..32767")],
+    "p_rw": [(True, TypeError, "p_rw must be a real number, not True"),
+             (math.nan, ValueError, "p_rw must lie in [0, 1]"),
+             (-0.1, ValueError, "p_rw must lie in [0, 1]"),
+             (1.5, ValueError, "p_rw must lie in [0, 1]")],
+}
+
+
+@pytest.mark.parametrize("field, entry, value, error, message", [
+    pytest.param(field, entry, value, error, message,
+                 id=f"{entry}-{field}={value!r}")
+    for field, entries in _ENTRIES.items()
+    for entry in entries
+    for value, error, message in _OUT_OF_DOMAIN[field]
+])
+def test_every_entry_rejects_a_parameter_outside_its_domain_alike(
+        field, entry, value, error, message):
+    # bools once ran as 1 (rewire, rewired_clustering, mixture_means) and a
+    # fractional n_q failed as a numpy IndexError; one check per parameter
+    # gives every entry the same error
+    with pytest.raises(error) as info:
+        _ENTRIES[field][entry](value)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field, value", [("r", -1.0), ("r", 1.0),
+                                          ("n_q", 4), ("n_q", np.int16(4)),
+                                          ("p_rw", 0.0), ("p_rw", 1.0)])
+def test_every_entry_takes_a_parameter_inside_its_domain(field, value):
+    for call in _ENTRIES[field].values():
+        call(value)

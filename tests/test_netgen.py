@@ -3,7 +3,7 @@ import io
 import random
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -135,6 +135,16 @@ def test_index_dtype_narrows_below_the_int32_maximum():
     assert ng.index_dtype(2**31 - 1) == np.int64
     assert ng.index_dtype(5, 2**31 - 2) == np.int32
     assert ng.index_dtype(5, 2**31 - 1, 7) == np.int64
+
+
+def test_networks_differing_in_any_one_field_compare_unequal():
+    net = ng.build_network(small_spec(), 5)
+    assert replace(net) == net
+    for field in fields(ng.Network):
+        value = getattr(net, field.name)
+        changed = (np.append(value, value[:1]) if isinstance(value, np.ndarray)
+                   else value + 1)
+        assert replace(net, **{field.name: changed}) != net, field.name
 
 
 def test_structure_layer_stores_int32_ids(tmp_path):

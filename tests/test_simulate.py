@@ -392,6 +392,32 @@ def test_estimate_validation():
                  cutoff=-0.5)
 
 
+@pytest.mark.parametrize("field, value, error, message", [
+    ("n_sims", True, TypeError, "n_sims must be an integer, not True"),
+    ("n_sims", 2.5, TypeError, "n_sims must be an integer, not 2.5"),
+    ("n_sims", 0, ValueError, "n_sims must be >= 1"),
+    ("threads", True, TypeError, "threads must be an integer, not True"),
+    ("threads", 2.5, TypeError, "threads must be an integer, not 2.5"),
+    ("threads", 0, ValueError, "threads must be >= 1"),
+    ("threads", -3, ValueError, "threads must be >= 1"),
+])
+def test_estimate_rejects_a_count_that_is_not_a_positive_integer(
+        field, value, error, message):
+    # n_sims=True once ran one sim and reported n_sims as True, and a
+    # threads below 1 ran serially without a word
+    kw = {"n": 100, "n_sims": 5, "master_seed": 1, field: value}
+    with pytest.raises(error) as info:
+        estimate(small_params(), **kw)
+    assert str(info.value) == message
+
+
+def test_estimate_takes_numpy_integer_counts():
+    got = estimate(small_params(), n=300, n_sims=np.int64(6), master_seed=4,
+                   threads=np.int64(1))
+    want = estimate(small_params(), n=300, n_sims=6, master_seed=4)
+    assert np.array_equal(got.final_sizes, want.final_sizes)
+
+
 def test_estimate_with_general_period_and_threads():
     pm = ModelParams(poisson_plus(1.5), poisson(5.0), 0.0, 1,
                      InfectionSpec.exponential(1.0, 0.45))

@@ -5,10 +5,11 @@ wrappers and restoring them afterwards.  Renaming or deleting one of
 those callables would only show up when a traced benchmark run crashes;
 these tests make it fail the suite instead.  The same holds for the
 configs the benchmark workloads hand to the command line, and for the
-start-up cost every command pays before its work begins.  Three guards
+start-up cost every command pays before its work begins.  Four guards
 read the source itself: a name set in src/ that nothing reads fails one,
-a household engine built in src/ outside household.py another, and a
-structure record or its tables built outside branching's memo the third.
+a household engine built in src/ outside household.py another, a
+structure record or its tables built outside branching's memo the third,
+and the range message of r, n_q or p_rw written more than once the fourth.
 Another holds the config table's infection keys to the parameters of
 the InfectionSpec constructors that resolve_infection reads them by.
 Another records every shuffle the structure layer draws, each of which
@@ -217,6 +218,18 @@ def test_only_the_memo_builds_structure_tables():
                     and id(node) not in homes[name]):
                 builders.append(f"{path.name}:{node.lineno} {name}")
     assert not builders, builders
+
+
+@pytest.mark.parametrize("message", [
+    "r must lie in", "n_q must lie in", "p_rw must lie in"])
+def test_each_parameter_domain_is_checked_in_one_place(message):
+    # r, n_q and p_rw each have one check in distributions that every entry
+    # calls; a hand-copied range check would carry its message again
+    found = [f"{path.name}:{number}"
+             for path in sorted((SRC / "netepi").glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(rf"\b{re.escape(message)}", line)]
+    assert len(found) == 1, found
 
 
 def test_mistyped_mark_fails_collection(tmp_path):
