@@ -409,6 +409,7 @@ class QuantileTable:
         r >= 0: both stubs share a block; r < 0: block i pairs with
         block n_q + 1 - i.  Piecewise linear in r.
         """
+        check_r(r)
         mu = self.dist.mean()
         means = self.quantile_means
         if r >= 0.0:
@@ -453,6 +454,7 @@ class PairingKernels:
 
 
 def pairing_kernels(table: QuantileTable, r: float) -> PairingKernels:
+    check_r(r)
     n_q = table.n_q
     if r < 0.0:
         quantile_kernel = np.eye(n_q)[::-1]
@@ -489,6 +491,8 @@ class InfectionSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "exponential", "gamma"):
             raise ValueError(f"unknown infection kind {self.kind!r}")
+        check_real("p_i", self.p_i)
+        check_real("rate", self.rate)
         if not 0.0 <= self.p_i <= 1.0:
             raise ValueError("transmission probability must lie in [0, 1]")
         if self.rate < 0:
@@ -523,6 +527,7 @@ class InfectionSpec:
 
     @classmethod
     def constant(cls, p_i: float) -> "InfectionSpec":
+        check_real("p_i", p_i)
         return cls(kind="constant", p_i=float(p_i))
 
     @classmethod
@@ -542,5 +547,6 @@ class InfectionSpec:
     @classmethod
     def _general(cls, kind: str, rate: float, **law) -> "InfectionSpec":
         # checked before phi is read, then given p_i = 1 - phi(rate)
+        check_real("rate", rate)
         spec = cls(kind, 0.0, float(rate), **law)
         return replace(spec, p_i=1.0 - spec.phi(spec.rate))

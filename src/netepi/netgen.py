@@ -28,11 +28,15 @@ consecutive stubs of its shuffle, and a mirror pair shuffles only its
 larger block, since a uniform order of one side against a fixed order of
 the other is already a uniform matching.  `rewire` writes its new pairs
 into the slots of the edges it breaks.  The ranking, the rewiring's
-size classes and the adjacency build all use `_group_by`, one counting
+size classes and the adjacency build all use `_group_by`, a counting
 scatter (count each key, prefix-sum the counts, then drop every value
-into the next free slot of its key) in compiled code.  It runs in linear
-time where a comparison sort of nodes, stubs or edge ends does not, and
-gives the same order as a stable argsort of the keys.
+into the next free slot of its key) in compiled code, which takes its
+input as (keys, values) parts rather than their concatenation.  Where
+the keys span more of the output than a cache holds (the adjacency from
+about n = 1e5), it scatters in two passes, first by block of keys and
+then by key, so that each block's writes stay in cache.  It runs in
+linear time where a comparison sort of nodes, stubs or edge ends does
+not, and gives the same order as a stable argsort of the keys.
 
 Node ids, edge ends and CSR offsets have one dtype rule,
 `index_dtype`: int32 while every count involved (n, and 2 * n_edges for
@@ -67,6 +71,7 @@ first bad line, at any block size.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
@@ -125,37 +130,86 @@ class Imperfections:
     discarded_local: int = 0
 
 
-def _group_by(keys: np.ndarray, values: np.ndarray,
-              n_keys: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, grouped): `values` grouped stably by integer key.
+# a scatter keeps at most one cache line of its output busy per key
+_LINE_BYTES = 64
+# _group_by scatters in one pass while its keys span at most _CACHE_BYTES
+# of the output, and beyond that in about _BLOCKS key blocks.  Measured on
+# int32 adjacencies (about 40 B a node), two passes took 2.2x the one-pass
+# time at n = 1e4 and 1.0-1.2x at 3e4 to 5e4; from 1e5 to 2e6 they took
+# 0.45-0.68x, fastest at 25 to 37 blocks: blocks spanning 256 KiB took
+# 0.52x at n = 1e6 (245 blocks, 0.47x at 31) and blocks spanning 2 MiB
+# 1.07-1.18x at 1e5 (4 blocks, 0.68x at 25).
+_CACHE_BYTES = 1 << 21
+_BLOCKS = 32
 
-    grouped[indptr[k]:indptr[k + 1]] holds the values whose key is k, in
-    input order, so grouped equals values[np.argsort(keys, kind="stable")]
-    and np.diff(indptr) equals np.bincount(keys, minlength=n_keys).  One
-    counting scatter, linear in keys.size + n_keys: scipy's COO->CSR
-    kernel with the values as both its column indices and its data, so
-    it writes each value twice into `grouped` and needs no payload array;
-    it keeps repeated (key, value) pairs.  Being stable, it keeps values
-    in uniform random order in uniform order within each key, which is
-    the ranking's tie-break.  Both outputs take the values' dtype, widened
-    to the index dtype of n_keys and keys.size.
+
+def _group_by(parts: list[tuple[np.ndarray, np.ndarray]],
+              n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, grouped): the values of `parts`, a list of (keys, values)
+    pairs, grouped stably by integer key.
+
+    grouped[indptr[k]:indptr[k + 1]] holds the values whose key is k, part
+    by part and in input order within a part, so with keys and values the
+    concatenations of the parts, grouped equals
+    values[np.argsort(keys, kind="stable")] and np.diff(indptr) equals
+    np.bincount(keys, minlength=n_keys).  A counting scatter, linear in
+    the values and n_keys: scipy's COO->CSR kernel with the values as both
+    its column indices and its data, so it writes each value twice into
+    `grouped` and needs no payload array; it keeps repeated (key, value)
+    pairs.  Being stable, it keeps values in uniform random order in
+    uniform order within each key, which is the ranking's tie-break.
+
+    Where the keys span more of `grouped` than a cache holds, counting a
+    key's span as its share of `grouped` but at most a cache line, a
+    scatter in input order misses on nearly every write.  There the keys
+    are cut into about _BLOCKS blocks, a power of two wide; a first
+    stable scatter of each part by block, with the keys riding as column
+    indices, puts the values in block order, and the scatter by key over
+    those then writes one block's slice of `grouped` at a time.
+    Otherwise the parts are joined and scattered once.  Either way, the
+    buffers alive at once are three arrays the size of the values.  Both
+    outputs take the values' dtype, widened to the index dtype of n_keys
+    and the number of values.
     """
-    keys, values = np.asarray(keys), np.asarray(values)
+    parts = [(np.asarray(keys), np.asarray(values)) for keys, values in parts]
     # the kernel checks neither lengths nor indices: a short values array
     # would be read past its end, and a key outside 0..n_keys-1 would
     # write past the end of indptr.  The keys are checked as given, since
     # a narrowing cast could wrap one from outside the range into it.
-    if keys.shape != values.shape:
-        raise ValueError("keys and values must have one shape")
-    if keys.size and (keys.min() < 0 or keys.max() >= n_keys):
-        raise ValueError(f"keys must lie in 0..{n_keys - 1}, got "
-                         f"{int(keys.min())}..{int(keys.max())}")
-    dtype = np.promote_types(values.dtype, index_dtype(n_keys, keys.size))
-    keys = keys.astype(dtype, copy=False)
-    values = values.astype(dtype, copy=False)
+    for keys, values in parts:
+        if keys.shape != values.shape:
+            raise ValueError("keys and values must have one shape")
+        if keys.size and (keys.min() < 0 or keys.max() >= n_keys):
+            raise ValueError(f"keys must lie in 0..{n_keys - 1}, got "
+                             f"{int(keys.min())}..{int(keys.max())}")
+    size = sum(keys.size for keys, _ in parts)
+    dtype = np.result_type(*(values.dtype for _, values in parts),
+                           index_dtype(n_keys, size))
     indptr = np.empty(n_keys + 1, dtype=dtype)
-    grouped = np.empty(keys.size, dtype=dtype)
-    _sparsetools.coo_tocsr(n_keys, 1, keys.size, keys, values, values,
+    grouped = np.empty(size, dtype=dtype)
+    key_bytes = min(max(grouped.nbytes // max(n_keys, 1), 1), _LINE_BYTES)
+    if n_keys * key_bytes <= _CACHE_BYTES:
+        keys, values = (arrays[0].astype(dtype, copy=False) if len(arrays) == 1
+                        else np.concatenate(arrays, dtype=dtype)
+                        for arrays in zip(*parts))
+    else:
+        keys = np.empty(size, dtype=dtype)
+        values = np.empty(size, dtype=dtype)
+        shift = max(round(math.log2(n_keys / _BLOCKS)), 0)
+        n_blocks = ((n_keys - 1) >> shift) + 1
+        bounds = np.empty(n_blocks + 1, dtype=dtype)
+        at = 0
+        for part_keys, part_values in parts:
+            m = part_keys.size
+            part_keys = part_keys.astype(dtype, copy=False)
+            # the block ids go in `grouped`, which the last scatter fills
+            block = np.right_shift(part_keys, shift, out=grouped[:m])
+            _sparsetools.coo_tocsr(n_blocks, n_keys, m, block, part_keys,
+                                   part_values.astype(dtype, copy=False),
+                                   bounds, keys[at : at + m],
+                                   values[at : at + m])
+            at += m
+    _sparsetools.coo_tocsr(n_keys, 1, size, keys, values, values,
                            indptr, grouped, grouped)
     return indptr, grouped
 
@@ -213,14 +267,16 @@ class Network:
         v ends of edges (v, w) in edge order, then those of edges (w, v).
         A self-loop lists its node twice.  Both arrays are read-only and
         of the index dtype of n and 2 * n_edges, whatever the edges' own.
+        The two directions go to `_group_by` as two parts, so no array of
+        all edge ends is made beside its own buffers: 6 index words per
+        edge at the peak, as with one scatter.
         """
         # the keys go as given, for _group_by to check before any cast;
         # they hold the same ends as the values, so that covers both
-        indptr, heads = _group_by(
-            np.concatenate([self.edges_u, self.edges_v]),
-            np.concatenate([self.edges_v, self.edges_u],
-                           dtype=index_dtype(self.n, 2 * self.n_edges)),
-            self.n)
+        ids = index_dtype(self.n, 2 * self.n_edges)
+        u, v = self.edges_u, self.edges_v
+        indptr, heads = _group_by([(u, v.astype(ids, copy=False)),
+                                   (v, u.astype(ids, copy=False))], self.n)
         indptr.flags.writeable = False
         heads.flags.writeable = False
         return indptr, heads
@@ -345,7 +401,6 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
                                         (np.cumsum(sizes) - sizes).astype(ids))
 
     g = spec.global_degree.sample(rng, n)
-    degree = size_of_node - 1 + g
     # every global stub by owner, in one uniform order: labelling each
     # X=1 with probability |r| on its own takes a Binomial count of them
     # as a uniform subset, so the first n1 are the X=1 stubs, and the rest,
@@ -358,9 +413,12 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
     # rank X=1 stubs by owner degree, the ties in the shuffle's order, and
     # cut them into n_q blocks, the rem larger ones first; the ranking is
     # copied back over the X=1 stubs, so that no second stub array is
-    # alive when the edge arrays are written
+    # alive when the edge arrays are written; a degree is at most
+    # n - 1 + g, so the index dtype of n + stubs.size holds it
+    degree = np.add(size_of_node - 1, g, dtype=index_dtype(n + stubs.size))
     ranked = stubs[:n1]
-    ranked[:] = _group_by(degree[ranked], ranked, int(degree.max()) + 1)[1]
+    ranked[:] = _group_by([(degree[ranked], ranked)],
+                          int(degree.max()) + 1)[1]
     base, rem = divmod(n1, spec.n_q)
     j = np.arange(spec.n_q + 1)
     g1_u, g1_v, disc_x1 = _pair_blocks(ranked, j * base + np.minimum(j, rem),
@@ -417,9 +475,8 @@ def rewire(net: Network, p_rw: float, seed: Seed) -> Network:
     # the freed stubs grouped by household size, ascending, as int64 for
     # the shuffles
     indptr, stubs = _group_by(
-        np.concatenate([label, label]),
-        np.concatenate([net.edges_u[broken], net.edges_v[broken]],
-                       dtype=np.int64),
+        [(label, ends[broken].astype(np.int64))
+         for ends in (net.edges_u, net.edges_v)],
         int(label.max()) + 1)
     new_u, new_v, _ = _pair_blocks(stubs, indptr, rng)
 

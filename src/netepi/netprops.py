@@ -172,8 +172,8 @@ def poisson_stub_table(gamma: float, n_q: int) -> QuantileTable:
 
 def template_c_rho(table: QuantileTable, gamma: float, mu: float,
                    r: float) -> tuple[float, float]:
-    """`poisson_c_rho` on the `poisson_stub_table` of gamma, with mu and r
-    taken as checked."""
+    """`poisson_c_rho` on the `poisson_stub_table` of gamma, with mu taken
+    as checked (`QuantileTable.block_dispersion` checks r)."""
     dispersion = table.block_dispersion(r)
     c = (mu / gamma) ** 2
     rho = (mu * mu + (gamma - mu) * dispersion) / (gamma * gamma)

@@ -510,6 +510,12 @@ _ENTRIES = {
         "degree_corr_components":
             lambda r: netprops.degree_corr_components(_H, _G, r, 4),
         "poisson_c_rho": lambda r: netprops.poisson_c_rho(10.0, 2.0, r, 4),
+        "block_dispersion":
+            lambda r: netprops.poisson_stub_table(10.0, 4).block_dispersion(r),
+        "pairing_kernels": lambda r: dd.pairing_kernels(
+            netprops.poisson_stub_table(10.0, 4), r),
+        "template_c_rho": lambda r: netprops.template_c_rho(
+            netprops.poisson_stub_table(10.0, 4), 10.0, 2.0, r),
     },
     "n_q": {
         "check_structure": lambda n_q: ng.check_structure(_H, 0.5, n_q),
@@ -575,3 +581,21 @@ def test_every_entry_rejects_a_parameter_outside_its_domain_alike(
 def test_every_entry_takes_a_parameter_inside_its_domain(field, value):
     for call in _ENTRIES[field].values():
         call(value)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: dd.InfectionSpec.constant(True), id="constant-p_i"),
+    pytest.param(lambda: dd.InfectionSpec("constant", True), id="init-p_i"),
+    pytest.param(lambda: dd.InfectionSpec("constant", 0.2, rate=True),
+                 id="constant-rate"),
+    pytest.param(lambda: dd.InfectionSpec.exponential(True), id="exp-rate"),
+    pytest.param(lambda: dd.InfectionSpec("exponential", True, 0.5, mean=1.0),
+                 id="exp-p_i"),
+    pytest.param(lambda: dd.InfectionSpec.gamma(True, 2.0), id="gamma-rate"),
+    pytest.param(lambda: dd.InfectionSpec("gamma", True, 0.5, shape=2.0,
+                                          scale=1.0), id="gamma-p_i"),
+])
+def test_infection_spec_rejects_a_bool_probability_or_rate(build):
+    # InfectionSpec.constant(True) once ran as p_i = 1.0
+    with pytest.raises(TypeError, match="must be a real number, not True"):
+        build()

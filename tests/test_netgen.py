@@ -97,13 +97,90 @@ def test_group_by_matches_stable_argsort_and_bincount():
     for keys in cases:
         values = rng.integers(-2**40, 2**40, keys.size)
         n_keys = int(keys.max(initial=-1)) + 3     # trailing empty groups
-        indptr, grouped = ng._group_by(keys, values, n_keys)
+        indptr, grouped = ng._group_by([(keys, values)], n_keys)
         assert np.array_equal(grouped, values[np.argsort(keys, kind="stable")])
         assert np.array_equal(np.diff(indptr),
                               np.bincount(keys, minlength=n_keys))
         assert indptr[0] == 0 and indptr.size == n_keys + 1
     with pytest.raises(ValueError, match="one shape"):
-        ng._group_by(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64), 1)
+        ng._group_by([(np.zeros(3, dtype=np.int64),
+                       np.zeros(2, dtype=np.int64))], 1)
+
+
+def _group_by_reference(parts, n_keys):
+    keys = np.concatenate([k for k, _ in parts])
+    values = np.concatenate([v for _, v in parts])
+    return (np.bincount(keys, minlength=n_keys),
+            values[np.argsort(keys, kind="stable")])
+
+
+@pytest.mark.parametrize("blocks", [7, 100, 5000])
+def test_blocked_group_by_matches_stable_argsort_and_bincount(monkeypatch,
+                                                             blocks):
+    # no cache and 8, 126 or 1001 blocks of the 1001 keys, so that every
+    # case below takes the two passes: parts in order, an empty part,
+    # n_keys not a multiple of the block width, a single key, and keys at
+    # 0 and n_keys - 1
+    monkeypatch.setattr(ng, "_CACHE_BYTES", 0)
+    monkeypatch.setattr(ng, "_BLOCKS", blocks)
+    rng = np.random.default_rng(4)
+
+    def part(keys):
+        keys = np.asarray(keys)
+        return keys, rng.integers(-2**40, 2**40, keys.size)
+
+    n_keys = 1001
+    empty = np.empty(0, dtype=np.int64)
+    cases = [
+        [part(rng.integers(0, n_keys, 3000))],
+        [part(rng.integers(0, n_keys, 3000)), part(rng.integers(0, 40, 500))],
+        [part(rng.integers(0, n_keys, 2000)), part(empty),
+         part(rng.integers(0, n_keys, 2000)),
+         part(rng.integers(0, n_keys, 2000).astype(np.int16))],
+        [part(empty), part([0, n_keys - 1, 0, n_keys - 1, 500])],
+        [part(np.full(700, n_keys - 1)), part(np.zeros(300, dtype=np.int64))],
+        [part(np.full(50, 7))],
+    ]
+    for parts in cases:
+        counts, expected = _group_by_reference(parts, n_keys)
+        indptr, grouped = ng._group_by(parts, n_keys)
+        assert np.array_equal(grouped, expected)
+        assert np.array_equal(np.diff(indptr), counts)
+        assert indptr[0] == 0 and indptr.size == n_keys + 1
+    # n_keys = 1, in one block
+    indptr, grouped = ng._group_by([part(np.zeros(5, dtype=np.int64))], 1)
+    assert indptr.tolist() == [0, 5] and grouped.size == 5
+    with pytest.raises(ValueError, match=r"keys must lie in 0\.\.1000"):
+        ng._group_by([part(np.arange(5)), part(np.array([3, n_keys]))],
+                     n_keys)
+
+
+def test_adjacency_takes_the_blocked_path_bitwise(monkeypatch):
+    # at n = 1e5 the real block size cuts the nodes into several blocks,
+    # one kernel call per part and one more: the CSR must equal one
+    # scatter of the concatenated ends, bitwise, self-loops and parallel
+    # edges included
+    spec = ng.GenSpec(n=100_000, household=dd.poisson_plus(2.0),
+                      global_degree=dd.poisson(8.0), r=-0.5, n_q=10)
+    net = ng.rewire(ng.build_network(spec, 5), 0.3, 6)
+    u, v = net.edges_u, net.edges_v
+    assert net.imperfections.self_loops and net.imperfections.parallel_edges
+    calls = []
+    kernel = ng._sparsetools.coo_tocsr
+    monkeypatch.setattr(ng._sparsetools, "coo_tocsr",
+                        lambda *args: calls.append(args[0]) or kernel(*args))
+    net.adjacency
+    monkeypatch.undo()
+    assert len(calls) == 3 and 1 < calls[0] < net.n, calls
+    keys = np.concatenate([u, v])
+    values = np.concatenate([v, u])
+    indptr = np.empty(net.n + 1, dtype=values.dtype)
+    heads = np.empty(keys.size, dtype=values.dtype)
+    ng._sparsetools.coo_tocsr(net.n, 1, keys.size, keys, values, values,
+                              indptr, heads, heads)
+    assert net.adjacency[0].dtype == indptr.dtype
+    assert net.adjacency[0].tobytes() == indptr.tobytes()
+    assert net.adjacency[1].tobytes() == heads.tobytes()
 
 
 def test_adjacency_rejects_endpoints_outside_network():

@@ -16,6 +16,8 @@ Another records every shuffle the structure layer draws, each of which
 must permute an array whose items are the size of intp: the only item
 size numpy's Generator.shuffle has a fast path for.  Another holds every
 module-level array in src/, and the tables its memos share, read-only.
+Another holds every call of scipy's COO->CSR kernel in src/ to
+netgen._group_by, so that every grouping takes its one blocked path.
 """
 
 import ast
@@ -230,6 +232,26 @@ def test_each_parameter_domain_is_checked_in_one_place(message):
              for number, line in enumerate(path.read_text().splitlines(), 1)
              if re.search(rf"\b{re.escape(message)}", line)]
     assert len(found) == 1, found
+
+
+def test_only_group_by_calls_the_coo_kernel():
+    # every grouping in src/ goes through netgen._group_by, so each takes
+    # its one choice between a single and a cache-blocked scatter
+    callers = []
+    for path, tree in _source_trees():
+        if not path.is_relative_to(SRC):
+            continue
+        homes = set()
+        if path.name == "netgen.py":
+            home, = (stmt for stmt in tree.body
+                     if isinstance(stmt, ast.FunctionDef)
+                     and stmt.name == "_group_by")
+            homes = {id(node) for node in ast.walk(home)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "coo_tocsr"
+                    and id(node) not in homes):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert not callers, callers
 
 
 def test_mistyped_mark_fails_collection(tmp_path):
