@@ -468,6 +468,11 @@ def pairing_kernels(table: QuantileTable, r: float) -> PairingKernels:
 # -- infectious period --------------------------------------------------
 
 
+# the parameters of a general period's law; a law leaves those it does
+# not take at 0
+_PERIOD_LAW = ("mean", "shape", "scale")
+
+
 @dataclass(frozen=True)
 class InfectionSpec:
     """Infectious-period model for the SIR epidemic, as a value.
@@ -491,12 +496,17 @@ class InfectionSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "exponential", "gamma"):
             raise ValueError(f"unknown infection kind {self.kind!r}")
-        check_real("p_i", self.p_i)
-        check_real("rate", self.rate)
+        for name in ("p_i", "rate", *_PERIOD_LAW):
+            check_real(name, getattr(self, name))
         if not 0.0 <= self.p_i <= 1.0:
             raise ValueError("transmission probability must lie in [0, 1]")
-        if self.rate < 0:
-            raise ValueError("contact rate must be >= 0")
+        # written so that nan fails them too
+        if not self.rate >= 0:
+            raise ValueError(f"contact rate must be >= 0, got {self.rate}")
+        for name in _PERIOD_LAW:
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{self.kind} period needs {name} >= 0, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def is_constant(self) -> bool:
@@ -533,20 +543,19 @@ class InfectionSpec:
     @classmethod
     def exponential(cls, rate: float, mean: float = 1.0) -> "InfectionSpec":
         """Exponentially distributed period with the given mean."""
-        if mean < 0:
-            raise ValueError("exponential period needs mean >= 0")
-        return cls._general("exponential", rate, mean=float(mean))
+        return cls._general("exponential", rate=rate, mean=mean)
 
     @classmethod
     def gamma(cls, rate: float, shape: float, scale: float = 1.0) -> "InfectionSpec":
-        if shape < 0 or scale < 0:
-            raise ValueError("gamma period needs shape >= 0 and scale >= 0")
-        return cls._general("gamma", rate, shape=float(shape),
-                            scale=float(scale))
+        return cls._general("gamma", rate=rate, shape=shape, scale=scale)
 
     @classmethod
-    def _general(cls, kind: str, rate: float, **law) -> "InfectionSpec":
-        # checked before phi is read, then given p_i = 1 - phi(rate)
-        check_real("rate", rate)
-        spec = cls(kind, 0.0, float(rate), **law)
+    def _general(cls, kind: str, **params) -> "InfectionSpec":
+        # each parameter's type is checked as given, since float(True) is
+        # 1.0; __post_init__ checks the ranges before phi is read, and
+        # then p_i = 1 - phi(rate)
+        for name, value in params.items():
+            check_real(name, value)
+        spec = cls(kind, 0.0, **{name: float(value)
+                                 for name, value in params.items()})
         return replace(spec, p_i=1.0 - spec.phi(spec.rate))

@@ -42,11 +42,12 @@ Node ids, edge ends and CSR offsets have one dtype rule,
 `index_dtype`: int32 while every count involved (n, and 2 * n_edges for
 the adjacency) is below 2**31 - 1, else int64.  `build_network`,
 `rewire` and `read_network` store the edge ends in it, and the adjacency
-uses it whatever the edge arrays' own dtype.  The stub arrays the
-generator shuffles stay int64, because `Generator.shuffle` has a fast
-path only for items the size of intp (the permutation drawn is the same
-at any item size); each pair is narrowed once, as `np.concatenate`
-writes it into the edge arrays.
+uses it whatever the edge arrays' own dtype.  Only the shuffled stub
+array stays int64, because `Generator.shuffle` has a fast path only for
+items the size of intp (the permutation drawn is the same at any item
+size); the ranking groups the labelled stubs' owner ids in the index
+dtype, and each pair is narrowed once, as `np.concatenate` writes it
+into the edge arrays.
 
 Self-loops and parallel edges are kept (they vanish in proportion as n
 grows).  A `Network` stores the household sizes and the discard counts;
@@ -414,10 +415,11 @@ def build_network(spec: GenSpec, seed: Seed) -> Network:
     # cut them into n_q blocks, the rem larger ones first; the ranking is
     # copied back over the X=1 stubs, so that no second stub array is
     # alive when the edge arrays are written; a degree is at most
-    # n - 1 + g, so the index dtype of n + stubs.size holds it
+    # n - 1 + g, so the index dtype of n + stubs.size holds it, and the
+    # owner ids are grouped in the index dtype of n
     degree = np.add(size_of_node - 1, g, dtype=index_dtype(n + stubs.size))
     ranked = stubs[:n1]
-    ranked[:] = _group_by([(degree[ranked], ranked)],
+    ranked[:] = _group_by([(degree[ranked], ranked.astype(ids))],
                           int(degree.max()) + 1)[1]
     base, rem = divmod(n1, spec.n_q)
     j = np.arange(spec.n_q + 1)

@@ -14,20 +14,30 @@ asymptotic relative final size.
 
 The exploration walks the network's cached CSR adjacency
 (`Network.adjacency`), so a forward and a reverse run on one network
-share one build.  A level lists the heads of its frontier's bonds with
-scipy's CSR row-gather kernel, draws one uniform per bond, and keeps
-the open ones with `np.compress`, which at their density (0.2-0.45 of a
-level's bonds) runs in under half the time of a boolean index.  The
-heads hit are deduplicated by a scatter into a boolean mask, not a
-sort, and the seen ones dropped from the distinct heads; the next
-frontier comes out in increasing node order, so the random draws of a
-run on a given network do not depend on how it is built.
+share one build.  A level cuts its frontier, at row boundaries, into
+pieces of about 2**16 bonds.  Each piece lists the heads of its bonds
+with scipy's CSR row-gather kernel, draws one uniform per bond, keeps
+the open ones with `np.compress`, which at their density (0.2-0.45 of
+the bonds) runs in under half the time of a boolean index, and marks
+the heads hit in a boolean mask.  A piece's heads, probabilities,
+uniforms and compare mask stay in cache, and since the uniforms are
+drawn piece after piece in bond order, they are one stream at any piece
+size.  The level then clears the seen ones from the mask, in one pass
+over the two n-byte masks, and lists the rest; the next frontier comes
+out in increasing node order, so the random draws of a run on a given
+network do not depend on how it is built.
 
-Per node, a run costs two n-byte masks, one pass over a mask per level
-to list the heads hit, and for a general period the n periods its
-stream draws (16 bytes per node with their bond probabilities).
-Everything else follows the outbreak: a level reads the CSR rows of its
-frontier only, and the final size is the sum of the generation counts.
+Per node, a general-period run costs the n periods its stream draws,
+overwritten by their bond probabilities (8 bytes per node), and a large
+outbreak two n-byte masks and two passes over them per level.  Beyond
+that a level holds its frontier's ids and bond counts, the new nodes it
+reached and one piece: at n = 2e5 a gamma-period major outbreak
+peaks at about 28 bytes per node over the live network.  Small levels
+and small outbreaks skip the n-byte passes: a level with fewer than n/64
+bonds sorts its hits instead of marking them, and until n/64 nodes
+are seen, or a level has n/64 bonds, the seen ones are a sorted array,
+so a minor outbreak costs its size, not n.  A level reads the CSR rows of its frontier
+only, and the final size is the sum of the generation counts.
 
 `estimate` repeats build / rewire / infect with independently spawned
 seed streams, splits outcomes into minor and major at a size cutoff
@@ -73,6 +83,51 @@ class EpidemicOutcome:
             )
 
 
+# a level's bonds are drawn in pieces of about _PIECE bonds, cut at row
+# boundaries, so that a piece's heads, probabilities, uniforms and mask
+# stay in cache and a level's temporaries do not grow with the level
+_PIECE = 1 << 16
+# a level with fewer than n >> _FEW_SHIFT bonds sorts its hits rather
+# than pass over an n-byte mask, and an outbreak keeps its seen nodes
+# sorted until it has that many; at n = 1e6, n >> 3 ran major outbreaks
+# about 6% slower and n >> 8 minor ones 5-20% slower
+_FEW_SHIFT = 6
+
+
+def _open_heads(frontier, counts, ends, indptr, heads, rng, p_i, p_node,
+                reverse):
+    """The heads of the level's open bonds, one array per piece, with one
+    uniform per bond in bond order: `rng.random(a)` then `rng.random(b)`
+    draws the stream of `rng.random(a + b)`, so the outcome does not
+    depend on _PIECE.  A row longer than a piece is a piece of its own."""
+    a = base = 0
+    total = int(ends[-1])
+    while a < frontier.size:
+        b = frontier.size
+        if total - base > _PIECE:
+            b = max(int(ends.searchsorted(base + _PIECE, "right")), a + 1)
+        rows = frontier[a:b]
+        end = int(ends[b - 1])
+        # the heads of the piece's bonds, row by row, from scipy's CSR
+        # row-gather kernel; heads goes in as both its index and its
+        # data array, so the kernel writes each head twice into `listed`
+        # and no payload array is needed
+        listed = np.empty(end - base, dtype=heads.dtype)
+        _sparsetools.csr_row_index(rows.size, rows, indptr, heads, heads,
+                                   listed, listed)
+        if p_node is None:
+            prob = p_i
+        elif reverse:
+            # a bond into v is open with v's probability
+            prob = p_node.take(listed)
+        else:
+            prob = np.repeat(p_node.take(rows), counts[a:b])
+        # open bonds are 0.2-0.45 of a piece's: at 43% of 1e7 intp,
+        # np.compress takes 34 ms where a boolean index takes 81 ms
+        yield listed.compress(rng.random(listed.size) < prob)
+        a, base = b, end
+
+
 def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
                  reverse: bool = False) -> EpidemicOutcome:
     """Percolation epidemic from `start` (uniform if None).
@@ -95,49 +150,63 @@ def run_epidemic(net: Network, infection, seed, start: Optional[int] = None,
     if start is None:
         start = int(rng.integers(n))
 
-    p_i = infection.p_i
+    p_node = None
     if not infection.is_constant:
-        periods = infection.sample_periods(rng, n)
-        p_node = 1.0 - np.exp(-infection.rate * periods)
+        # each node's bond probability 1 - exp(-rate * period), written
+        # over its period: the same three operations, one n-float array
+        p_node = infection.sample_periods(rng, n)
+        np.multiply(p_node, -infection.rate, out=p_node)
+        np.exp(p_node, out=p_node)
+        np.subtract(1.0, p_node, out=p_node)
 
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    marked = np.zeros(n, dtype=bool)
+    few = n >> _FEW_SHIFT
     # the frontier stays in the CSR's index dtype, which the row gather
-    # below takes without a cast
+    # takes without a cast
     frontier = np.array([start], dtype=indptr.dtype)
+    # until the outbreak has `few` nodes or a level `few` bonds, the seen
+    # ones are a sorted array and no n-byte mask exists, so a minor
+    # outbreak costs its size
+    seen_ids, seen, marked = frontier, None, None
     generations = [1]
     while frontier.size:
-        counts = indptr[frontier + 1] - indptr[frontier]
-        # the heads of the level's bonds, row by row, from scipy's CSR
-        # row-gather kernel; heads goes in as both its index and its data
-        # array, so the kernel writes each head twice into `listed` and no
-        # 2E-byte payload array is needed (one would break the 3n-byte
-        # budget of a minor outbreak)
-        listed = np.empty(int(counts.sum()), dtype=heads.dtype)
-        _sparsetools.csr_row_index(frontier.size, frontier, indptr, heads,
-                                   heads, listed, listed)
-        # open bonds are 0.2-0.45 of a level's: at 43% of 1e7 intp,
-        # np.compress takes 34 ms where a boolean index takes 81 ms
-        if reverse and not infection.is_constant:
-            # a bond into v is open with v's probability
-            prob = p_node[listed]
+        # take gathers by int32 ids 1.3-2x faster than an index does
+        counts = indptr[1:].take(frontier) - indptr.take(frontier)
+        ends = counts.cumsum()
+        hits = _open_heads(frontier, counts, ends, indptr, heads, rng,
+                           infection.p_i, p_node, reverse)
+        sorting = ends[-1] < few
+        if seen is None and (seen_ids.size >= few or not sorting):
+            seen = np.zeros(n, dtype=bool)
+            seen[seen_ids] = True
+            marked = np.zeros(n, dtype=bool)
+        if sorting:
+            # few hits: a sort costs less than a pass over an n-byte mask
+            # and gives the heads in node order, a repeat beside the head
+            # it repeats
+            reached = np.concatenate(list(hits))
+            reached.sort()
+            if seen is None:
+                unseen = seen_ids.take(seen_ids.searchsorted(reached),
+                                       mode="clip") != reached
+            else:
+                unseen = ~seen.take(reached)
+            unseen[1:] &= reached[1:] != reached[:-1]
+            new = reached.compress(unseen)
         else:
-            prob = (p_i if infection.is_constant
-                    else np.repeat(p_node[frontier], counts))
-        hit = np.compress(rng.random(listed.size) < prob, listed)
-        del listed, prob  # free them before the scatter below allocates
-        # the distinct heads in node order from one scatter, then the
-        # unseen among them (from all to none of them over an outbreak):
-        # at 2e6 hits on n = 1e6, 60% seen, 15 ms where compacting the
-        # hits by ~seen[hit] took 25 ms
-        marked[hit] = True
-        reached = np.flatnonzero(marked)
-        marked[reached] = False
-        new = np.compress(~seen[reached], reached)
+            # one scatter per piece, then the heads hit and not seen, in
+            # node order, from two passes over the masks
+            for hit in hits:
+                marked[hit] = True
+            np.greater(marked, seen, out=marked)
+            new = marked.nonzero()[0]
+            marked[new] = False
         if new.size == 0:
             break
-        seen[new] = True
+        if seen is None:
+            seen_ids = np.concatenate((seen_ids, new))
+            seen_ids.sort()
+        else:
+            seen[new] = True
         frontier = new.astype(indptr.dtype, copy=False)
         generations.append(int(new.size))
     size = sum(generations)

@@ -599,3 +599,27 @@ def test_infection_spec_rejects_a_bool_probability_or_rate(build):
     # InfectionSpec.constant(True) once ran as p_i = 1.0
     with pytest.raises(TypeError, match="must be a real number, not True"):
         build()
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda v: dd.InfectionSpec.exponential(0.5, mean=v), "mean",
+                 id="exp-mean"),
+    pytest.param(lambda v: dd.InfectionSpec.gamma(0.5, v, 1.0), "shape",
+                 id="gamma-shape"),
+    pytest.param(lambda v: dd.InfectionSpec.gamma(0.5, 2.0, v), "scale",
+                 id="gamma-scale"),
+    pytest.param(lambda v: dd.InfectionSpec("gamma", 0.3, 0.5, shape=v,
+                                            scale=1.0), "shape",
+                 id="init-shape"),
+])
+def test_infection_spec_rejects_a_bool_or_nan_law_parameter(build, name):
+    # exponential(0.5, mean=True) once ran with mean 1.0, and a nan shape
+    # failed on the transmission probability that phi made of it
+    with pytest.raises(TypeError, match=f"^{name} must be a real number, "
+                                        "not True$"):
+        build(True)
+    with pytest.raises(ValueError, match=f"period needs {name} >= 0, got nan"):
+        build(math.nan)
+    with pytest.raises(ValueError, match=f"period needs {name} >= 0, got -1"):
+        build(-1.0)
+    build(np.float32(0.5))  # numpy reals count

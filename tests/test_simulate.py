@@ -16,6 +16,7 @@ from netepi.branching import ModelParams
 from netepi.distributions import InfectionSpec, from_pmf, point, poisson, poisson_plus
 from netepi.errors import AmbiguousBimodality, NoMajorOutbreaks
 from netepi.netgen import GenSpec, Network, build_network, index_dtype, rewire
+from netepi import simulate
 from netepi.simulate import (
     EpidemicOutcome,
     EstimateReport,
@@ -141,6 +142,43 @@ def test_run_epidemic_matches_reference_bfs_on_large_levels():
     assert max(sizes) > n // 2  # major outbreaks among the seeds
 
 
+def hub_network(n=3000, hub_degree=400, seed=0):
+    """A sparse random multigraph whose node 0 is joined to nodes
+    1..hub_degree, so that its CSR row is longer than a small piece."""
+    rng = np.random.default_rng(seed)
+    ends = rng.integers(n, size=(3 * n, 2))
+    star = [(0, v) for v in range(1, hub_degree + 1)]
+    return tiny_network([*map(tuple, ends.tolist()), *star], n)
+
+
+@pytest.mark.parametrize("constant, value", [
+    ("_PIECE", 1), ("_PIECE", 7), ("_PIECE", 64),
+    # every level sorts its hits and the seen stay a sorted array, or
+    # every level marks them and the seen mask exists from the start
+    ("_FEW_SHIFT", 0), ("_FEW_SHIFT", 62),
+])
+def test_outcomes_do_not_depend_on_piece_size_or_sort_threshold(
+        monkeypatch, constant, value):
+    # the uniforms are drawn piece by piece in bond order, one stream at
+    # any piece size, and sorting a level's hits or marking them gives the
+    # same distinct heads in node order
+    net = hub_network()
+    cases = [(infection, reverse, seed, start)
+             for infection in BOTH_PERIODS for reverse in (False, True)
+             for seed in range(4) for start in (None, 0)]
+
+    def generations():
+        return [run_epidemic(net, infection, seed=seed, start=start,
+                             reverse=reverse).generations
+                for infection, reverse, seed, start in cases]
+
+    default = generations()
+    assert max(g.sum() for g in default) > net.n // 2  # major ones too
+    monkeypatch.setattr(simulate, constant, value)
+    for got, want in zip(generations(), default):
+        assert np.array_equal(got, want)
+
+
 def test_run_epidemic_rejects_start_outside_network():
     net = build_network(GenSpec(n=50, household=poisson_plus(2.0),
                                 global_degree=poisson(3.0)), seed=1)
@@ -249,6 +287,37 @@ def test_minor_outbreak_stays_within_its_memory_budget():
             tracemalloc.stop()
     assert max(sizes) < 100  # minor outbreaks only
     assert max(peaks) < 3 * n, max(peaks)
+
+
+def test_major_outbreak_stays_within_its_memory_budget():
+    # tracemalloc peak of gamma-period major outbreaks on a cached
+    # adjacency, over what is alive before the run: the n bond
+    # probabilities (8 bytes a node), the two n-byte masks and one level's
+    # ids; a level that draws all its bonds at once took 108-125 bytes a
+    # node here, its heads, probabilities, uniforms and mask alive at once
+    n = 200_000
+    net = build_network(GenSpec(n=n, household=poisson_plus(2.0),
+                                global_degree=poisson(8.0), r=-0.5, n_q=10),
+                        seed=3)
+    net.adjacency
+    spec = InfectionSpec.gamma(0.6, 4.0, 0.25)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    peaks, sizes = [], []
+    try:
+        for reverse in (False, True):
+            for seed in range(2):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                sizes.append(run_epidemic(net, spec, seed=seed,
+                                          reverse=reverse).final_size)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert min(sizes) > n // 2  # major outbreaks only
+    assert max(peaks) <= 48 * n, [peak / n for peak in peaks]
 
 
 def test_run_epidemic_deterministic_per_seed():
